@@ -375,6 +375,14 @@ pub struct Fleet {
     channels: BTreeMap<String, BTreeMap<String, SecureChannel>>,
     channel_rng: SecretRng,
     sessions: BTreeMap<SessionId, SessionEntry>,
+    /// Armed deadlines of unsettled sessions, earliest first. `ArmTimer`
+    /// replaces a session's entry; `complete` and `finish_session` remove
+    /// it, so the event loop finds the next deadline without a scan.
+    deadlines: BTreeSet<(SimInstant, SessionId)>,
+    /// Sessions settled since `drive_until_settled` last handed this
+    /// queue over (pushed by `complete`); never longer than the in-flight
+    /// window.
+    settled: Vec<SessionId>,
     next_session_id: SessionId,
     inflight: u64,
     seen_drops: u64,
@@ -536,6 +544,8 @@ impl Fleet {
             channels: BTreeMap::new(),
             channel_rng,
             sessions: BTreeMap::new(),
+            deadlines: BTreeSet::new(),
+            settled: Vec::new(),
             next_session_id: 1,
             inflight: 0,
             seen_drops: 0,
@@ -645,7 +655,7 @@ impl Fleet {
             1,
             None,
         )?;
-        self.drive_until_below(&[sid], 1);
+        self.drive_until_settled();
         match self.finish_session(sid).0? {
             SessionOutcome::SetupDone => Ok(shard),
             _ => Err(FleetError::System(SystemError::MissingReply {
@@ -714,7 +724,7 @@ impl Fleet {
             1,
             None,
         )?;
-        self.drive_until_below(&[sid], 1);
+        self.drive_until_settled();
         match self.finish_session(sid).0? {
             SessionOutcome::AccountAdded => {
                 let entry = self
@@ -814,7 +824,7 @@ impl Fleet {
 
     fn run_one(&mut self, op: FleetOp) -> Result<OpOutcome, FleetError> {
         let sid = self.begin_op(&op)?;
-        self.drive_until_below(&[sid], 1);
+        self.drive_until_settled();
         self.finish_op(sid)
     }
 
@@ -848,7 +858,6 @@ impl Fleet {
         // In-flight bookkeeping: which op each session serves, plus the
         // coalesced waiters riding on it.
         let mut open: BTreeMap<SessionId, (usize, Vec<usize>)> = BTreeMap::new();
-        let mut open_order: Vec<SessionId> = Vec::new();
         // (user, account) → owning session; `true` = coalescible (Generate).
         let mut busy_accounts: BTreeMap<(String, usize), (SessionId, bool)> = BTreeMap::new();
         // Users locked whole (recovery replaces the phone).
@@ -859,7 +868,7 @@ impl Fleet {
             // target is busy parks at the back of the queue.
             let mut scanned = 0;
             let backlog = queue.len();
-            while open_order.len() < cap && scanned < backlog {
+            while open.len() < cap && scanned < backlog {
                 let Some(i) = queue.pop_front() else { break };
                 scanned += 1;
                 let Some(op) = ops.get(i) else { continue };
@@ -894,7 +903,10 @@ impl Fleet {
                     }
                     FleetOp::Recover { .. } => {
                         let user_busy = busy_users.contains(&user)
-                            || busy_accounts.keys().any(|(u, _)| u == &user);
+                            || busy_accounts
+                                .range((user.clone(), 0)..=(user.clone(), usize::MAX))
+                                .next()
+                                .is_some();
                         if user_busy {
                             queue.push_back(i);
                             continue;
@@ -917,7 +929,6 @@ impl Fleet {
                             FleetOp::Login { .. } => {}
                         }
                         open.insert(sid, (i, Vec::new()));
-                        open_order.push(sid);
                     }
                     Err(e) => {
                         if let Some(slot) = results.get_mut(i) {
@@ -927,7 +938,7 @@ impl Fleet {
                 }
             }
 
-            if open_order.is_empty() {
+            if open.is_empty() {
                 // Nothing in flight. Either we are done, or the backlog is
                 // wedged on targets that can never free up (impossible while
                 // sessions exist; shed defensively rather than spin).
@@ -940,16 +951,11 @@ impl Fleet {
                 break;
             }
 
-            // Run the event loop until at least one in-flight op settles.
-            self.drive_until_below(&open_order, open_order.len());
-
-            let mut still_open = Vec::with_capacity(open_order.len());
-            for sid in open_order.drain(..) {
-                let settled = self.sessions.get(&sid).is_none_or(|e| e.outcome.is_some());
-                if !settled {
-                    still_open.push(sid);
-                    continue;
-                }
+            // Run the event loop until at least one in-flight op settles,
+            // then retire the settled ops in session (= admission) order.
+            let mut settled = self.drive_until_settled();
+            settled.sort_unstable();
+            for sid in settled {
                 let Some((index, waiters)) = open.remove(&sid) else {
                     continue;
                 };
@@ -979,7 +985,6 @@ impl Fleet {
                     *slot = Some(outcome);
                 }
             }
-            open_order = still_open;
         }
 
         results
@@ -1175,8 +1180,15 @@ impl Fleet {
                 }
                 Action::ArmTimer(duration) => {
                     let deadline = self.net.now() + duration;
+                    // A session settled by an earlier action of this batch
+                    // keeps no timer.
                     if let Some(entry) = self.sessions.get_mut(&sid) {
-                        entry.deadline = Some(deadline);
+                        if entry.outcome.is_none() {
+                            if let Some(old) = entry.deadline.replace(deadline) {
+                                self.deadlines.remove(&(old, sid));
+                            }
+                            self.deadlines.insert((deadline, sid));
+                        }
                     }
                 }
                 Action::ExpectUserConfirm => {
@@ -1275,7 +1287,9 @@ impl Fleet {
         if entry.outcome.is_some() {
             return;
         }
-        entry.deadline = None;
+        if let Some(deadline) = entry.deadline.take() {
+            self.deadlines.remove(&(deadline, sid));
+        }
         if let Some(span) = entry.span.take() {
             match &result {
                 Ok(_) => {
@@ -1288,6 +1302,7 @@ impl Fleet {
             self.telemetry.counter("fleet.generations").inc();
         }
         entry.outcome = Some(result);
+        self.settled.push(sid);
         self.inflight = self.inflight.saturating_sub(1);
         self.update_inflight_gauge();
     }
@@ -1454,28 +1469,25 @@ impl Fleet {
 
     // -- event loop -----------------------------------------------------------
 
-    /// Drives the network and the given sessions until fewer than `below`
-    /// of them remain unsettled (`below == 1` runs everything to
-    /// completion; `below == targets.len()` returns as soon as one
-    /// settles, which is how the admission window refills). Same
+    /// Drives the network until at least one in-flight session settles,
+    /// and returns the drained settle queue (in settle order). Same
     /// interleaving rules as the single-host loop: frames batch under the
     /// earliest timer deadline, timers fire between deliveries, push drops
     /// are attributed when the network idles.
-    fn drive_until_below(&mut self, targets: &[SessionId], below: usize) {
-        loop {
-            let live: Vec<SessionId> = targets
-                .iter()
-                .copied()
-                .filter(|sid| self.sessions.get(sid).is_some_and(|e| e.outcome.is_none()))
-                .collect();
-            if live.len() < below.max(1) {
-                return;
-            }
-
-            let next_deadline = live
-                .iter()
-                .filter_map(|sid| self.sessions.get(sid).and_then(|e| e.deadline))
-                .min();
+    ///
+    /// Each step costs O(log in-flight): the next deadline comes from
+    /// `deadlines` and a settle shows up in `settled`. Only the two
+    /// idle-network paths (push-drop attribution and failing sessions that
+    /// can never finish) walk the session table, and they run at most once
+    /// per lost push or stall, never per frame.
+    fn drive_until_settled(&mut self) -> Vec<SessionId> {
+        // A lone session takes its frames in batches: it keeps delivering
+        // past its own settle, up to the deadline read before the batch.
+        // With several in flight, control returns after every frame so the
+        // admission window refills promptly.
+        let batch = self.inflight <= 1;
+        while self.settled.is_empty() {
+            let next_deadline = self.deadlines.first().map(|&(deadline, _)| deadline);
 
             let mut delivered_any = false;
             while let Some(frame_at) = self.net.next_delivery_at() {
@@ -1484,9 +1496,7 @@ impl Fleet {
                 }
                 self.deliver_one_frame();
                 delivered_any = true;
-                // Settling below the threshold mid-batch must hand control
-                // back so the admission window can refill promptly.
-                if below > 1 {
+                if !batch {
                     break;
                 }
             }
@@ -1497,32 +1507,27 @@ impl Fleet {
             match self.net.next_delivery_at() {
                 Some(_) => {
                     if let Some(deadline) = next_deadline {
-                        self.fire_timers(&live, deadline);
+                        self.fire_timers(deadline);
                     }
                 }
                 None => {
                     let dropped = self.net.dropped_count();
                     if dropped > self.seen_drops {
                         self.seen_drops = dropped;
-                        let mut fired = false;
-                        for sid in &live {
-                            let exposed = self
-                                .sessions
-                                .get(sid)
-                                .is_some_and(|e| e.engine.awaits_push());
-                            if exposed {
-                                fired = true;
-                                self.feed(*sid, Event::PushDropped);
-                            }
+                        let exposed = self.unsettled(|e| e.engine.awaits_push());
+                        for &sid in &exposed {
+                            self.feed(sid, Event::PushDropped);
                         }
-                        if fired {
+                        if !exposed.is_empty() {
                             continue;
                         }
                     }
                     match next_deadline {
-                        Some(deadline) => self.fire_timers(&live, deadline),
+                        Some(deadline) => self.fire_timers(deadline),
                         None => {
-                            for sid in live {
+                            // Idle network, no timer: nothing in flight can
+                            // ever finish.
+                            for sid in self.unsettled(|_| true) {
                                 let expected = self
                                     .sessions
                                     .get(&sid)
@@ -1535,24 +1540,41 @@ impl Fleet {
                 }
             }
         }
+        std::mem::take(&mut self.settled)
     }
 
-    fn fire_timers(&mut self, live: &[SessionId], deadline: SimInstant) {
+    /// Unsettled sessions matching `filter`, in id order.
+    fn unsettled(&self, filter: impl Fn(&SessionEntry) -> bool) -> Vec<SessionId> {
+        self.sessions
+            .iter()
+            .filter(|(_, e)| e.outcome.is_none() && filter(e))
+            .map(|(&sid, _)| sid)
+            .collect()
+    }
+
+    /// Advances the clock to `deadline` and fires every timer due by then,
+    /// in session-id order.
+    fn fire_timers(&mut self, deadline: SimInstant) {
         let now = self.net.now();
         if deadline > now {
             self.net.advance(deadline.duration_since(now));
         }
         let now = self.net.now();
-        for sid in live {
-            let expired = self
-                .sessions
-                .get(sid)
-                .and_then(|e| e.deadline)
-                .is_some_and(|d| d <= now);
-            if expired {
-                self.telemetry.counter("fleet.session.timeouts").inc();
-                self.feed(*sid, Event::TimerFired);
+        let mut expired = Vec::new();
+        while let Some(&(at, sid)) = self.deadlines.first() {
+            if at > now {
+                break;
             }
+            self.deadlines.pop_first();
+            if let Some(entry) = self.sessions.get_mut(&sid) {
+                entry.deadline = None;
+            }
+            expired.push(sid);
+        }
+        expired.sort_unstable();
+        for sid in expired {
+            self.telemetry.counter("fleet.session.timeouts").inc();
+            self.feed(sid, Event::TimerFired);
         }
     }
 
@@ -1571,6 +1593,9 @@ impl Fleet {
     ) -> (Result<SessionOutcome, SystemError>, Option<SimDuration>) {
         match self.sessions.remove(&sid) {
             Some(entry) => {
+                if let Some(deadline) = entry.deadline {
+                    self.deadlines.remove(&(deadline, sid));
+                }
                 if entry.outcome.is_none() {
                     self.inflight = self.inflight.saturating_sub(1);
                     self.update_inflight_gauge();

@@ -4,7 +4,8 @@
 
 use amnesia_core::{Domain, PasswordPolicy, Username};
 use amnesia_fleet::{phone_seed, Fleet, FleetConfig, FleetError, FleetOp, OpOutcome};
-use amnesia_system::{AmnesiaSystem, SystemConfig};
+use amnesia_net::SimDuration;
+use amnesia_system::{AmnesiaSystem, NetProfile, SystemConfig, SystemError};
 
 fn acct(user: &str, a: usize) -> (Username, Domain) {
     (
@@ -268,6 +269,141 @@ fn mixed_op_kinds_complete() {
     assert!(matches!(results[3], Ok(OpOutcome::Recovered { .. })));
     // After recovery bob's replacement phone serves generations.
     fleet.generate("bob", 0).expect("post-recovery generate");
+}
+
+/// The shared-window fleet: 12 users with 2 accounts each on one shard
+/// behind an 8-session window. The shard pushes through rendezvous
+/// instance 0, which forwards to instance 1 for the users homed there. A
+/// 2 s session timeout makes lost pushes surface quickly.
+fn window_fleet(profile: NetProfile, attempts: u32) -> Fleet {
+    let mut fleet = Fleet::new(
+        FleetConfig::default()
+            .with_seed(0x71e5)
+            .with_shards(1)
+            .with_rendezvous(2)
+            .with_profile(profile)
+            .with_table_size(64)
+            .with_max_inflight(8)
+            .with_generate_attempts(attempts)
+            .with_session_timeout(SimDuration::from_micros(2_000_000)),
+    );
+    for k in 0..12 {
+        let name = format!("user-{k}");
+        fleet.add_user(&name, &format!("mp-{name}")).expect("setup");
+        for a in 0..2 {
+            let (u, d) = acct(&name, a);
+            fleet
+                .add_account(&name, u, d, PasswordPolicy::default())
+                .expect("account");
+        }
+    }
+    fleet
+}
+
+/// 40 generations over the 24 accounts, repeats included, so several
+/// sessions share the window and some duplicates coalesce.
+fn window_ops() -> Vec<FleetOp> {
+    (0..40)
+        .map(|i| FleetOp::Generate {
+            user: format!("user-{}", (i * 5) % 12),
+            account: (i / 3) % 2,
+        })
+        .collect()
+}
+
+/// The password each op's account gets on a healthy fleet with the same
+/// seed, in offer order.
+fn healthy_passwords() -> Vec<String> {
+    let mut fleet = window_fleet(NetProfile::lan(), 1);
+    fleet
+        .run_ops(&window_ops())
+        .iter()
+        .enumerate()
+        .map(|(i, r)| password_of(i, r).unwrap_or_else(|| panic!("healthy op {i}: {r:?}")))
+        .collect()
+}
+
+/// The password of result `i`, if it has one; panics on a non-password
+/// success.
+fn password_of(i: usize, result: &Result<OpOutcome, FleetError>) -> Option<String> {
+    match result {
+        Ok(OpOutcome::Password { password, .. }) => Some(password.as_str().to_string()),
+        Ok(other) => panic!("op {i}: expected a password, got {other:?}"),
+        Err(_) => None,
+    }
+}
+
+/// Timers firing while several `run_ops` sessions share the window: with
+/// rendezvous instance 1 down, every push forwarded to it is lost and its
+/// session times out (taking any coalesced duplicates with it), while the
+/// rest of the window completes. Each op settles exactly once, in offer
+/// order, and a restart heals every op.
+#[test]
+fn outage_timeouts_settle_each_op_in_a_shared_window() {
+    let healthy = healthy_passwords();
+    let ops = window_ops();
+    let mut fleet = window_fleet(NetProfile::lan(), 1);
+    fleet.set_rendezvous_online(1, false);
+
+    let results = fleet.run_ops(&ops);
+    assert_eq!(results.len(), ops.len());
+    let mut failed = 0;
+    for (i, result) in results.iter().enumerate() {
+        match password_of(i, result) {
+            Some(password) => assert_eq!(password, healthy[i], "op {i} out of order"),
+            None => {
+                failed += 1;
+                assert!(
+                    matches!(
+                        result,
+                        Err(FleetError::System(SystemError::MissingReply { .. })
+                            | FleetError::Coalesced(_))
+                    ),
+                    "op {i}: expected a typed timeout, got {result:?}"
+                );
+            }
+        }
+    }
+    assert!(
+        failed > 0 && failed < ops.len(),
+        "some but not all ops must fail, {failed} of {} did",
+        ops.len()
+    );
+    assert!(
+        results
+            .iter()
+            .any(|r| matches!(r, Err(FleetError::Coalesced(_)))),
+        "a timed-out session must fail its coalesced waiters too"
+    );
+    let snapshot = fleet.telemetry().snapshot();
+    assert!(snapshot.counters["fleet.session.timeouts"] > 0);
+    assert_eq!(snapshot.gauges["fleet.session.inflight"], 0);
+
+    fleet.set_rendezvous_online(1, true);
+    for (i, result) in fleet.run_ops(&ops).iter().enumerate() {
+        assert_eq!(
+            password_of(i, result).as_deref(),
+            Some(healthy[i].as_str()),
+            "op {i} after the restart"
+        );
+    }
+}
+
+/// Push drops attributed while several `run_ops` sessions share the
+/// window: each lost push is retried within the attempt budget and every
+/// op still returns its account's password, in offer order.
+#[test]
+fn push_drops_retry_within_a_shared_window() {
+    let healthy = healthy_passwords();
+    let mut fleet = window_fleet(NetProfile::lan().with_push_drop_probability(0.3), 8);
+    for (i, result) in fleet.run_ops(&window_ops()).iter().enumerate() {
+        assert_eq!(
+            password_of(i, result).as_deref(),
+            Some(healthy[i].as_str()),
+            "op {i}: {result:?}"
+        );
+    }
+    assert!(fleet.telemetry().snapshot().counters["fleet.generation_retries"] > 0);
 }
 
 /// Seed-replay determinism gate (pins the `nondet-iteration` hardening):

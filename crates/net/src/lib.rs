@@ -13,9 +13,10 @@
 //!   calibrates normal models so the end-to-end distribution matches the
 //!   paper's measured Wifi/4G means and standard deviations.
 //! * [`SimNet`] — named endpoints, directed links with [`LinkProfile`]s, an
-//!   event queue ordered by delivery time, per-endpoint mailboxes, and
-//!   [`Wiretap`]s that record every frame crossing a link (the §IV
-//!   eavesdropping attacks attach here).
+//!   event queue ordered by delivery time whose [`step`](SimNet::step)
+//!   hands each frame to the orchestrator (the network keeps nothing it
+//!   delivered), and [`Wiretap`]s that record every frame crossing a link
+//!   (the §IV eavesdropping attacks attach here).
 //! * [`SecureChannel`] — a toy authenticated-encryption channel standing in
 //!   for HTTPS: SHA-256 in counter mode for confidentiality plus
 //!   HMAC-SHA-256 for integrity, with a DTLS/QUIC-style sliding anti-replay
@@ -34,8 +35,9 @@
 //! net.connect("browser", "server", LinkProfile::new(LatencyModel::constant_ms(10.0)));
 //!
 //! net.send("browser", "server", b"hello".to_vec()).unwrap();
-//! net.run_until_idle();
-//! let frame = net.take_inbox("server").unwrap().pop().unwrap();
+//! let frame = net.step().unwrap();
+//! assert!(net.step().is_none());
+//! assert_eq!(frame.to, "server");
 //! assert_eq!(frame.payload, b"hello");
 //! assert_eq!(frame.delivered_at.as_millis_f64(), 10.0);
 //! ```

@@ -4,9 +4,9 @@ use crate::error::NetError;
 use crate::latency::LatencyModel;
 use crate::time::{SimClock, SimDuration, SimInstant};
 use amnesia_crypto::SecretRng;
-use amnesia_telemetry::Registry;
+use amnesia_telemetry::{Counter, Gauge, HistogramHandle, Registry};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -86,7 +86,8 @@ impl LinkProfile {
     }
 }
 
-/// A frame delivered to an endpoint's inbox.
+/// A frame on the simulated network; [`SimNet::step`] hands each one to the
+/// orchestrator when it is delivered.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Sending endpoint.
@@ -98,7 +99,7 @@ pub struct Frame {
     pub payload: Vec<u8>,
     /// When the frame entered the link.
     pub sent_at: SimInstant,
-    /// When the frame reached the inbox.
+    /// When the frame is delivered to its receiver.
     pub delivered_at: SimInstant,
 }
 
@@ -186,6 +187,27 @@ struct LinkState {
     /// the profile is [`ordered`](LinkProfile::ordered), where it clamps
     /// each new delivery forward to preserve FIFO order.
     last_deliver_at: SimInstant,
+    /// `net.link.<from>-><to>.latency_us`, resolved on the link's first
+    /// delivered frame (so a link that never delivers adds no key) and
+    /// dropped when the registry is replaced.
+    latency: Option<HistogramHandle>,
+}
+
+/// The network-wide metric handles, resolved once per registry.
+struct NetMetrics {
+    frames_sent: Counter,
+    queue_depth: Gauge,
+    delivery_latency: HistogramHandle,
+}
+
+impl NetMetrics {
+    fn resolve(registry: &Registry) -> Self {
+        NetMetrics {
+            frames_sent: registry.counter("net.frames_sent"),
+            queue_depth: registry.gauge("net.queue_depth"),
+            delivery_latency: registry.histogram("net.delivery_latency_us"),
+        }
+    }
 }
 
 struct Pending {
@@ -220,7 +242,7 @@ impl Ord for Pending {
 pub struct SimNet {
     clock: SimClock,
     rng: SecretRng,
-    inboxes: BTreeMap<String, Vec<Frame>>,
+    endpoints: BTreeSet<String>,
     /// Nested by sender, then receiver, so the send hot path can look a
     /// route up with two `&str` probes instead of allocating a
     /// `(String, String)` key per frame.
@@ -229,13 +251,14 @@ pub struct SimNet {
     seq: u64,
     dropped: u64,
     telemetry: Registry,
+    metrics: NetMetrics,
 }
 
 impl fmt::Debug for SimNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimNet")
             .field("now", &self.clock.now())
-            .field("endpoints", &self.inboxes.keys().collect::<Vec<_>>())
+            .field("endpoints", &self.endpoints)
             .field(
                 "links",
                 &self.links.values().map(BTreeMap::len).sum::<usize>(),
@@ -249,15 +272,17 @@ impl fmt::Debug for SimNet {
 impl SimNet {
     /// Creates a network with a deterministic latency-sampling seed.
     pub fn new(seed: u64) -> Self {
+        let telemetry = Registry::new();
         SimNet {
             clock: SimClock::new(),
             rng: SecretRng::seeded(seed),
-            inboxes: BTreeMap::new(),
+            endpoints: BTreeSet::new(),
             links: BTreeMap::new(),
             queue: BinaryHeap::new(),
             seq: 0,
             dropped: 0,
-            telemetry: Registry::new(),
+            metrics: NetMetrics::resolve(&telemetry),
+            telemetry,
         }
     }
 
@@ -265,6 +290,10 @@ impl SimNet {
     /// orchestrator injects its deployment-wide registry here so one snapshot
     /// covers every component.
     pub fn set_telemetry(&mut self, registry: Registry) {
+        self.metrics = NetMetrics::resolve(&registry);
+        for link in self.links.values_mut().flat_map(BTreeMap::values_mut) {
+            link.latency = None;
+        }
         self.telemetry = registry;
     }
 
@@ -287,13 +316,13 @@ impl SimNet {
     /// Panics if the name is already registered — endpoint wiring is harness
     /// configuration, not runtime input.
     pub fn register(&mut self, name: &str) {
-        let prior = self.inboxes.insert(name.to_string(), Vec::new());
-        assert!(prior.is_none(), "endpoint {name:?} already registered");
+        let fresh = self.endpoints.insert(name.to_string());
+        assert!(fresh, "endpoint {name:?} already registered");
     }
 
     /// Whether `name` is a registered endpoint.
     pub fn has_endpoint(&self, name: &str) -> bool {
-        self.inboxes.contains_key(name)
+        self.endpoints.contains(name)
     }
 
     /// Creates a directed link `from → to`.
@@ -311,6 +340,7 @@ impl SimNet {
                 profile,
                 taps: Vec::new(),
                 last_deliver_at: SimInstant::EPOCH,
+                latency: None,
             },
         );
     }
@@ -408,7 +438,7 @@ impl SimNet {
             })?;
 
         let sent_at = self.clock.now() + delay;
-        self.telemetry.counter("net.frames_sent").inc();
+        self.metrics.frames_sent.inc();
         if !link.taps.is_empty() {
             self.telemetry
                 .counter("net.wiretap_hits")
@@ -460,9 +490,7 @@ impl SimNet {
             frame,
         });
         self.seq += 1;
-        self.telemetry
-            .gauge("net.queue_depth")
-            .set_usize(self.queue.len());
+        self.metrics.queue_depth.set_usize(self.queue.len());
         Ok(Some(deliver_at))
     }
 
@@ -474,31 +502,36 @@ impl SimNet {
     }
 
     /// Delivers the next pending frame (advancing the clock to its delivery
-    /// time) and returns a copy, or `None` if the network is idle.
+    /// time) and hands it over, or returns `None` if the network is idle.
+    /// The network keeps nothing it delivered: the caller dispatches the
+    /// frame to its receiver.
     pub fn step(&mut self) -> Option<Frame> {
         let pending = self.queue.pop()?;
         self.clock.advance_to(pending.deliver_at);
         let frame = pending.frame;
         let latency = (frame.delivered_at - frame.sent_at).as_micros();
-        self.telemetry.record("net.delivery_latency_us", latency);
-        self.telemetry.record(
-            &format!("net.link.{}->{}.latency_us", frame.from, frame.to),
-            latency,
-        );
-        self.telemetry
-            .gauge("net.queue_depth")
-            .set_usize(self.queue.len());
-        // The endpoint was validated at send time, but an unregister between
-        // send and delivery must not crash the whole simulation — recreate
-        // the inbox instead (the frame is then simply never read).
-        self.inboxes
-            .entry(frame.to.clone())
-            .or_default()
-            .push(frame.clone());
+        self.metrics.delivery_latency.record(latency);
+        // Every queued frame crossed a link that still exists (links are
+        // never removed), so this lookup always finds it.
+        if let Some(link) = self
+            .links
+            .get_mut(&frame.from)
+            .and_then(|routes| routes.get_mut(&frame.to))
+        {
+            let telemetry = &self.telemetry;
+            link.latency
+                .get_or_insert_with(|| {
+                    telemetry
+                        .histogram(&format!("net.link.{}->{}.latency_us", frame.from, frame.to))
+                })
+                .record(latency);
+        }
+        self.metrics.queue_depth.set_usize(self.queue.len());
         Some(frame)
     }
 
-    /// Delivers every pending frame; returns how many were delivered.
+    /// Delivers every pending frame, discarding them; returns how many
+    /// were delivered.
     ///
     /// Note: frames sent *in response to* deliveries are the orchestrator's
     /// job — `amnesia-system` interleaves `step` with component dispatch.
@@ -508,18 +541,6 @@ impl SimNet {
             delivered += 1;
         }
         delivered
-    }
-
-    /// Drains and returns the endpoint's inbox (delivery order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::UnknownEndpoint`] if the endpoint is unregistered.
-    pub fn take_inbox(&mut self, name: &str) -> Result<Vec<Frame>, NetError> {
-        self.inboxes
-            .get_mut(name)
-            .map(std::mem::take)
-            .ok_or_else(|| NetError::UnknownEndpoint { name: name.into() })
     }
 
     /// Frames dropped by lossy links so far.
@@ -545,15 +566,25 @@ mod tests {
         net
     }
 
+    /// Delivers every pending frame and collects them in delivery order.
+    fn deliver_all(net: &mut SimNet) -> Vec<Frame> {
+        std::iter::from_fn(|| net.step()).collect()
+    }
+
+    /// The first payload byte of each frame, in order.
+    fn first_bytes(frames: &[Frame]) -> Vec<u8> {
+        frames.iter().map(|f| f.payload[0]).collect()
+    }
+
     #[test]
     fn delivery_advances_clock_by_latency() {
         let mut net = two_node_net(LatencyModel::constant_ms(25.0));
         net.send("a", "b", vec![9]).unwrap();
         assert_eq!(net.pending_count(), 1);
-        net.run_until_idle();
+        let frames = deliver_all(&mut net);
         assert_eq!(net.now().as_millis_f64(), 25.0);
-        let frames = net.take_inbox("b").unwrap();
         assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].to, "b");
         assert_eq!(frames[0].payload, vec![9]);
         assert_eq!(frames[0].sent_at.as_millis_f64(), 0.0);
     }
@@ -568,14 +599,7 @@ mod tests {
         net.send("a", "b", vec![1]).unwrap();
         net.send("a", "b", vec![2]).unwrap();
         net.send("a", "b", vec![3]).unwrap();
-        net.run_until_idle();
-        let payloads: Vec<u8> = net
-            .take_inbox("b")
-            .unwrap()
-            .iter()
-            .map(|f| f.payload[0])
-            .collect();
-        assert_eq!(payloads, vec![1, 2, 3]);
+        assert_eq!(first_bytes(&deliver_all(&mut net)), vec![1, 2, 3]);
     }
 
     #[test]
@@ -620,14 +644,11 @@ mod tests {
         net.connect("a", "b", LinkProfile::new(jitter));
         net.send("a", "b", vec![1]).unwrap();
         net.send("a", "b", vec![2]).unwrap();
-        net.run_until_idle();
-        let payloads: Vec<u8> = net
-            .take_inbox("b")
-            .unwrap()
-            .iter()
-            .map(|f| f.payload[0])
-            .collect();
-        assert_eq!(payloads, vec![2, 1], "datagram link must reorder");
+        assert_eq!(
+            first_bytes(&deliver_all(&mut net)),
+            vec![2, 1],
+            "datagram link must reorder"
+        );
     }
 
     #[test]
@@ -640,10 +661,12 @@ mod tests {
         net.connect("a", "b", LinkProfile::new(jitter).with_fifo_order());
         net.send("a", "b", vec![1]).unwrap();
         net.send("a", "b", vec![2]).unwrap();
-        net.run_until_idle();
-        let frames = net.take_inbox("b").unwrap();
-        let payloads: Vec<u8> = frames.iter().map(|f| f.payload[0]).collect();
-        assert_eq!(payloads, vec![1, 2], "stream link must stay FIFO");
+        let frames = deliver_all(&mut net);
+        assert_eq!(
+            first_bytes(&frames),
+            vec![1, 2],
+            "stream link must stay FIFO"
+        );
         assert!(frames[0].delivered_at <= frames[1].delivered_at);
     }
 
@@ -674,8 +697,7 @@ mod tests {
         assert_eq!(net.dropped_count(), 1);
         assert_eq!(tap.len(), 1);
         assert_eq!(tap.records()[0].payload, vec![7]);
-        net.run_until_idle();
-        assert!(net.take_inbox("b").unwrap().is_empty());
+        assert!(deliver_all(&mut net).is_empty());
     }
 
     #[test]
@@ -686,17 +708,6 @@ mod tests {
             NetError::NoLink {
                 from: "a".into(),
                 to: "ghost".into()
-            }
-        );
-    }
-
-    #[test]
-    fn take_inbox_of_unknown_endpoint_is_an_error() {
-        let mut net = two_node_net(LatencyModel::constant_ms(1.0));
-        assert_eq!(
-            net.take_inbox("ghost").unwrap_err(),
-            NetError::UnknownEndpoint {
-                name: "ghost".into()
             }
         );
     }

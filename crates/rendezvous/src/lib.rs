@@ -40,9 +40,9 @@
 //! // Orchestrator loop: deliver to GCM, let it forward, deliver to phone.
 //! let frame = net.step().unwrap();
 //! gcm.handle_frame(&frame, &mut net).unwrap();
-//! net.run_until_idle();
-//! let delivered = net.take_inbox("phone").unwrap();
-//! assert_eq!(delivered[0].payload, b"request R");
+//! let delivered = net.step().unwrap();
+//! assert_eq!(delivered.to, "phone");
+//! assert_eq!(delivered.payload, b"request R");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -315,9 +315,9 @@ mod tests {
         let id = gcm.register_device("phone");
         let device = push(&mut net, &mut gcm, &id, b"R-bytes").unwrap();
         assert_eq!(device, "phone");
-        net.run_until_idle();
-        let frames = net.take_inbox("phone").unwrap();
+        let frames: Vec<Frame> = std::iter::from_fn(|| net.step()).collect();
         assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].to, "phone");
         assert_eq!(frames[0].payload, b"R-bytes");
         // Total path latency = 10ms (server→gcm) + 15ms (gcm→phone).
         assert_eq!(frames[0].delivered_at.as_millis_f64(), 25.0);
@@ -332,8 +332,7 @@ mod tests {
         let err = push(&mut net, &mut gcm, &id, b"x").unwrap_err();
         assert!(matches!(err, RendezvousError::UnknownRegistration(_)));
         assert_eq!(gcm.rejected_count(), 1);
-        net.run_until_idle();
-        assert!(net.take_inbox("phone").unwrap().is_empty());
+        assert!(net.step().is_none(), "nothing reaches the phone");
     }
 
     #[test]

@@ -140,4 +140,12 @@ if ! grep -q '"generations_per_sec"' target/BENCH_E2E.quick.json; then
     exit 1
 fi
 
-echo "OK: offline build, tests, formatting, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path and e2e-throughput runs passed"
+echo "==> BENCHMARK.json benchmark smoke test"
+# benchmark/ is its own workspace, so `cargo test --workspace` above never
+# builds it. Its smoke test runs every workload in --quick mode and checks
+# the metric names, units, digests and output checks; running it here keeps
+# a change to an API the benchmark calls from silently breaking
+# BENCHMARK.json's command.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "OK: offline build, tests, formatting, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput and benchmark smoke runs passed"
