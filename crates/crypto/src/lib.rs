@@ -7,7 +7,9 @@
 //! * [`Sha256`] and [`Sha512`] — FIPS 180-4 secure hash algorithms. These are
 //!   the only hash functions the Amnesia scheme needs: `R` and `T` are
 //!   SHA-256 digests, the intermediate password value `p` is a SHA-512
-//!   digest, and stored verifiers use salted hashes.
+//!   digest, and stored verifiers use salted hashes. SHA-256 compresses on
+//!   the x86 SHA extensions when the CPU has them and on a portable kernel
+//!   otherwise, with identical output.
 //! * [`Hmac`] and [`HmacKey`] — RFC 2104 keyed-hash message authentication
 //!   code, generic over any [`Digest`] implementation. `HmacKey` caches the
 //!   ipad/opad compression midstates so repeated MACs under one key (the
@@ -46,7 +48,9 @@
 //! assert_eq!(sha512(b"abc").len(), 64);
 //! ```
 
-#![forbid(unsafe_code)]
+// One fn may use `unsafe`: the SHA-NI dispatch in `sha256.rs`, whose
+// call is sound right after the CPU feature check (DESIGN.md §9).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

@@ -28,8 +28,9 @@ use std::fmt;
 /// assert_eq!(a.bytes::<32>(), b.bytes::<32>());
 /// ```
 pub struct SecretRng {
-    /// HMAC key `K` from SP 800-90A.
-    k: [u8; 32],
+    /// The SP 800-90A key `K`, kept only in expanded form: its ipad/opad
+    /// midstates. Replaced whenever `update` replaces `K`.
+    key: HmacKey<Sha256>,
     /// Chaining value `V` from SP 800-90A.
     v: [u8; 32],
 }
@@ -42,10 +43,10 @@ impl fmt::Debug for SecretRng {
 }
 
 /// The `K`/`V` state determines every future output, so it is wiped when the
-/// generator goes away rather than left for the allocator to recycle.
+/// generator goes away rather than left for the allocator to recycle. `V`
+/// is wiped here; the midstates of `K` wipe themselves when `key` drops.
 impl Drop for SecretRng {
     fn drop(&mut self) {
-        zeroize(&mut self.k);
         zeroize(&mut self.v);
     }
 }
@@ -54,7 +55,7 @@ impl SecretRng {
     /// Instantiates the DRBG from raw seed material of any length.
     fn instantiate(seed_material: &[u8]) -> Self {
         let mut rng = SecretRng {
-            k: [0x00; 32],
+            key: HmacKey::new(&[0x00; 32]),
             v: [0x01; 32],
         };
         rng.update(seed_material);
@@ -64,25 +65,31 @@ impl SecretRng {
     /// The SP 800-90A `HMAC_DRBG_Update` step: folds `data` (possibly empty)
     /// into the `K`/`V` state.
     ///
-    /// Streams `V || round || data` through a precomputed [`HmacKey`]
-    /// instead of concatenating into a `Vec`; the output stream is
-    /// bit-identical (pinned by the `KAT_SEED_*` tests below).
+    /// Streams `V || round || data` through the cached key instead of
+    /// concatenating into a `Vec`, and expands each new `K` once, here; the
+    /// output stream is bit-identical (pinned by the `KAT_*` tests below).
     fn update(&mut self, data: &[u8]) {
         for round in [0x00u8, 0x01] {
-            let key = HmacKey::<Sha256>::new(&self.k);
-            let mut m = key.begin();
+            let mut k = [0u8; 32];
+            let mut m = self.key.begin();
             m.update(&self.v);
             m.update(&[round]);
             m.update(data);
-            m.finalize_into(&mut self.k);
-            let key = HmacKey::<Sha256>::new(&self.k);
-            let mut m = key.begin();
-            m.update(&self.v);
-            m.finalize_into(&mut self.v);
+            m.finalize_into(&mut k);
+            self.key = HmacKey::new(&k);
+            zeroize(&mut k);
+            self.ratchet();
             if data.is_empty() {
                 return;
             }
         }
+    }
+
+    /// `V = HMAC(K, V)`: two compressions under the cached key.
+    fn ratchet(&mut self) {
+        let mut m = self.key.begin();
+        m.update(&self.v);
+        m.finalize_into(&mut self.v);
     }
 
     /// Creates a generator seeded from operating-system entropy
@@ -103,19 +110,15 @@ impl SecretRng {
 
     /// Fills `buf` with random bytes (the SP 800-90A `Generate` step).
     ///
-    /// `K` is fixed for the whole call, so the key is expanded once and
-    /// each 32-byte ratchet restores cached midstates — the dominant cost
-    /// drops from six compressions per chunk to four.
+    /// The generator keeps `K` expanded, so each 32-byte chunk is one
+    /// ratchet of `V`: two compressions. The closing `update` costs six
+    /// more (two for the new `K`, two to expand it, two for `V`), so a
+    /// [`next_u64`](SecretRng::next_u64) costs eight compressions and one
+    /// key expansion.
     pub fn fill(&mut self, buf: &mut [u8]) {
-        let key = HmacKey::<Sha256>::new(&self.k);
-        let mut filled = 0;
-        while filled < buf.len() {
-            let mut m = key.begin();
-            m.update(&self.v);
-            m.finalize_into(&mut self.v);
-            let n = (buf.len() - filled).min(32);
-            buf[filled..filled + n].copy_from_slice(&self.v[..n]);
-            filled += n;
+        for chunk in buf.chunks_mut(32) {
+            self.ratchet();
+            chunk.copy_from_slice(&self.v[..chunk.len()]);
         }
         // Post-generate state refresh, so past output can't be reconstructed
         // from a captured state (backtracking resistance).
@@ -252,6 +255,33 @@ mod tests {
         assert_eq!(first, both[..32]);
     }
 
+    /// The KATs above read once from a fresh generator; these pin the
+    /// stream across many calls, so a key that goes stale between
+    /// `Generate` calls shows up here.
+    #[test]
+    fn known_answer_thousand_consecutive_u64s() {
+        let mut rng = SecretRng::seeded(0);
+        let mut h = Sha256::new();
+        for _ in 0..1_000 {
+            h.update(&rng.next_u64().to_le_bytes());
+        }
+        assert_eq!(hex::encode(&h.finalize()), KAT_SEED_0_THOUSAND_U64S);
+    }
+
+    #[test]
+    fn known_answer_mixed_fills_and_fork() {
+        let mut rng = SecretRng::seeded(42);
+        let mut h = Sha256::new();
+        for len in [0usize, 1, 8, 31, 32, 33, 64, 257] {
+            let mut buf = vec![0u8; len];
+            rng.fill(&mut buf);
+            h.update(&buf);
+        }
+        h.update(&rng.fork().bytes::<32>());
+        h.update(&rng.bytes::<32>());
+        assert_eq!(hex::encode(&h.finalize()), KAT_SEED_42_FILLS_AND_FORK);
+    }
+
     // Pinned first 64 bytes of the stream for fixed seeds. Derived once from
     // this implementation (HMAC_DRBG/SHA-256, seed material = 8-byte LE
     // integer) and frozen.
@@ -263,4 +293,9 @@ e0850106cc2b89303740fe94ae5bd196\
 82db3013064a7b14b8e72afc08d4454e\
 ec2921fd70fc1dc9302e43822c026b4e\
 6b0c7c1ec1e2c4b86de82edd7bf9133f";
+    // SHA-256 digests of longer streams, frozen the same way.
+    const KAT_SEED_0_THOUSAND_U64S: &str =
+        "b65e9149b2812a05fa0cc13df390cc4ac18875ebf142850d656dce41ed2dc6b4";
+    const KAT_SEED_42_FILLS_AND_FORK: &str =
+        "16fa24d4d7dba164a7ddbd3126e719acc13b0f64cdc7b7438593c5e456843774";
 }

@@ -69,21 +69,17 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                Self::compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let (blocks, rest) = data.as_chunks::<64>();
+        for block in blocks {
+            Self::compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
     }
 
@@ -98,15 +94,20 @@ impl Sha256 {
     /// bytes into `out` without allocating.
     pub fn finalize_into(mut self, out: &mut [u8]) {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length,
+        // written straight into the block buffer. `update` never leaves a
+        // full block buffered, so the 0x80 byte always fits.
+        if let Some((marker, zeros)) = self.buf[self.buf_len..].split_first_mut() {
+            *marker = 0x80;
+            zeros.fill(0);
         }
-        // Write the length directly into the buffer to avoid recounting it.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        if self.buf_len >= 56 {
+            // No room left for the length: it gets a block of its own.
+            Self::compress(&mut self.state, &self.buf);
+            self.buf = [0; 64];
+        }
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        Self::compress(&mut self.state, &self.buf);
 
         for (chunk, word) in out.chunks_mut(4).zip(self.state.iter()) {
             let be = word.to_be_bytes();
@@ -134,7 +135,30 @@ impl Sha256 {
         }
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// Compresses one block into `state`: on the SHA-NI kernel when this CPU
+    /// has the SHA extensions, on the portable kernel otherwise. Both compute
+    /// the same function; `dispatched_compression_matches_portable_kernel`
+    /// checks it.
+    #[allow(unsafe_code)]
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: `compress_sha_ni` is a safe fn whose one requirement is
+            // the target features it enables. The check above just found every
+            // one of them on this CPU; SSE2 is part of the x86-64 baseline.
+            unsafe { compress_sha_ni(state, block) };
+            return;
+        }
+        Self::compress_portable(state, block);
+    }
+
+    /// The FIPS 180-4 compression function in portable scalar code: the only
+    /// kernel on CPUs without the SHA extensions, and the reference the
+    /// SHA-NI kernel is tested against.
+    fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (slot, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
             let mut be = [0u8; 4];
@@ -150,7 +174,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for t in 0..64 {
             let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -172,9 +196,73 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        for (slot, add) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (slot, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *slot = slot.wrapping_add(add);
         }
+    }
+}
+
+/// The compression function on the x86 SHA extensions, four rounds per
+/// step. The round instruction holds the working variables as two vectors,
+/// `ABEF` and `CDGH`, with `A` and `C` in the high lanes. Vectors are built
+/// with `_mm_set_epi32` (high lane first) and read back lane by lane, so
+/// the kernel needs no pointer loads or stores.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    let lanes = |hi: u32, x2: u32, x1: u32, lo: u32| -> __m128i {
+        _mm_set_epi32(
+            hi.cast_signed(),
+            x2.cast_signed(),
+            x1.cast_signed(),
+            lo.cast_signed(),
+        )
+    };
+    let [a, b, c, d, e, f, g, h] = *state;
+    let mut abef = lanes(a, b, e, f);
+    let mut cdgh = lanes(c, d, g, h);
+
+    // The message as four vectors of big-endian words, `W[t]` in lane
+    // `t % 4`.
+    let mut m = [0u32; 16];
+    for (word, bytes) in m.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
+    }
+    let quad = |q: usize| lanes(m[4 * q + 3], m[4 * q + 2], m[4 * q + 1], m[4 * q]);
+    let (mut w0, mut w1, mut w2, mut w3) = (quad(0), quad(1), quad(2), quad(3));
+
+    let (round_keys, _) = K.as_chunks::<4>();
+    for &[k0, k1, k2, k3] in round_keys {
+        let wk = _mm_add_epi32(w0, lanes(k3, k2, k1, k0));
+        // Two rounds per instruction. Afterwards the old `ABEF` is the new
+        // `CDGH`, so the two vectors swap roles between the calls.
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+        // W[t + 16 .. t + 20] from W[t .. t + 16].
+        let next = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2)),
+            w3,
+        );
+        (w0, w1, w2, w3) = (w1, w2, w3, next);
+    }
+
+    let words = [
+        _mm_extract_epi32::<3>(abef),
+        _mm_extract_epi32::<2>(abef),
+        _mm_extract_epi32::<3>(cdgh),
+        _mm_extract_epi32::<2>(cdgh),
+        _mm_extract_epi32::<1>(abef),
+        _mm_extract_epi32::<0>(abef),
+        _mm_extract_epi32::<1>(cdgh),
+        _mm_extract_epi32::<0>(cdgh),
+    ];
+    for (slot, add) in state.iter_mut().zip(words) {
+        *slot = slot.wrapping_add(add.cast_unsigned());
     }
 }
 
@@ -309,6 +397,53 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
                 streaming.update(std::slice::from_ref(b));
             }
             assert_eq!(streaming.finalize(), sha256(&msg), "len={len}");
+        }
+    }
+
+    /// FIPS 180-4 §5.1.1 padding fed through `update` one byte at a time:
+    /// the reference for the padding `finalize_into` writes in place.
+    fn digest_with_bytewise_padding(msg: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(msg);
+        let bit_len = h.len * 8;
+        h.update(&[0x80]);
+        while h.buf_len != 56 {
+            h.update(&[0x00]);
+        }
+        h.update(&bit_len.to_be_bytes());
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_mut(4).zip(h.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_padding_matches_bytewise_padding() {
+        for len in 0..=300usize {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            assert_eq!(
+                sha256(&msg),
+                digest_with_bytewise_padding(&msg),
+                "len={len}"
+            );
+        }
+    }
+
+    /// The dispatched kernel (SHA-NI where this CPU has it) against the
+    /// portable one on random chaining values and blocks.
+    #[test]
+    fn dispatched_compression_matches_portable_kernel() {
+        let mut g = amnesia_testkit::Gen::new(0x5a25_6c0e);
+        for case in 0..100_000 {
+            let state: [u32; 8] = std::array::from_fn(|_| g.next_u64() as u32);
+            let mut block = [0u8; 64];
+            block.fill_with(|| g.next_u8());
+            let mut dispatched = state;
+            Sha256::compress(&mut dispatched, &block);
+            let mut portable = state;
+            Sha256::compress_portable(&mut portable, &block);
+            assert_eq!(dispatched, portable, "case {case}");
         }
     }
 

@@ -147,21 +147,17 @@ impl Sha512 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 128 {
-                let block = self.buf;
-                self.compress(&block);
+                Self::compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 128 {
-            let (block, rest) = data.split_at(128);
-            let mut b = [0u8; 128];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let (blocks, rest) = data.as_chunks::<128>();
+        for block in blocks {
+            Self::compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
     }
 
@@ -176,13 +172,18 @@ impl Sha512 {
     /// bytes into `out` without allocating.
     pub fn finalize_into(mut self, out: &mut [u8]) {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0x00]);
+        // Padding: 0x80, zeros, then the 128-bit big-endian bit length,
+        // written straight into the block buffer as in `Sha256`.
+        if let Some((marker, zeros)) = self.buf[self.buf_len..].split_first_mut() {
+            *marker = 0x80;
+            zeros.fill(0);
         }
-        self.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        if self.buf_len >= 112 {
+            Self::compress(&mut self.state, &self.buf);
+            self.buf = [0; 128];
+        }
+        self.buf[112..].copy_from_slice(&bit_len.to_be_bytes());
+        Self::compress(&mut self.state, &self.buf);
 
         for (chunk, word) in out.chunks_mut(8).zip(self.state.iter()) {
             let be = word.to_be_bytes();
@@ -210,7 +211,7 @@ impl Sha512 {
         }
     }
 
-    fn compress(&mut self, block: &[u8; 128]) {
+    fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
         let mut w = [0u64; 80];
         for (slot, chunk) in w.iter_mut().zip(block.chunks_exact(8)) {
             let mut be = [0u8; 8];
@@ -226,7 +227,7 @@ impl Sha512 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for t in 0..80 {
             let big_s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
             let ch = (e & f) ^ (!e & g);
@@ -248,7 +249,7 @@ impl Sha512 {
             a = t1.wrapping_add(t2);
         }
 
-        for (slot, add) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (slot, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *slot = slot.wrapping_add(add);
         }
     }
@@ -379,6 +380,35 @@ de0ff244877ea60a4cb0432ce577c31beb009c5c2c49aa2e4eadb217ad8cc09b"
                 streaming.update(chunk);
             }
             assert_eq!(streaming.finalize(), sha512(&msg), "len={len}");
+        }
+    }
+
+    /// Bytewise reference padding, as in the SHA-256 tests.
+    fn digest_with_bytewise_padding(msg: &[u8]) -> [u8; 64] {
+        let mut h = Sha512::new();
+        h.update(msg);
+        let bit_len = h.len * 8;
+        h.update(&[0x80]);
+        while h.buf_len != 112 {
+            h.update(&[0x00]);
+        }
+        h.update(&bit_len.to_be_bytes());
+        let mut out = [0u8; 64];
+        for (chunk, word) in out.chunks_mut(8).zip(h.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_padding_matches_bytewise_padding() {
+        for len in 0..=300usize {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            assert_eq!(
+                sha512(&msg),
+                digest_with_bytewise_padding(&msg),
+                "len={len}"
+            );
         }
     }
 

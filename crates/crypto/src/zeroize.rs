@@ -1,7 +1,8 @@
 //! Best-effort zeroization of secret buffers, without `unsafe`.
 //!
-//! The crate forbids `unsafe`, so this cannot use `ptr::write_volatile`.
-//! Instead it writes zeros through ordinary stores and then pins the buffer
+//! The crate denies `unsafe` everywhere but the SHA-NI dispatch call in
+//! `sha256.rs`, so this does not use `ptr::write_volatile`. Instead it
+//! writes zeros through ordinary stores and then pins the buffer
 //! with [`std::hint::black_box`] behind a [`compiler_fence`]: the fence
 //! orders the stores, and `black_box` makes the zeroed bytes observable so
 //! the optimizer cannot prove the writes dead and elide them. That is the
@@ -9,8 +10,9 @@
 //! barrier against dead-store elimination, not a defense against swap,
 //! registers, or hibernation images.
 //!
-//! Used on drop for every long-lived half-secret: the DRBG state `K`/`V`,
-//! the fixed-byte newtypes (`Seed`, `EntryValue`, `OnlineId`, `PhoneId`,
+//! Used on drop for every long-lived half-secret: the DRBG state (`V`
+//! directly, `K` through the midstates of its cached `HmacKey`), the
+//! fixed-byte newtypes (`Seed`, `EntryValue`, `OnlineId`, `PhoneId`,
 //! `Salt`) and the token `T`. Integration tests in `tests/zeroize_drop.rs`
 //! read the freed bytes back through a raw pointer to check the wipe
 //! actually happened.

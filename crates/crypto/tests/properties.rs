@@ -43,6 +43,43 @@ fn sha512_streaming_equals_oneshot() {
     });
 }
 
+/// Streaming equals one-shot at every length through both hashes' padding
+/// boundaries (55/56/63/64 bytes for SHA-256, 111/112/127/128 for
+/// SHA-512), fed a byte at a time and in random pieces.
+#[test]
+fn streaming_equals_oneshot_at_every_length() {
+    let mut g = Gen::new(0x0300);
+    for len in 0..=300 {
+        let data = g.bytes(len);
+        let (mut bytewise256, mut bytewise512) = (Sha256::new(), Sha512::new());
+        for b in &data {
+            bytewise256.update(std::slice::from_ref(b));
+            bytewise512.update(std::slice::from_ref(b));
+        }
+        let (mut pieces256, mut pieces512) = (Sha256::new(), Sha512::new());
+        let mut rest: &[u8] = &data;
+        while !rest.is_empty() {
+            let (head, tail) = rest.split_at(g.usize_in(1, rest.len()));
+            pieces256.update(head);
+            pieces512.update(head);
+            rest = tail;
+        }
+        let (oneshot256, oneshot512) = (sha256(&data), sha512(&data));
+        assert_eq!(
+            bytewise256.finalize(),
+            oneshot256,
+            "sha256 bytewise, len={len}"
+        );
+        assert_eq!(pieces256.finalize(), oneshot256, "sha256 pieces, len={len}");
+        assert_eq!(
+            bytewise512.finalize(),
+            oneshot512,
+            "sha512 bytewise, len={len}"
+        );
+        assert_eq!(pieces512.finalize(), oneshot512, "sha512 pieces, len={len}");
+    }
+}
+
 /// Hex encode/decode is a bijection on byte strings.
 #[test]
 fn hex_roundtrip() {

@@ -1,11 +1,13 @@
 //! Read-back tests for drop-zeroization of the DRBG state.
 //!
-//! `amnesia-crypto` itself forbids `unsafe`, so the raw-pointer inspection
-//! lives here, in an integration test (a separate crate). The pattern: park
-//! the value in a [`ManuallyDrop`] slot, run its destructor in place, then
-//! read the slot's bytes back through a raw pointer with `read_volatile` —
-//! if the `Drop` impl (or the optimizer) skipped the wipe, secret bytes
-//! survive in the dead slot and the assertion fails.
+//! `amnesia-crypto` itself denies `unsafe` outside its one SHA-NI dispatch
+//! call, so the raw-pointer inspection lives here, in an integration test
+//! (a separate crate). The pattern: park the value in a [`ManuallyDrop`]
+//! slot, run its destructor in place, then read the slot's bytes back
+//! through a raw pointer with `read_volatile` — if the `Drop` impl (or the
+//! optimizer) skipped the wipe, secret bytes survive in the dead slot and
+//! the assertion fails. For `SecretRng` that covers `V` and both cached
+//! midstates of `K`.
 
 use amnesia_crypto::{zeroize, SecretRng};
 use std::mem::ManuallyDrop;

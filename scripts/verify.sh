@@ -12,6 +12,32 @@ cargo build --release --offline --locked --workspace
 echo "==> cargo test --offline"
 cargo test -q --offline --workspace
 
+echo "==> crypto tests in release mode"
+# The drop read-back in tests/zeroize_drop.rs and the SHA-NI kernel's
+# reference test against the portable kernel must hold under optimisation
+# too, not only in the debug build above.
+cargo test -q --release --offline -p amnesia-crypto
+
+echo "==> unsafe budget"
+# Library code may hold exactly one allow(unsafe_code): the SHA-NI dispatch
+# fn in crates/crypto/src/sha256.rs (DESIGN.md §9). Its crate root denies
+# unsafe_code; every other crate root forbids it.
+unsafe_allows=$(grep -rE '^[[:space:]]*#!?\[allow\(.*unsafe_code' src crates/*/src | wc -l)
+if [ "$unsafe_allows" -ne 1 ]; then
+    echo "error: ${unsafe_allows} allow(unsafe_code) attributes in library code (budget: 1)" >&2
+    exit 1
+fi
+for root in src/lib.rs crates/*/src/lib.rs; do
+    case "$root" in
+        crates/crypto/src/lib.rs) attr='#![deny(unsafe_code)]' ;;
+        *) attr='#![forbid(unsafe_code)]' ;;
+    esac
+    if ! grep -qxF "$attr" "$root"; then
+        echo "error: $root lacks $attr" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -148,4 +174,4 @@ echo "==> BENCHMARK.json benchmark smoke test"
 # BENCHMARK.json's command.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "OK: offline build, tests, formatting, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput and benchmark smoke runs passed"
+echo "OK: offline build, tests, release-mode crypto tests, unsafe budget, formatting, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput and benchmark smoke runs passed"
