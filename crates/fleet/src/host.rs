@@ -39,7 +39,7 @@ use amnesia_system::session::{
     Action, Event, FlowSpec, Origin, Session, SessionId, SessionOutcome,
 };
 use amnesia_system::{NetProfile, SystemError};
-use amnesia_telemetry::{Counter, Gauge, Registry, Span};
+use amnesia_telemetry::{Counter, Gauge, HistogramHandle, Registry, Span};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -331,7 +331,7 @@ struct Shard {
     routed: Counter,
     forwards: Counter,
     pending_depth: Gauge,
-    queue_wait_metric: String,
+    queue_wait: HistogramHandle,
 }
 
 /// One rendezvous instance with an outage flag (an offline instance
@@ -476,7 +476,7 @@ impl Fleet {
                 routed: telemetry.counter(&format!("fleet.shard.{i}.sessions_routed")),
                 forwards: telemetry.counter(&format!("fleet.shard.{i}.forwards")),
                 pending_depth: telemetry.gauge(&format!("fleet.shard.{i}.pending_depth")),
-                queue_wait_metric: format!("fleet.shard.{i}.queue_wait_us"),
+                queue_wait: telemetry.histogram(&format!("fleet.shard.{i}.queue_wait_us")),
             });
         }
 
@@ -1656,9 +1656,7 @@ impl Fleet {
         let start = s.workers[best].max(now);
         let finish = start + compute;
         s.workers[best] = finish;
-        let wait = start.duration_since(now);
-        let metric = s.queue_wait_metric.clone();
-        self.telemetry.record(&metric, wait.as_micros());
+        s.queue_wait.record(start.duration_since(now).as_micros());
         finish.duration_since(now)
     }
 

@@ -96,6 +96,15 @@ impl PendingRequests {
         self.by_request.retain(|_, p| p.user_id != user_id);
         before - self.by_request.len()
     }
+
+    /// Drops every pending request for one of `user_id`'s accounts (e.g.
+    /// after its seed rotates).
+    pub fn purge_account(&mut self, user_id: &str, account: &AccountRef) -> usize {
+        let before = self.by_request.len();
+        self.by_request
+            .retain(|_, p| p.user_id != user_id || p.account != *account);
+        before - self.by_request.len()
+    }
 }
 
 #[cfg(test)]
@@ -148,6 +157,20 @@ mod tests {
         p.insert(r.clone(), newer.clone());
         assert_eq!(p.len(), 1);
         assert_eq!(p.claim(&r).unwrap(), newer);
+    }
+
+    #[test]
+    fn purge_account_is_selective() {
+        let mut p = PendingRequests::new();
+        let mut other_account = pending("alice");
+        other_account.account.domain = Domain::new("e").unwrap();
+        p.insert(request(6), pending("alice"));
+        p.insert(request(7), pending("alice"));
+        p.insert(request(8), other_account);
+        p.insert(request(9), pending("bob"));
+        assert_eq!(p.purge_account("alice", &pending("alice").account), 2);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.purge_account("alice", &pending("alice").account), 0);
     }
 
     #[test]

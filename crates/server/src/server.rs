@@ -15,8 +15,8 @@ use amnesia_crypto::{aead, KdfPolicy, SecretRng};
 use amnesia_net::SimInstant;
 use amnesia_rendezvous::{PushEnvelope, RegistrationId};
 use amnesia_store::{Database, TypedTable};
-use amnesia_telemetry::{Registry, WallClock};
-use std::collections::HashMap;
+use amnesia_telemetry::{Counter, Gauge, HistogramHandle, Registry, WallClock};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::Path;
 
@@ -88,52 +88,126 @@ pub enum TokenOutcome {
     },
 }
 
+/// The metric handles a generation records into, resolved once per
+/// registry so steps 2 and 5 never look a name up.
+struct ServerMetrics {
+    step2: HistogramHandle,
+    step5: HistogramHandle,
+    requests_pushed: Counter,
+    passwords_generated: Counter,
+    pending_requests: Gauge,
+}
+
+impl ServerMetrics {
+    fn resolve(registry: &Registry) -> Self {
+        ServerMetrics {
+            step2: registry.histogram("server.step2_derive_request_us"),
+            step5: registry.histogram("server.step5_assemble_password_us"),
+            requests_pushed: registry.counter("server.requests_pushed"),
+            passwords_generated: registry.counter("server.passwords_generated"),
+            pending_requests: registry.gauge("server.pending_requests"),
+        }
+    }
+}
+
 /// The Amnesia web server (see the crate-level docs for the protocol map).
 pub struct AmnesiaServer {
     config: ServerConfig,
     rng: SecretRng,
     db: Database,
+    /// The durable copy of Table I (write-ahead-logged when `db` is
+    /// durable). The breach model reads it; no other flow does.
     users: TypedTable<String, UserRecord>,
+    /// Every acknowledged row of `users`, decoded: filled by one scan when
+    /// the server opens a database, and written only by `register_user`
+    /// and `store_user` once the table write has returned `Ok`.
+    records: BTreeMap<String, UserRecord>,
     sessions: SessionManager,
     pending: PendingRequests,
     captchas: HashMap<String, String>,
     session_grants: HashMap<String, (SessionGrantToken, u32)>,
     stats: ServerStats,
     telemetry: Registry,
+    metrics: ServerMetrics,
 }
 
 impl fmt::Debug for AmnesiaServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AmnesiaServer")
             .field("endpoint", &self.config.endpoint)
-            .field("users", &self.users.len())
+            .field("users", &self.records.len())
             .field("pending", &self.pending.len())
             .field("stats", &self.stats)
             .finish()
     }
 }
 
+/// The decoded row of `user_id`. A free function rather than a method, so
+/// a flow can hold the row while it updates the server's other fields.
+fn row<'a>(
+    records: &'a BTreeMap<String, UserRecord>,
+    user_id: &str,
+) -> Result<&'a UserRecord, ServerError> {
+    records
+        .get(user_id)
+        .ok_or_else(|| ServerError::UnknownUser {
+            user_id: user_id.into(),
+        })
+}
+
+/// Pops one use of `user_id`'s active session grant, if any.
+fn consume_session_grant(
+    grants: &mut HashMap<String, (SessionGrantToken, u32)>,
+    user_id: &str,
+) -> Option<SessionGrantToken> {
+    match grants.get_mut(user_id) {
+        Some((grant, remaining)) if *remaining > 0 => {
+            *remaining -= 1;
+            let token = grant.clone();
+            if *remaining == 0 {
+                grants.remove(user_id);
+            }
+            Some(token)
+        }
+        _ => None,
+    }
+}
+
 impl AmnesiaServer {
     /// Creates a server with a fresh in-memory database.
     pub fn new(config: ServerConfig) -> Self {
-        Self::with_database(config, Database::in_memory())
+        Self::unloaded(config, Database::in_memory())
     }
 
     /// Creates a server over an existing database (e.g. one reloaded from a
-    /// snapshot).
-    pub fn with_database(config: ServerConfig, db: Database) -> Self {
+    /// snapshot), decoding every row of its `users` table once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServerError::Store`] if a stored row fails to decode.
+    pub fn with_database(config: ServerConfig, db: Database) -> Result<Self, ServerError> {
+        let mut server = Self::unloaded(config, db);
+        server.records = server.users.scan()?.into_iter().collect();
+        Ok(server)
+    }
+
+    /// A server over `db` that has not decoded any of its rows yet.
+    fn unloaded(config: ServerConfig, db: Database) -> Self {
         let users = db.table("users");
+        let telemetry = Registry::new();
         AmnesiaServer {
             rng: SecretRng::seeded(config.seed),
             config,
             db,
             users,
+            records: BTreeMap::new(),
             sessions: SessionManager::new(),
             pending: PendingRequests::new(),
             captchas: HashMap::new(),
             session_grants: HashMap::new(),
             stats: ServerStats::default(),
-            telemetry: Registry::new(),
+            metrics: ServerMetrics::resolve(&telemetry),
+            telemetry,
         }
     }
 
@@ -145,6 +219,7 @@ impl AmnesiaServer {
     /// Replaces the metrics registry this server records into (`server.*`
     /// counters, the pending-request gauge, and per-step compute spans).
     pub fn set_telemetry(&mut self, registry: Registry) {
+        self.metrics = ServerMetrics::resolve(&registry);
         self.telemetry = registry;
     }
 
@@ -155,9 +230,7 @@ impl AmnesiaServer {
     }
 
     fn note_pending_depth(&self) {
-        self.telemetry
-            .gauge("server.pending_requests")
-            .set_usize(self.pending.len());
+        self.metrics.pending_requests.set_usize(self.pending.len());
     }
 
     /// Evaluation counters.
@@ -180,8 +253,7 @@ impl AmnesiaServer {
     ///
     /// Propagates storage/IO errors.
     pub fn open(config: ServerConfig, path: impl AsRef<Path>) -> Result<Self, ServerError> {
-        let db = Database::open(path)?;
-        Ok(Self::with_database(config, db))
+        Self::with_database(config, Database::open(path)?)
     }
 
     /// Opens (or creates) a server over a durable database rooted at `dir`:
@@ -193,12 +265,12 @@ impl AmnesiaServer {
     ///
     /// Propagates storage/IO and recovery errors.
     pub fn open_durable(config: ServerConfig, dir: impl AsRef<Path>) -> Result<Self, ServerError> {
-        let db = Database::open_durable(dir)?;
-        Ok(Self::with_database(config, db))
+        Self::with_database(config, Database::open_durable(dir)?)
     }
 
     /// The server's backing database (durable deployments use this to drive
-    /// compaction policy).
+    /// compaction policy). Write users only through the server: it keeps
+    /// its own decoded copy of the `users` table.
     pub fn database(&self) -> &Database {
         &self.db
     }
@@ -215,7 +287,7 @@ impl AmnesiaServer {
         user_id: &str,
         master_password: &str,
     ) -> Result<(), ServerError> {
-        if self.users.contains(&user_id.to_string())? {
+        if self.records.contains_key(user_id) {
             return Err(ServerError::UserExists {
                 user_id: user_id.into(),
             });
@@ -229,7 +301,8 @@ impl AmnesiaServer {
             registration_id: None,
             accounts: Vec::new(),
         };
-        self.users.insert(&user_id.to_string(), &record)?;
+        self.users.insert(&record.user_id, &record)?;
+        self.records.insert(record.user_id.clone(), record);
         Ok(())
     }
 
@@ -256,30 +329,30 @@ impl AmnesiaServer {
         }
     }
 
-    fn load_user(&self, user_id: &str) -> Result<UserRecord, ServerError> {
-        self.users
-            .get(&user_id.to_string())?
-            .ok_or_else(|| ServerError::UnknownUser {
-                user_id: user_id.into(),
-            })
+    /// Writes `record` to the table, then, once the write is acknowledged,
+    /// replaces the decoded row.
+    fn store_user(&mut self, record: UserRecord) -> Result<(), ServerError> {
+        self.users.put(&record.user_id, &record)?;
+        self.records.insert(record.user_id.clone(), record);
+        Ok(())
     }
 
-    fn store_user(&self, record: &UserRecord) -> Result<(), ServerError> {
-        self.users.put(&record.user_id.clone(), record)?;
-        Ok(())
+    /// The session user's decoded row.
+    fn session_user(&self, session: &SessionToken) -> Result<&UserRecord, ServerError> {
+        row(&self.records, self.sessions.resolve(session)?)
     }
 
     fn verify_master_password(
         &mut self,
         user_id: &str,
         master_password: &str,
-    ) -> Result<UserRecord, ServerError> {
+    ) -> Result<(), ServerError> {
         if self.sessions.is_locked(user_id) {
             return Err(ServerError::AccountLocked {
                 failures: crate::auth::LOCKOUT_THRESHOLD,
             });
         }
-        let record = self.load_user(user_id)?;
+        let record = row(&self.records, user_id)?;
         // Verification re-derives under the *stored* policy (the hash is a
         // function of it); `verify_expecting` additionally refuses to serve
         // a memory-hard record under a CPU-only deployment config, so a
@@ -295,7 +368,7 @@ impl AmnesiaServer {
         };
         if ok {
             self.sessions.clear_failures(user_id);
-            Ok(record)
+            Ok(())
         } else {
             self.stats.failed_logins += 1;
             self.telemetry.counter("server.failed_logins").inc();
@@ -323,11 +396,6 @@ impl AmnesiaServer {
         self.sessions.revoke(session)
     }
 
-    fn session_user(&self, session: &SessionToken) -> Result<UserRecord, ServerError> {
-        let user_id = self.sessions.resolve(session)?.to_string();
-        self.load_user(&user_id)
-    }
-
     // -- phone pairing -----------------------------------------------------
 
     /// Starts phone pairing: returns the CAPTCHA code displayed on the web
@@ -338,7 +406,7 @@ impl AmnesiaServer {
     /// Returns [`ServerError::PhoneAlreadyPaired`] if a phone is paired, or
     /// session errors.
     pub fn begin_phone_pairing(&mut self, session: &SessionToken) -> Result<String, ServerError> {
-        let record = self.session_user(session)?;
+        let record = row(&self.records, self.sessions.resolve(session)?)?;
         if record.phone_paired() {
             return Err(ServerError::PhoneAlreadyPaired);
         }
@@ -362,7 +430,7 @@ impl AmnesiaServer {
         pid: &PhoneId,
         registration_id: RegistrationId,
     ) -> Result<(), ServerError> {
-        let mut record = self.load_user(user_id)?;
+        let mut record = row(&self.records, user_id)?.clone();
         if record.phone_paired() {
             return Err(ServerError::PhoneAlreadyPaired);
         }
@@ -373,7 +441,7 @@ impl AmnesiaServer {
         self.captchas.remove(user_id);
         record.pid_verifier = Some(self.derive_verifier(pid.as_bytes())?);
         record.registration_id = Some(registration_id);
-        self.store_user(&record)
+        self.store_user(record)
     }
 
     // -- account management --------------------------------------------------
@@ -390,7 +458,7 @@ impl AmnesiaServer {
         domain: Domain,
         policy: PasswordPolicy,
     ) -> Result<(), ServerError> {
-        let mut record = self.session_user(session)?;
+        let mut record = self.session_user(session)?.clone();
         if record.find_account(&username, &domain).is_some() {
             return Err(ServerError::AccountExists);
         }
@@ -400,7 +468,7 @@ impl AmnesiaServer {
             policy,
             kind: AccountKind::Generated,
         });
-        self.store_user(&record)
+        self.store_user(record)
     }
 
     /// Lists the session user's managed accounts.
@@ -418,7 +486,10 @@ impl AmnesiaServer {
     }
 
     /// Rotates the seed `σ` of one account — the paper's password-change
-    /// mechanism (§III-A2).
+    /// mechanism (§III-A2). Requests still pending for the account are
+    /// dropped: their `R` was derived from the old `σ`, so a late token
+    /// would render a password under neither seed. It is rejected as
+    /// [`ServerError::UnknownRequest`] instead.
     ///
     /// # Errors
     ///
@@ -429,7 +500,7 @@ impl AmnesiaServer {
         username: &Username,
         domain: &Domain,
     ) -> Result<(), ServerError> {
-        let mut record = self.session_user(session)?;
+        let mut record = self.session_user(session)?.clone();
         let seed = Seed::random(&mut self.rng);
         let account = record
             .find_account_mut(username, domain)
@@ -440,7 +511,12 @@ impl AmnesiaServer {
             return Err(ServerError::VaultedSeedRotation);
         }
         account.entry = account.entry.with_seed(seed);
-        self.store_user(&record)
+        let account = account.account_ref();
+        let user_id = record.user_id.clone();
+        self.store_user(record)?;
+        self.pending.purge_account(&user_id, &account);
+        self.note_pending_depth();
+        Ok(())
     }
 
     // -- password generation -------------------------------------------------
@@ -462,10 +538,8 @@ impl AmnesiaServer {
         reply_to: &str,
         now: SimInstant,
     ) -> Result<PushEnvelope, ServerError> {
-        let _step2 = self
-            .telemetry
-            .span("server.step2_derive_request_us", WallClock::new());
-        let record = self.session_user(session)?;
+        let _step2 = self.metrics.step2.span(WallClock::new());
+        let record = row(&self.records, self.sessions.resolve(session)?)?;
         let registration_id = record
             .registration_id
             .clone()
@@ -491,10 +565,10 @@ impl AmnesiaServer {
             request,
             origin: reply_to.to_string(),
             tstart: now,
-            session_grant: self.consume_session_grant(&record.user_id),
+            session_grant: consume_session_grant(&mut self.session_grants, &record.user_id),
         };
         self.stats.requests_pushed += 1;
-        self.telemetry.counter("server.requests_pushed").inc();
+        self.metrics.requests_pushed.inc();
         self.note_pending_depth();
         Ok(PushEnvelope {
             registration_id,
@@ -522,7 +596,7 @@ impl AmnesiaServer {
         reply_to: &str,
         now: SimInstant,
     ) -> Result<PushEnvelope, ServerError> {
-        let record = self.session_user(session)?;
+        let record = row(&self.records, self.sessions.resolve(session)?)?;
         let registration_id = record
             .registration_id
             .clone()
@@ -554,10 +628,10 @@ impl AmnesiaServer {
             request,
             origin: reply_to.to_string(),
             tstart: now,
-            session_grant: self.consume_session_grant(&record.user_id),
+            session_grant: consume_session_grant(&mut self.session_grants, &record.user_id),
         };
         self.stats.requests_pushed += 1;
-        self.telemetry.counter("server.requests_pushed").inc();
+        self.metrics.requests_pushed.inc();
         self.note_pending_depth();
         Ok(PushEnvelope {
             registration_id,
@@ -583,25 +657,10 @@ impl AmnesiaServer {
     ) -> Result<u32, ServerError> {
         // Validate the user exists; the grant's authenticity is established
         // by the phone↔server channel it arrived on.
-        let _ = self.load_user(user_id)?;
+        row(&self.records, user_id)?;
         self.session_grants
             .insert(user_id.to_string(), (grant, max_uses));
         Ok(max_uses)
-    }
-
-    /// Pops one use of the user's active session grant, if any.
-    fn consume_session_grant(&mut self, user_id: &str) -> Option<SessionGrantToken> {
-        match self.session_grants.get_mut(user_id) {
-            Some((grant, remaining)) if *remaining > 0 => {
-                *remaining -= 1;
-                let token = grant.clone();
-                if *remaining == 0 {
-                    self.session_grants.remove(user_id);
-                }
-                Some(token)
-            }
-            _ => None,
-        }
     }
 
     /// Remaining uses on the user's session grant (0 when absent).
@@ -622,17 +681,15 @@ impl AmnesiaServer {
     /// the echoed `R`, and [`ServerError::VaultCorrupt`] if a vault
     /// ciphertext fails authentication.
     pub fn receive_token(&mut self, response: &TokenResponse) -> Result<TokenOutcome, ServerError> {
-        let _step5 = self
-            .telemetry
-            .span("server.step5_assemble_password_us", WallClock::new());
+        let _step5 = self.metrics.step5.span(WallClock::new());
         let pending = self.pending.claim(&response.request).ok_or_else(|| {
             self.stats.tokens_rejected += 1;
             self.telemetry.counter("server.tokens_rejected").inc();
             ServerError::UnknownRequest
         })?;
         self.note_pending_depth();
-        let mut record = self.load_user(&pending.user_id)?;
-        match pending.purpose.clone() {
+        let record = row(&self.records, &pending.user_id)?;
+        match &pending.purpose {
             RequestPurpose::Generate => {
                 let account = record
                     .find_account(&pending.account.username, &pending.account.domain)
@@ -644,7 +701,7 @@ impl AmnesiaServer {
                         account.policy.render(&p)
                     }
                     AccountKind::Vaulted { ciphertext } => {
-                        let key = Self::vault_key(&response.token, &record, account.entry.seed());
+                        let key = Self::vault_key(&response.token, record, account.entry.seed());
                         let aad = pending.account.to_string();
                         let plaintext = aead::open(&key, ciphertext, aad.as_bytes())
                             .map_err(|_| ServerError::VaultCorrupt)?;
@@ -654,7 +711,7 @@ impl AmnesiaServer {
                     }
                 };
                 self.stats.passwords_generated += 1;
-                self.telemetry.counter("server.passwords_generated").inc();
+                self.metrics.passwords_generated.inc();
                 Ok(TokenOutcome::PasswordReady { pending, password })
             }
             RequestPurpose::StoreVaulted {
@@ -667,7 +724,7 @@ impl AmnesiaServer {
                 {
                     return Err(ServerError::AccountExists);
                 }
-                let key = Self::vault_key(&response.token, &record, &seed);
+                let key = Self::vault_key(&response.token, record, seed);
                 let aad = pending.account.to_string();
                 let ciphertext = aead::seal(
                     &key,
@@ -675,16 +732,17 @@ impl AmnesiaServer {
                     aad.as_bytes(),
                     &mut self.rng,
                 );
+                let mut record = record.clone();
                 record.accounts.push(StoredAccount {
                     entry: AccountEntry::new(
                         pending.account.username.clone(),
                         pending.account.domain.clone(),
-                        seed,
+                        seed.clone(),
                     ),
                     policy: PasswordPolicy::default(),
                     kind: AccountKind::Vaulted { ciphertext },
                 });
-                self.store_user(&record)?;
+                self.store_user(record)?;
                 Ok(TokenOutcome::VaultStored { pending })
             }
         }
@@ -719,7 +777,8 @@ impl AmnesiaServer {
         master_password: &str,
         backup: &KpBackup,
     ) -> Result<(Vec<RecoveredCredential>, Option<RegistrationId>), ServerError> {
-        let mut record = self.verify_master_password(user_id, master_password)?;
+        self.verify_master_password(user_id, master_password)?;
+        let mut record = row(&self.records, user_id)?.clone();
         let pid_verifier = record
             .pid_verifier
             .as_ref()
@@ -763,7 +822,8 @@ impl AmnesiaServer {
         let old_registration = record.registration_id.take();
         record.pid_verifier = None;
         self.pending.purge_user(user_id);
-        self.store_user(&record)?;
+        self.note_pending_depth();
+        self.store_user(record)?;
         Ok((credentials, old_registration))
     }
 
@@ -783,7 +843,8 @@ impl AmnesiaServer {
         pid: &PhoneId,
         new_master_password: &str,
     ) -> Result<(), ServerError> {
-        let mut record = self.verify_master_password(user_id, old_master_password)?;
+        self.verify_master_password(user_id, old_master_password)?;
+        let mut record = row(&self.records, user_id)?.clone();
         let pid_verifier = record
             .pid_verifier
             .as_ref()
@@ -794,7 +855,7 @@ impl AmnesiaServer {
         // Re-deriving here is the upgrade path: a legacy CPU record becomes
         // a record at the deployment's current rung on password change.
         record.mp_verifier = self.derive_verifier(new_master_password.as_bytes())?;
-        self.store_user(&record)?;
+        self.store_user(record)?;
         self.sessions.revoke_all_for(user_id);
         Ok(())
     }
@@ -807,12 +868,13 @@ impl AmnesiaServer {
     ///
     /// Returns [`ServerError::UnknownUser`] for missing users.
     pub fn user_record(&self, user_id: &str) -> Result<UserRecord, ServerError> {
-        self.load_user(user_id)
+        row(&self.records, user_id).cloned()
     }
 
     /// Everything at rest on the server — **the §IV-C server-breach attack
     /// surface**. The attack harness calls this to model an attacker with
-    /// full access to data at rest (and nothing else).
+    /// full access to data at rest (and nothing else), so it decodes the
+    /// `users` table rather than copying the server's decoded rows.
     pub fn export_data_at_rest_for_attack_model(&self) -> Vec<UserRecord> {
         self.users
             .scan()
@@ -1294,6 +1356,70 @@ mod tests {
         ));
         assert_eq!(s.stats().passwords_generated, 1);
         assert_eq!(s.stats().tokens_rejected, 1);
+    }
+
+    #[test]
+    fn rotation_between_steps_2_and_5_rejects_the_late_token() {
+        let mut s = server();
+        let registry = Registry::new();
+        s.set_telemetry(registry.clone());
+        s.register_user("alice", "mp").unwrap();
+        pair_phone(&mut s, "alice", "mp");
+        let session = s.login("alice", "mp").unwrap();
+        let u = Username::new("a").unwrap();
+        let d = Domain::new("d.com").unwrap();
+        let other = Domain::new("e.com").unwrap();
+        for domain in [&d, &other] {
+            s.add_account(
+                &session,
+                u.clone(),
+                domain.clone(),
+                PasswordPolicy::default(),
+            )
+            .unwrap();
+        }
+        let table = EntryTable::random(&mut SecretRng::seeded(56), 100);
+        let answer = |push: &PushEnvelope| {
+            let push = PhonePush::from_wire(&push.data).unwrap();
+            TokenResponse {
+                request_id: push.request_id,
+                token: table.token(&push.request).unwrap(),
+                request: push.request,
+                tstart: push.tstart,
+            }
+        };
+
+        let stale = s
+            .request_password(&session, &u, &d, 1, "browser", SimInstant::EPOCH)
+            .unwrap();
+        let untouched = s
+            .request_password(&session, &u, &other, 2, "browser", SimInstant::EPOCH)
+            .unwrap();
+        s.rotate_seed(&session, &u, &d).unwrap();
+        // Only the rotated account's request is dropped.
+        assert_eq!(s.pending_count(), 1);
+        assert_eq!(registry.gauge("server.pending_requests").get(), 1);
+        assert!(matches!(
+            s.receive_token(&answer(&stale)),
+            Err(ServerError::UnknownRequest)
+        ));
+        assert_eq!(s.stats().tokens_rejected, 1);
+        assert_eq!(registry.counter("server.tokens_rejected").get(), 1);
+        assert!(s.receive_token(&answer(&untouched)).is_ok());
+
+        // A request issued after the rotation renders under the new seed.
+        let fresh = s
+            .request_password(&session, &u, &d, 3, "browser", SimInstant::EPOCH)
+            .unwrap();
+        let Ok(TokenOutcome::PasswordReady { password, .. }) = s.receive_token(&answer(&fresh))
+        else {
+            panic!("expected PasswordReady");
+        };
+        let record = s.user_record("alice").unwrap();
+        let account = record.find_account(&u, &d).unwrap();
+        let expected =
+            derive_password(&account.entry, &record.oid, &table, &account.policy).unwrap();
+        assert_eq!(password, expected);
     }
 
     #[test]

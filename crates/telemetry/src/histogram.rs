@@ -1,11 +1,17 @@
 //! Log-scale latency histogram with bounded relative error.
 //!
-//! The histogram covers the full `u64` range with a fixed 1920-slot bucket
-//! array: values below 32 land in exact unit-width buckets, and every octave
-//! above that is split into 32 sub-buckets, bounding the relative width of any
+//! The histogram covers the full `u64` range with 1 920 logical buckets:
+//! values below 32 land in exact unit-width buckets, and every octave above
+//! that is split into 32 sub-buckets, bounding the relative width of any
 //! bucket by 1/32 (~3.1%). Quantile queries therefore return an interval
 //! `[lo, hi]` that is guaranteed to bracket the true order statistic, which is
 //! the property the `testkit` suite checks against brute-force sorting.
+//!
+//! Only the buckets up to the highest one recorded are stored, in whole
+//! groups of 32 (the unit buckets, then one group per octave). A histogram of
+//! microsecond latencies under a second holds at most 512 of them (4 KiB)
+//! instead of all 1 920 (15 KiB), which matters where a deployment keeps one
+//! histogram per simulated link.
 
 /// Number of sub-bucket bits per octave. 32 sub-buckets per power of two
 /// bounds the relative error of any reported quantile by 1/32.
@@ -14,18 +20,19 @@ const SUB_BITS: u32 = 5;
 const SUB_COUNT: usize = 1 << SUB_BITS;
 /// Values below this are stored in exact unit-width buckets.
 const LINEAR_LIMIT: u64 = SUB_COUNT as u64;
-/// Total bucket count: one exact bucket per value below [`LINEAR_LIMIT`],
-/// then `SUB_COUNT` buckets for each of the remaining `64 - SUB_BITS` octaves.
-const BUCKETS: usize = SUB_COUNT + (64 - SUB_BITS as usize) * SUB_COUNT;
 
 /// A mergeable log-scale histogram of `u64` samples (typically microseconds).
 ///
-/// Recording is O(1); quantile extraction walks the bucket array. `count`,
-/// `sum`, `min`, and `max` are tracked exactly, so the mean is exact and only
-/// intermediate quantiles are subject to the ~3.1% bucket-width error.
+/// Recording is O(1), plus a copy of the stored buckets the first time a
+/// sample lands in a higher octave; quantile extraction walks the stored
+/// buckets. `count`, `sum`, `min`, and `max` are tracked exactly, so the mean
+/// is exact and only intermediate quantiles are subject to the ~3.1%
+/// bucket-width error.
 #[derive(Clone)]
 pub struct Histogram {
-    counts: Box<[u64; BUCKETS]>,
+    /// Buckets `0..counts.len()`, up to and including the `SUB_COUNT`-bucket
+    /// group of the highest bucket recorded; every bucket past it is empty.
+    counts: Vec<u64>,
     count: u64,
     sum: u128,
     min: u64,
@@ -40,11 +47,13 @@ impl Default for Histogram {
 
 impl PartialEq for Histogram {
     fn eq(&self, other: &Self) -> bool {
+        // `counts` ends with the group holding the bucket of `max`, so equal
+        // histograms store equally many buckets.
         self.count == other.count
             && self.sum == other.sum
             && self.min == other.min
             && self.max == other.max
-            && self.counts[..] == other.counts[..]
+            && self.counts == other.counts
     }
 }
 
@@ -91,7 +100,7 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self {
-            counts: Box::new([0u64; BUCKETS]),
+            counts: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -101,7 +110,15 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        self.counts[bucket_index(value)] += 1;
+        let index = bucket_index(value);
+        if index >= self.counts.len() {
+            // Grow to exactly the new octave: a histogram grows at most once
+            // per octave, and a deployment may hold thousands of them.
+            let len = (index / SUB_COUNT + 1) * SUB_COUNT;
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
+        }
+        self.counts[index] += 1;
         self.count += 1;
         self.sum += u128::from(value);
         self.min = self.min.min(value);
@@ -171,6 +188,9 @@ impl Histogram {
     /// Adds every sample of `other` into `self`. Merging two histograms is
     /// exactly equivalent to recording the concatenation of their samples.
     pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
         }
@@ -248,6 +268,21 @@ mod tests {
                 "q={q}: {truth} not in [{lo}, {hi}]"
             );
         }
+    }
+
+    #[test]
+    fn buckets_grow_only_to_the_highest_octave_recorded() {
+        let mut h = Histogram::new();
+        assert!(h.counts.is_empty());
+        h.record(7);
+        assert_eq!(h.counts.len(), SUB_COUNT, "the unit buckets only");
+        for v in (0..=200_000u64).step_by(997).chain([200_000]) {
+            h.record(v);
+        }
+        assert!(h.counts.len() <= 448, "{} buckets stored", h.counts.len());
+        assert_eq!(h.counts.len() % SUB_COUNT, 0, "whole octave groups");
+        h.record(u64::MAX);
+        assert_eq!(h.counts.len(), bucket_index(u64::MAX) + 1);
     }
 
     #[test]

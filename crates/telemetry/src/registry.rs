@@ -93,6 +93,19 @@ impl HistogramHandle {
         self.lock().clone()
     }
 
+    /// Starts a span that records its duration (in microseconds, as measured
+    /// by `clock`) into this histogram when dropped or
+    /// [`finish`](Span::finish)ed. Hot paths resolve the handle once and
+    /// call this instead of [`Registry::span`], which looks the name up.
+    pub fn span<C: Clock>(&self, clock: C) -> Span<C> {
+        Span {
+            histogram: self.clone(),
+            started_at: clock.now_micros(),
+            clock,
+            done: false,
+        }
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, Histogram> {
         self.0
             .lock()
@@ -179,12 +192,7 @@ impl Registry {
     /// by `clock`) into the histogram named `name` when dropped or
     /// [`finish`](Span::finish)ed.
     pub fn span<C: Clock>(&self, name: &str, clock: C) -> Span<C> {
-        Span {
-            histogram: self.histogram(name),
-            started_at: clock.now_micros(),
-            clock,
-            done: false,
-        }
+        self.histogram(name).span(clock)
     }
 
     /// Reads a consistent snapshot of every registered metric.
@@ -310,6 +318,21 @@ mod tests {
         let h = registry.histogram("op").snapshot();
         assert_eq!(h.count(), 1);
         assert_eq!(h.min(), Some(250));
+    }
+
+    #[test]
+    fn handle_span_records_into_its_histogram() {
+        let registry = Registry::new();
+        let handle = registry.histogram("op");
+        let clock = ManualClock::new();
+        {
+            let _span = handle.span(clock.clone());
+            clock.advance(40);
+        }
+        assert_eq!(handle.span(clock.clone()).finish(), 0);
+        let h = registry.histogram("op").snapshot();
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.max(), Some(40));
     }
 
     #[test]

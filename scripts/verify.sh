@@ -174,4 +174,31 @@ echo "==> BENCHMARK.json benchmark smoke test"
 # BENCHMARK.json's command.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "OK: offline build, tests, release-mode crypto tests, unsafe budget, formatting, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput and benchmark smoke runs passed"
+echo "==> BENCHMARK.json digests (seed 3001)"
+# Pins every generated password byte for byte across performance changes:
+# runs BENCHMARK.json's command once per workload at seed 3001 and fails
+# unless the printed digest, and the number of ops it covers, equal the
+# "Digests (seed 3001)" table of benchmark/BASELINE.md. The table is only
+# read here, never written.
+mkdir -p target
+for workload in interactive burst mixed signup; do
+    expected=$(awk -F'|' -v w="$workload" '
+        /^## Digests \(seed 3001\)/ { in_table = 1; next }
+        /^## / { in_table = 0 }
+        in_table && $2 == " " w " " { gsub(/[ `]/, "", $3); gsub(/[ `]/, "", $4); print $4 " ops=" $3 }
+    ' benchmark/BASELINE.md)
+    if [ -z "$expected" ]; then
+        echo "error: no seed-3001 digest for $workload in benchmark/BASELINE.md" >&2
+        exit 1
+    fi
+    cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 3001 --seconds 0 --trace 0 \
+        >"target/benchmark-digest.$workload.txt"
+    actual=$(sed -n "s/^$workload\.digest //p" "target/benchmark-digest.$workload.txt")
+    if [ "$actual" != "$expected" ]; then
+        echo "error: $workload digest is '$actual', benchmark/BASELINE.md has '$expected'" >&2
+        exit 1
+    fi
+done
+
+echo "OK: offline build, tests, release-mode crypto tests, unsafe budget, formatting, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
