@@ -29,7 +29,9 @@ use amnesia_client::Browser;
 use amnesia_cloud::CloudProvider;
 use amnesia_core::{Domain, GeneratedPassword, PasswordPolicy, Username};
 use amnesia_crypto::{sha256, KdfPolicy, SecretRng};
-use amnesia_net::{Frame, LinkProfile, SecureChannel, SimDuration, SimInstant, SimNet};
+use amnesia_net::{
+    ChannelMap, EndpointId, Frame, LinkProfile, NetError, SimDuration, SimInstant, SimNet,
+};
 use amnesia_phone::{AmnesiaPhone, PhoneConfig, PhoneError, PushOutcome};
 use amnesia_rendezvous::{PushEnvelope, RegistrationId, RendezvousServer};
 use amnesia_server::protocol::{FromServer, PhonePush, Reply, ToServer};
@@ -38,8 +40,8 @@ use amnesia_server::{AmnesiaServer, ServerConfig};
 use amnesia_system::session::{
     Action, Event, FlowSpec, Origin, Session, SessionId, SessionOutcome,
 };
-use amnesia_system::{NetProfile, SystemError};
-use amnesia_telemetry::{Counter, Gauge, HistogramHandle, Registry, Span};
+use amnesia_system::{HostMetrics, NetProfile, SystemError};
+use amnesia_telemetry::{Counter, Gauge, HistogramHandle, LazyHandle, Registry, Span};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -307,8 +309,8 @@ pub enum OpOutcome {
 /// `AmnesiaSystem` entry, plus the owning shard).
 struct SessionEntry {
     engine: Session,
-    browser: String,
-    phone: Option<String>,
+    browser: EndpointId,
+    phone: Option<EndpointId>,
     user_id: Option<String>,
     shard: usize,
     deadline: Option<SimInstant>,
@@ -322,7 +324,7 @@ struct SessionEntry {
 
 /// One server shard plus its cached per-shard telemetry handles.
 struct Shard {
-    endpoint: String,
+    endpoint: EndpointId,
     server: AmnesiaServer,
     seed: u64,
     local_gcm: usize,
@@ -338,17 +340,31 @@ struct Shard {
 /// silently loses every frame addressed to it, like a crashed push
 /// service; its durable registry survives restarts).
 struct GcmInstance {
-    endpoint: String,
+    endpoint: EndpointId,
     server: RendezvousServer,
     online: bool,
+}
+
+/// What an endpoint is to the fleet. `dispatch` routes every delivered
+/// frame by the role of its receiver, one index into `Fleet::roles`.
+#[derive(Clone, Copy, Debug)]
+enum Role {
+    /// Server shard `i`.
+    Shard(usize),
+    /// Rendezvous instance `j`.
+    Rendezvous(usize),
+    /// A phone, and the shard its user is routed to.
+    Phone { shard: usize },
+    /// A user's browser.
+    Browser,
 }
 
 /// Per-user fleet state.
 struct UserState {
     shard: usize,
     home_gcm: usize,
-    browser: String,
-    phone: String,
+    browser: EndpointId,
+    phone: EndpointId,
     master_password: String,
     accounts: Vec<(Username, Domain)>,
     phone_generation: u32,
@@ -365,14 +381,14 @@ pub struct Fleet {
     /// Registration id → owning rendezvous instance (the host performs
     /// every registration, so it can maintain the directory).
     registration_home: BTreeMap<String, usize>,
-    endpoint_shard: BTreeMap<String, usize>,
-    endpoint_gcm: BTreeMap<String, usize>,
+    /// Every endpoint's role, indexed by its id; an endpoint registered on
+    /// the network behind the fleet's back has none.
+    roles: Vec<Option<Role>>,
     users: BTreeMap<String, UserState>,
     setup_order: Vec<String>,
-    phones: BTreeMap<String, AmnesiaPhone>,
-    phone_shard: BTreeMap<String, usize>,
-    browsers: BTreeMap<String, Browser>,
-    channels: BTreeMap<String, BTreeMap<String, SecureChannel>>,
+    phones: BTreeMap<EndpointId, AmnesiaPhone>,
+    browsers: BTreeMap<EndpointId, Browser>,
+    channels: ChannelMap,
     channel_rng: SecretRng,
     sessions: BTreeMap<SessionId, SessionEntry>,
     /// Armed deadlines of unsettled sessions, earliest first. `ArmTimer`
@@ -391,6 +407,14 @@ pub struct Fleet {
     admission_rejected: Counter,
     coalesced: Counter,
     telemetry: Registry,
+    metrics: HostMetrics,
+    /// The fleet's own rendezvous metrics: the second hop of a
+    /// cross-instance forward, forwards, and frames an offline or
+    /// unregistered instance lost.
+    forward_hop: LazyHandle<HistogramHandle>,
+    rendezvous_forwarded: LazyHandle<Counter>,
+    rendezvous_dropped: LazyHandle<Counter>,
+    rendezvous_rejected: LazyHandle<Counter>,
 }
 
 impl fmt::Debug for Fleet {
@@ -410,6 +434,17 @@ fn shard_endpoint(i: usize) -> String {
 
 fn gcm_endpoint(j: usize) -> String {
     format!("gcm-{j}")
+}
+
+/// Gives endpoint `id` its role, growing the table as endpoints register.
+fn set_role(roles: &mut Vec<Option<Role>>, id: EndpointId, role: Role) {
+    let index = id.index();
+    if roles.len() <= index {
+        roles.resize(index + 1, None);
+    }
+    if let Some(slot) = roles.get_mut(index) {
+        *slot = Some(role);
+    }
 }
 
 impl Fleet {
@@ -450,6 +485,7 @@ impl Fleet {
         router.set_telemetry(telemetry.clone());
 
         let epoch = net.now();
+        let mut roles = Vec::new();
         let mut shards = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
             let endpoint = shard_endpoint(i);
@@ -465,10 +501,11 @@ impl Fleet {
                 None => AmnesiaServer::new(server_config),
             };
             server.set_telemetry(telemetry.clone());
-            net.register(&endpoint);
+            let id = net.register(&endpoint);
+            set_role(&mut roles, id, Role::Shard(i));
             router.add_shard(&endpoint);
             shards.push(Shard {
-                endpoint,
+                endpoint: id,
                 server,
                 seed,
                 local_gcm: i % gcm_count,
@@ -483,11 +520,12 @@ impl Fleet {
         let mut gcms = Vec::with_capacity(gcm_count);
         for j in 0..gcm_count {
             let endpoint = gcm_endpoint(j);
-            let mut server = RendezvousServer::new(endpoint.clone(), seed_rng.next_u64());
+            let id = net.register(&endpoint);
+            set_role(&mut roles, id, Role::Rendezvous(j));
+            let mut server = RendezvousServer::new(endpoint, seed_rng.next_u64());
             server.set_telemetry(telemetry.clone());
-            net.register(&endpoint);
             gcms.push(GcmInstance {
-                endpoint,
+                endpoint: id,
                 server,
                 online: true,
             });
@@ -495,36 +533,19 @@ impl Fleet {
 
         // Shard → local rendezvous push links, and a full inter-instance
         // mesh for cross-instance forwarding.
-        for i in 0..shard_count {
-            net.connect(
-                &shard_endpoint(i),
-                &gcm_endpoint(i % gcm_count),
-                LinkProfile::new(config.profile.server_gcm.clone()),
-            );
+        let server_gcm = LinkProfile::new(config.profile.server_gcm.clone());
+        for (i, shard) in shards.iter().enumerate() {
+            if let Some(gcm) = gcms.get(i % gcm_count) {
+                net.connect_ids(shard.endpoint, gcm.endpoint, server_gcm.clone());
+            }
         }
-        for j in 0..gcm_count {
-            for k in 0..gcm_count {
-                if j != k {
-                    net.connect(
-                        &gcm_endpoint(j),
-                        &gcm_endpoint(k),
-                        LinkProfile::new(config.profile.server_gcm.clone()),
-                    );
-                }
+        for from in &gcms {
+            for to in gcms.iter().filter(|to| to.endpoint != from.endpoint) {
+                net.connect_ids(from.endpoint, to.endpoint, server_gcm.clone());
             }
         }
 
         let channel_rng = seed_rng.fork();
-        let endpoint_shard = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.endpoint.clone(), i))
-            .collect();
-        let endpoint_gcm = gcms
-            .iter()
-            .enumerate()
-            .map(|(j, g)| (g.endpoint.clone(), j))
-            .collect();
 
         Ok(Fleet {
             config,
@@ -534,14 +555,12 @@ impl Fleet {
             router,
             cloud: CloudProvider::new("fleet-cloud"),
             registration_home: BTreeMap::new(),
-            endpoint_shard,
-            endpoint_gcm,
+            roles,
             users: BTreeMap::new(),
             setup_order: Vec::new(),
             phones: BTreeMap::new(),
-            phone_shard: BTreeMap::new(),
             browsers: BTreeMap::new(),
-            channels: BTreeMap::new(),
+            channels: ChannelMap::default(),
             channel_rng,
             sessions: BTreeMap::new(),
             deadlines: BTreeSet::new(),
@@ -553,22 +572,27 @@ impl Fleet {
             generation_latencies: Vec::new(),
             admission_rejected: telemetry.counter("fleet.admission.rejected"),
             coalesced: telemetry.counter("fleet.admission.coalesced"),
+            metrics: HostMetrics::new(&telemetry, "fleet"),
+            forward_hop: LazyHandle::new(&telemetry, "fleet.forward_hop_us"),
+            rendezvous_forwarded: LazyHandle::new(&telemetry, "fleet.rendezvous.forwarded"),
+            rendezvous_dropped: LazyHandle::new(&telemetry, "fleet.rendezvous.dropped"),
+            rendezvous_rejected: LazyHandle::new(&telemetry, "fleet.rendezvous.rejected"),
             telemetry,
         })
     }
 
     // -- topology -----------------------------------------------------------
 
-    fn provision_channel_pair(&mut self, a: &str, b: &str) {
-        let secret = self.channel_rng.bytes::<32>();
-        self.channels
-            .entry(a.to_string())
-            .or_default()
-            .insert(b.to_string(), SecureChannel::new(&secret, "fwd"));
-        self.channels
-            .entry(b.to_string())
-            .or_default()
-            .insert(a.to_string(), SecureChannel::new(&secret, "rev"));
+    /// The role of endpoint `id`, if the fleet gave it one.
+    fn role(&self, id: EndpointId) -> Option<Role> {
+        self.roles.get(id.index()).copied().flatten()
+    }
+
+    /// `UnknownComponent` for an endpoint that has no live component.
+    fn unknown(&self, id: EndpointId) -> SystemError {
+        SystemError::UnknownComponent {
+            endpoint: self.net.name(id).into(),
+        }
     }
 
     /// Default home rendezvous instance for a user (hash-spread over the
@@ -615,16 +639,14 @@ impl Fleet {
         }
         let home_gcm = home_gcm % self.gcms.len().max(1);
         let shard_name = self.router.route(user_id).ok_or(FleetError::NoShards)?;
-        let shard = *self
-            .endpoint_shard
-            .get(&shard_name)
-            .ok_or(FleetError::NoShards)?;
+        let shard = match self.net.endpoint(&shard_name).and_then(|id| self.role(id)) {
+            Some(Role::Shard(shard)) => shard,
+            _ => return Err(FleetError::NoShards),
+        };
 
-        let browser = format!("{user_id}.b");
-        let phone = format!("{user_id}.p0");
-        self.wire_browser(&browser, shard);
-        self.wire_phone(
-            &phone,
+        let browser = self.wire_browser(&format!("{user_id}.b"), shard);
+        let phone = self.wire_phone(
+            &format!("{user_id}.p0"),
             phone_seed(self.config.seed, user_id),
             shard,
             home_gcm,
@@ -635,8 +657,8 @@ impl Fleet {
             UserState {
                 shard,
                 home_gcm,
-                browser: browser.clone(),
-                phone: phone.clone(),
+                browser,
+                phone,
                 master_password: master_password.to_string(),
                 accounts: Vec::new(),
                 phone_generation: 0,
@@ -645,9 +667,10 @@ impl Fleet {
         self.setup_order.push(user_id.to_string());
 
         let sid = self.begin(
-            &browser,
-            Some(&phone),
+            browser,
+            Some(phone),
             Some(user_id),
+            shard,
             FlowSpec::Setup {
                 user_id: user_id.into(),
                 master_password: master_password.into(),
@@ -664,39 +687,43 @@ impl Fleet {
         }
     }
 
-    fn wire_browser(&mut self, name: &str, shard: usize) {
-        let endpoint = self.shards[shard].endpoint.clone();
-        self.net.register(name);
-        self.net.connect_bidirectional(
-            name,
-            &endpoint,
-            LinkProfile::new(self.config.profile.browser_server.clone()),
-        );
-        self.provision_channel_pair(name, &endpoint);
-        self.browsers.insert(name.to_string(), Browser::new(name));
+    fn wire_browser(&mut self, name: &str, shard: usize) -> EndpointId {
+        let id = self.net.register(name);
+        if let Some(s) = self.shards.get(shard) {
+            let profile = LinkProfile::new(self.config.profile.browser_server.clone());
+            self.net.connect_ids(id, s.endpoint, profile.clone());
+            self.net.connect_ids(s.endpoint, id, profile);
+            self.channels
+                .provision_pair(id, s.endpoint, &mut self.channel_rng);
+        }
+        self.browsers.insert(id, Browser::new(name));
+        set_role(&mut self.roles, id, Role::Browser);
+        id
     }
 
-    fn wire_phone(&mut self, name: &str, seed: u64, shard: usize, home_gcm: usize) {
-        let shard_ep = self.shards[shard].endpoint.clone();
-        let gcm_ep = self.gcms[home_gcm].endpoint.clone();
-        self.net.register(name);
-        self.net.connect(
-            &gcm_ep,
-            name,
-            LinkProfile::new(self.config.profile.gcm_phone.clone())
-                .with_drop_probability(self.config.profile.push_drop_probability),
-        );
-        self.net.connect(
-            name,
-            &shard_ep,
-            LinkProfile::new(self.config.profile.phone_server.clone()),
-        );
-        self.provision_channel_pair(name, &shard_ep);
+    fn wire_phone(&mut self, name: &str, seed: u64, shard: usize, home_gcm: usize) -> EndpointId {
+        let id = self.net.register(name);
+        if let (Some(s), Some(g)) = (self.shards.get(shard), self.gcms.get(home_gcm)) {
+            self.net.connect_ids(
+                g.endpoint,
+                id,
+                LinkProfile::new(self.config.profile.gcm_phone.clone())
+                    .with_drop_probability(self.config.profile.push_drop_probability),
+            );
+            self.net.connect_ids(
+                id,
+                s.endpoint,
+                LinkProfile::new(self.config.profile.phone_server.clone()),
+            );
+            self.channels
+                .provision_pair(id, s.endpoint, &mut self.channel_rng);
+        }
         let mut phone =
             AmnesiaPhone::new(PhoneConfig::new(name, seed).with_table_size(self.config.table_size));
         phone.set_telemetry(self.telemetry.clone());
-        self.phones.insert(name.to_string(), phone);
-        self.phone_shard.insert(name.to_string(), shard);
+        self.phones.insert(id, phone);
+        set_role(&mut self.roles, id, Role::Phone { shard });
+        id
     }
 
     /// Adds a managed account for a fleet user (driven sequentially).
@@ -711,11 +738,13 @@ impl Fleet {
         domain: Domain,
         policy: PasswordPolicy,
     ) -> Result<usize, FleetError> {
-        let browser = self.user(user_id)?.browser.clone();
+        let state = self.user(user_id)?;
+        let (browser, shard) = (state.browser, state.shard);
         let sid = self.begin(
-            &browser,
+            browser,
             None,
             Some(user_id),
+            shard,
             FlowSpec::AddAccount {
                 username: username.clone(),
                 domain: domain.clone(),
@@ -994,81 +1023,66 @@ impl Fleet {
     }
 
     fn begin_op(&mut self, op: &FleetOp) -> Result<SessionId, FleetError> {
-        match op {
-            FleetOp::Login { user } => {
-                let state = self.user(user)?;
-                let (browser, mp) = (state.browser.clone(), state.master_password.clone());
-                Ok(self.begin(
-                    &browser,
-                    None,
-                    Some(user),
-                    FlowSpec::Login {
-                        user_id: user.clone(),
-                        master_password: mp,
-                    },
-                    1,
-                    None,
-                )?)
-            }
-            FleetOp::Generate { user, account } => {
-                let state = self.user(user)?;
-                let (username, domain) =
-                    state.accounts.get(*account).cloned().ok_or_else(|| {
-                        FleetError::UnknownAccount {
-                            user: user.clone(),
-                            index: *account,
-                        }
-                    })?;
-                let (browser, phone) = (state.browser.clone(), state.phone.clone());
-                let attempts = self.config.generate_attempts;
-                Ok(self.begin(
-                    &browser,
-                    Some(&phone),
-                    Some(user),
+        let state = self.user(op.user())?;
+        let (browser, phone, shard) = (state.browser, state.phone, state.shard);
+        let account = |index: usize| {
+            state
+                .accounts
+                .get(index)
+                .cloned()
+                .ok_or_else(|| FleetError::UnknownAccount {
+                    user: op.user().into(),
+                    index,
+                })
+        };
+        let (phone, spec, attempts, install) = match op {
+            FleetOp::Login { user } => (
+                None,
+                FlowSpec::Login {
+                    user_id: user.clone(),
+                    master_password: state.master_password.clone(),
+                },
+                1,
+                None,
+            ),
+            FleetOp::Generate { account: index, .. } => {
+                let (username, domain) = account(*index)?;
+                (
+                    Some(phone),
                     FlowSpec::Generate { username, domain },
-                    attempts,
+                    self.config.generate_attempts,
                     None,
-                )?)
+                )
             }
-            FleetOp::Rotate { user, account } => {
-                let state = self.user(user)?;
-                let (username, domain) =
-                    state.accounts.get(*account).cloned().ok_or_else(|| {
-                        FleetError::UnknownAccount {
-                            user: user.clone(),
-                            index: *account,
-                        }
-                    })?;
-                let browser = state.browser.clone();
-                Ok(self.begin(
-                    &browser,
-                    None,
-                    Some(user),
-                    FlowSpec::RotateSeed { username, domain },
-                    1,
-                    None,
-                )?)
+            FleetOp::Rotate { account: index, .. } => {
+                let (username, domain) = account(*index)?;
+                (None, FlowSpec::RotateSeed { username, domain }, 1, None)
             }
             FleetOp::Recover { user } => {
-                let state = self.user(user)?;
-                let (browser, mp) = (state.browser.clone(), state.master_password.clone());
                 let generation = state.phone_generation + 1;
                 let endpoint = format!("{user}.p{generation}");
                 let seed = phone_seed(self.config.seed, user)
                     .wrapping_add(u64::from(generation).wrapping_mul(0x2545_f491_4f6c_dd1d));
-                Ok(self.begin(
-                    &browser,
+                (
                     None,
-                    Some(user),
                     FlowSpec::Recover {
                         user_id: user.clone(),
-                        master_password: mp,
+                        master_password: state.master_password.clone(),
                     },
                     1,
                     Some((endpoint, seed)),
-                )?)
+                )
             }
-        }
+        };
+        Ok(self.begin(
+            browser,
+            phone,
+            Some(op.user()),
+            shard,
+            spec,
+            attempts,
+            install,
+        )?)
     }
 
     fn finish_op(&mut self, sid: SessionId) -> Result<OpOutcome, FleetError> {
@@ -1096,45 +1110,38 @@ impl Fleet {
 
     // -- session table (mirrors the single-host event loop) ------------------
 
+    /// Opens a session for `spec` on `shard` (the shard of the user it
+    /// acts for) and executes its first actions.
+    #[allow(clippy::too_many_arguments)]
     fn begin(
         &mut self,
-        browser: &str,
-        phone: Option<&str>,
+        browser: EndpointId,
+        phone: Option<EndpointId>,
         user_id: Option<&str>,
+        shard: usize,
         spec: FlowSpec,
         attempts: u32,
         install: Option<(String, u64)>,
     ) -> Result<SessionId, SystemError> {
-        let shard = user_id
-            .and_then(|u| self.users.get(u))
-            .map(|s| s.shard)
-            .or_else(|| self.phone_shard.get(browser).copied())
-            .unwrap_or(0);
-        let browser_agent =
-            self.browsers
-                .get(browser)
-                .ok_or_else(|| SystemError::UnknownComponent {
-                    endpoint: browser.into(),
-                })?;
+        let Some(browser_agent) = self.browsers.get(&browser) else {
+            return Err(self.unknown(browser));
+        };
         let is_generate = matches!(spec, FlowSpec::Generate { .. });
         let id = self.next_session_id;
         self.next_session_id += 1;
-        let mut engine = Session::new(id, browser, spec)
+        let mut engine = Session::new(id, self.net.name(browser), spec)
             .with_attempts(attempts.max(1))
             .with_timeout(self.config.session_timeout);
         if let Some(token) = browser_agent.session().cloned() {
             engine = engine.with_auth(token);
         }
-        let span = is_generate.then(|| {
-            self.telemetry
-                .span("fleet.generate_password_e2e_us", self.net.clock())
-        });
+        let span = is_generate.then(|| self.metrics.e2e.get().span(self.net.clock()));
         self.sessions.insert(
             id,
             SessionEntry {
                 engine,
-                browser: browser.to_string(),
-                phone: phone.map(str::to_string),
+                browser,
+                phone,
                 user_id: user_id.map(str::to_string),
                 shard,
                 deadline: None,
@@ -1220,9 +1227,7 @@ impl Fleet {
                         self.complete(sid, Err(e));
                     }
                 }
-                Action::NoteRetry => {
-                    self.telemetry.counter("fleet.generation_retries").inc();
-                }
+                Action::NoteRetry => self.metrics.retries.get().inc(),
                 Action::Deliver(outcome) => self.complete(sid, Ok(outcome)),
                 Action::Fail(error) => self.complete(sid, Err(error)),
                 _ => {
@@ -1246,38 +1251,25 @@ impl Fleet {
         let entry = self.sessions.get(&sid).ok_or(SystemError::MissingReply {
             expected: "session",
         })?;
-        let shard_ep = self
-            .shards
-            .get(entry.shard)
-            .map(|s| s.endpoint.clone())
-            .ok_or(SystemError::MissingReply { expected: "shard" })?;
+        let shard = self.shard_endpoint(entry.shard)?;
         let from = match origin {
-            Origin::Browser => entry.browser.clone(),
-            Origin::Phone => entry
-                .phone
-                .clone()
-                .ok_or_else(|| SystemError::UnknownComponent {
-                    endpoint: "phone".into(),
-                })?,
+            Origin::Browser => entry.browser,
+            Origin::Phone => entry.phone.ok_or_else(|| SystemError::UnknownComponent {
+                endpoint: "phone".into(),
+            })?,
         };
         let bytes = message.to_wire()?;
-        let sealed = self.seal(&from, &shard_ep, bytes)?;
-        self.net.send(&from, &shard_ep, sealed)?;
+        let sealed = self.channels.seal(from, shard, bytes)?;
+        self.net.transmit(from, shard, sealed, SimDuration::ZERO)?;
         Ok(())
     }
 
-    fn seal(&mut self, from: &str, to: &str, bytes: Vec<u8>) -> Result<Vec<u8>, SystemError> {
-        match self.channels.get_mut(from).and_then(|m| m.get_mut(to)) {
-            Some(channel) => channel.seal(&bytes).map_err(SystemError::from),
-            None => Ok(bytes),
-        }
-    }
-
-    fn open(&mut self, from: &str, to: &str, bytes: &[u8]) -> Result<Vec<u8>, SystemError> {
-        match self.channels.get_mut(from).and_then(|m| m.get_mut(to)) {
-            Some(channel) => channel.open(bytes).map_err(SystemError::from),
-            None => Ok(bytes.to_vec()),
-        }
+    /// The endpoint of shard `i`.
+    fn shard_endpoint(&self, i: usize) -> Result<EndpointId, SystemError> {
+        self.shards
+            .get(i)
+            .map(|s| s.endpoint)
+            .ok_or(SystemError::MissingReply { expected: "shard" })
     }
 
     fn complete(&mut self, sid: SessionId, result: Result<SessionOutcome, SystemError>) {
@@ -1299,7 +1291,7 @@ impl Fleet {
             }
         }
         if matches!(result, Ok(SessionOutcome::Password { .. })) {
-            self.telemetry.counter("fleet.generations").inc();
+            self.metrics.generations.get().inc();
         }
         entry.outcome = Some(result);
         self.settled.push(sid);
@@ -1308,20 +1300,18 @@ impl Fleet {
     }
 
     fn update_inflight_gauge(&self) {
-        self.telemetry
-            .gauge("fleet.session.inflight")
-            .set_u64(self.inflight);
+        self.metrics.inflight.get().set_u64(self.inflight);
     }
 
     fn try_confirm(&mut self, sid: SessionId) -> Result<(), SystemError> {
         let Some(entry) = self.sessions.get(&sid) else {
             return Ok(());
         };
-        let Some(phone_name) = entry.phone.clone() else {
+        let Some(phone) = entry.phone else {
             return Ok(());
         };
         let now = self.net.now();
-        let response = match self.phones.get_mut(&phone_name) {
+        let response = match self.phones.get_mut(&phone) {
             Some(agent) => match agent.confirm_request(sid, now) {
                 Ok(response) => response,
                 Err(PhoneError::NoSuchPending) => return Ok(()),
@@ -1329,29 +1319,22 @@ impl Fleet {
             },
             None => return Ok(()),
         };
-        self.send_token_from_phone(&phone_name, response)
+        self.send_token_from_phone(phone, response)
     }
 
     // -- host-executed actions -----------------------------------------------
 
     fn exec_register_phone(&mut self, sid: SessionId) -> Result<Event, SystemError> {
-        let (name, home) = {
-            let entry = self.sessions.get(&sid);
-            let name = entry.and_then(|e| e.phone.clone()).ok_or_else(|| {
-                SystemError::UnknownComponent {
-                    endpoint: "phone".into(),
-                }
-            })?;
-            let home = entry
-                .and_then(|e| e.user_id.as_ref())
-                .and_then(|u| self.users.get(u))
-                .map_or(0, |u| u.home_gcm);
-            (name, home)
+        let phone = self.session_phone(sid)?;
+        let home = self
+            .sessions
+            .get(&sid)
+            .and_then(|e| e.user_id.as_ref())
+            .and_then(|u| self.users.get(u))
+            .map_or(0, |u| u.home_gcm);
+        let Some(agent) = self.phones.get_mut(&phone) else {
+            return Err(self.unknown(phone));
         };
-        let agent = self
-            .phones
-            .get_mut(&name)
-            .ok_or_else(|| SystemError::UnknownComponent { endpoint: name })?;
         let gcm = self
             .gcms
             .get_mut(home)
@@ -1415,31 +1398,24 @@ impl Fleet {
             .as_ref()
             .and_then(|u| self.users.get(u))
             .map_or(0, |u| u.home_gcm);
-        self.wire_phone(&name, seed, shard, home);
+        let phone = self.wire_phone(&name, seed, shard, home);
         if let Some(user_id) = &user_id {
             if let Some(state) = self.users.get_mut(user_id) {
-                state.phone = name.clone();
+                state.phone = phone;
                 state.phone_generation += 1;
             }
         }
         if let Some(entry) = self.sessions.get_mut(&sid) {
-            entry.phone = Some(name);
+            entry.phone = Some(phone);
         }
         Ok(Event::PhoneInstalled)
     }
 
     fn exec_mint_grant(&mut self, sid: SessionId, max_uses: u32) -> Result<Event, SystemError> {
-        let name = self
-            .sessions
-            .get(&sid)
-            .and_then(|e| e.phone.clone())
-            .ok_or_else(|| SystemError::UnknownComponent {
-                endpoint: "phone".into(),
-            })?;
-        let agent = self
-            .phones
-            .get_mut(&name)
-            .ok_or_else(|| SystemError::UnknownComponent { endpoint: name })?;
+        let phone = self.session_phone(sid)?;
+        let Some(agent) = self.phones.get_mut(&phone) else {
+            return Err(self.unknown(phone));
+        };
         let grant = agent.grant_session(max_uses, &mut self.channel_rng);
         Ok(Event::GrantMinted(grant))
     }
@@ -1452,19 +1428,22 @@ impl Fleet {
             .ok_or(SystemError::MissingReply {
                 expected: "user id",
             })?;
-        let name = self
-            .sessions
-            .get(&sid)
-            .and_then(|e| e.phone.clone())
-            .ok_or_else(|| SystemError::UnknownComponent {
-                endpoint: "phone".into(),
-            })?;
-        let agent = self
-            .phones
-            .get(&name)
-            .ok_or_else(|| SystemError::UnknownComponent { endpoint: name })?;
+        let phone = self.session_phone(sid)?;
+        let Some(agent) = self.phones.get(&phone) else {
+            return Err(self.unknown(phone));
+        };
         agent.backup_to_cloud(&mut self.cloud, &user_id)?;
         Ok(())
+    }
+
+    /// The phone a session was started with.
+    fn session_phone(&self, sid: SessionId) -> Result<EndpointId, SystemError> {
+        self.sessions
+            .get(&sid)
+            .and_then(|e| e.phone)
+            .ok_or_else(|| SystemError::UnknownComponent {
+                endpoint: "phone".into(),
+            })
     }
 
     // -- event loop -----------------------------------------------------------
@@ -1573,7 +1552,7 @@ impl Fleet {
         }
         expired.sort_unstable();
         for sid in expired {
-            self.telemetry.counter("fleet.session.timeouts").inc();
+            self.metrics.timeouts.get().inc();
             self.feed(sid, Event::TimerFired);
         }
     }
@@ -1581,7 +1560,7 @@ impl Fleet {
     fn deliver_one_frame(&mut self) {
         if let Some(frame) = self.net.step() {
             if let Err(e) = self.dispatch(frame) {
-                self.telemetry.counter("fleet.dispatch_faults").inc();
+                self.metrics.dispatch_faults.get().inc();
                 self.faults.push(e.to_string());
             }
         }
@@ -1621,16 +1600,12 @@ impl Fleet {
     }
 
     fn dispatch(&mut self, frame: Frame) -> Result<(), SystemError> {
-        if let Some(&i) = self.endpoint_shard.get(&frame.to) {
-            self.dispatch_to_shard(i, frame)
-        } else if let Some(&j) = self.endpoint_gcm.get(&frame.to) {
-            self.dispatch_to_gcm(j, frame)
-        } else if self.phones.contains_key(&frame.to) {
-            self.dispatch_to_phone(frame)
-        } else if self.browsers.contains_key(&frame.to) {
-            self.dispatch_to_browser(frame)
-        } else {
-            Err(SystemError::UnknownComponent { endpoint: frame.to })
+        match self.role(frame.to) {
+            Some(Role::Shard(i)) => self.dispatch_to_shard(i, frame),
+            Some(Role::Rendezvous(j)) => self.dispatch_to_gcm(j, frame),
+            Some(Role::Phone { .. }) => self.dispatch_to_phone(frame),
+            Some(Role::Browser) => self.dispatch_to_browser(frame),
+            None => Err(self.unknown(frame.to)),
         }
     }
 
@@ -1661,26 +1636,20 @@ impl Fleet {
     }
 
     fn dispatch_to_shard(&mut self, idx: usize, frame: Frame) -> Result<(), SystemError> {
-        let shard_ep = self
-            .shards
-            .get(idx)
-            .map(|s| s.endpoint.clone())
-            .ok_or(SystemError::MissingReply { expected: "shard" })?;
-        let plaintext = self.open(&frame.from, &shard_ep, &frame.payload)?;
+        let shard = self.shard_endpoint(idx)?;
+        let plaintext = self.channels.open(frame.from, shard, &frame.payload)?;
         let message = ToServer::from_wire(&plaintext)?;
         let compute = match &message {
             ToServer::RequestPassword { .. } => {
-                self.telemetry
-                    .record("steps.step1_request_upload_us", Self::leg_micros(&frame));
+                self.metrics.step1.get().record(Self::leg_micros(&frame));
                 self.config.profile.request_compute
             }
             ToServer::Token(_) => {
-                self.telemetry
-                    .record("steps.step4_token_upload_us", Self::leg_micros(&frame));
-                self.telemetry.record(
-                    "steps.step5_password_compute_us",
-                    self.config.profile.password_compute.as_micros(),
-                );
+                self.metrics.step4.get().record(Self::leg_micros(&frame));
+                self.metrics
+                    .step5
+                    .get()
+                    .record(self.config.profile.password_compute.as_micros());
                 self.config.profile.password_compute
             }
             _ => SimDuration::ZERO,
@@ -1706,23 +1675,30 @@ impl Fleet {
             }
         }
         if let Some(push) = reaction.push {
-            let gcm_ep = gcm_endpoint(local_gcm);
-            self.net
-                .send_after(&shard_ep, &gcm_ep, push.to_wire()?, delay)?;
+            let gcm = self
+                .gcms
+                .get(local_gcm)
+                .ok_or(SystemError::MissingReply { expected: "gcm" })?
+                .endpoint;
+            self.net.transmit(shard, gcm, push.to_wire()?, delay)?;
         }
         for (dest, reply) in reaction.replies {
             if let FromServer::PasswordReady { requested_at, .. } = &reply.message {
                 let latency = now.duration_since(*requested_at);
-                self.telemetry
-                    .record("fleet.generate_password_us", latency.as_micros());
+                self.metrics.window.get().record(latency.as_micros());
                 self.generation_latencies.push(latency);
                 if let Some(entry) = self.sessions.get_mut(&reply.request_id) {
                     entry.window = Some(latency);
                 }
             }
+            // The reply is addressed by the name the request carried.
+            let to = self
+                .net
+                .endpoint(&dest)
+                .ok_or(NetError::UnknownEndpoint { name: dest })?;
             let bytes = reply.to_wire()?;
-            let sealed = self.seal(&shard_ep, &dest, bytes)?;
-            self.net.send_after(&shard_ep, &dest, sealed, delay)?;
+            let sealed = self.channels.seal(shard, to, bytes)?;
+            self.net.transmit(shard, to, sealed, delay)?;
         }
         Ok(())
     }
@@ -1732,17 +1708,15 @@ impl Fleet {
         if !online {
             // A crashed push service: the frame is simply gone. The owning
             // session's timer converts the silence into a typed timeout.
-            self.telemetry.counter("fleet.rendezvous.dropped").inc();
+            self.rendezvous_dropped.get().inc();
             return Ok(());
         }
-        let from_gcm = self.endpoint_gcm.contains_key(&frame.from);
+        let from_gcm = matches!(self.role(frame.from), Some(Role::Rendezvous(_)));
         if from_gcm {
             // Second hop of a cross-instance forward.
-            self.telemetry
-                .record("fleet.forward_hop_us", Self::leg_micros(&frame));
+            self.forward_hop.get().record(Self::leg_micros(&frame));
         } else {
-            self.telemetry
-                .record("steps.step2_server_to_gcm_us", Self::leg_micros(&frame));
+            self.metrics.step2.get().record(Self::leg_micros(&frame));
         }
         let envelope =
             PushEnvelope::from_wire(&frame.payload).map_err(|e| SystemError::ServerRejected {
@@ -1773,19 +1747,21 @@ impl Fleet {
             .copied();
         match owner {
             Some(owner) if owner != idx && !from_gcm => {
-                let from_ep = gcm_endpoint(idx);
-                let to_ep = gcm_endpoint(owner);
-                self.net.send(&from_ep, &to_ep, frame.payload)?;
-                if let Some(&origin) = self.endpoint_shard.get(&frame.from) {
+                let (Some(from), Some(to)) = (self.gcms.get(idx), self.gcms.get(owner)) else {
+                    return Err(SystemError::MissingReply { expected: "gcm" });
+                };
+                self.net
+                    .transmit(from.endpoint, to.endpoint, frame.payload, SimDuration::ZERO)?;
+                if let Some(Role::Shard(origin)) = self.role(frame.from) {
                     if let Some(s) = self.shards.get(origin) {
                         s.forwards.inc();
                     }
                 }
-                self.telemetry.counter("fleet.rendezvous.forwarded").inc();
+                self.rendezvous_forwarded.get().inc();
                 Ok(())
             }
             _ => {
-                self.telemetry.counter("fleet.rendezvous.rejected").inc();
+                self.rendezvous_rejected.get().inc();
                 Err(SystemError::ServerRejected {
                     message: format!(
                         "rendezvous: unknown registration {:?}",
@@ -1797,16 +1773,15 @@ impl Fleet {
     }
 
     fn dispatch_to_phone(&mut self, frame: Frame) -> Result<(), SystemError> {
-        self.telemetry
-            .record("steps.step3_push_delivery_us", Self::leg_micros(&frame));
+        self.metrics.step3.get().record(Self::leg_micros(&frame));
         let now = self.net.now();
         let outcome = match self.phones.get_mut(&frame.to) {
             Some(phone) => phone.handle_push(&frame.payload, now)?,
-            None => return Err(SystemError::UnknownComponent { endpoint: frame.to }),
+            None => return Err(self.unknown(frame.to)),
         };
         match outcome {
             PushOutcome::Respond(response) => {
-                self.send_token_from_phone(&frame.to.clone(), response)?;
+                self.send_token_from_phone(frame.to, response)?;
             }
             PushOutcome::AwaitingConfirmation => {
                 let sid = PhonePush::from_wire(&frame.payload)?.request_id;
@@ -1825,43 +1800,37 @@ impl Fleet {
 
     fn send_token_from_phone(
         &mut self,
-        phone_endpoint: &str,
+        phone: EndpointId,
         response: amnesia_server::protocol::TokenResponse,
     ) -> Result<(), SystemError> {
-        let shard = self.phone_shard.get(phone_endpoint).copied().unwrap_or(0);
-        let shard_ep = self
-            .shards
-            .get(shard)
-            .map(|s| s.endpoint.clone())
-            .ok_or(SystemError::MissingReply { expected: "shard" })?;
+        let shard = match self.role(phone) {
+            Some(Role::Phone { shard }) => shard,
+            _ => 0,
+        };
+        let shard = self.shard_endpoint(shard)?;
         let bytes = ToServer::Token(response).to_wire()?;
-        let sealed = self.seal(phone_endpoint, &shard_ep, bytes)?;
-        self.net.send_after(
-            phone_endpoint,
-            &shard_ep,
-            sealed,
-            self.config.profile.token_compute,
-        )?;
+        let sealed = self.channels.seal(phone, shard, bytes)?;
+        self.net
+            .transmit(phone, shard, sealed, self.config.profile.token_compute)?;
         Ok(())
     }
 
     fn dispatch_to_browser(&mut self, frame: Frame) -> Result<(), SystemError> {
-        let plaintext = self.open(&frame.from, &frame.to, &frame.payload)?;
+        let plaintext = self.channels.open(frame.from, frame.to, &frame.payload)?;
         let reply = Reply::from_wire(&plaintext)?;
         if matches!(reply.message, FromServer::PasswordReady { .. }) {
-            self.telemetry
-                .record("steps.step6_password_download_us", Self::leg_micros(&frame));
+            self.metrics.step6.get().record(Self::leg_micros(&frame));
         }
         match self.browsers.get_mut(&frame.to) {
             Some(browser) => browser.handle_reply(reply.message.clone()),
-            None => return Err(SystemError::UnknownComponent { endpoint: frame.to }),
+            None => return Err(self.unknown(frame.to)),
         }
         let late = self
             .sessions
             .get(&reply.request_id)
             .is_none_or(|e| e.outcome.is_some());
         if late {
-            self.telemetry.counter("fleet.session.late_replies").inc();
+            self.metrics.late_replies.get().inc();
         } else {
             self.feed(reply.request_id, Event::FrameReceived(reply.message));
         }
@@ -1955,17 +1924,17 @@ impl Fleet {
 
     /// A phone agent by endpoint name.
     pub fn phone(&self, name: &str) -> Option<&AmnesiaPhone> {
-        self.phones.get(name)
+        self.phones.get(&self.net.endpoint(name)?)
     }
 
     /// Mutable phone access (confirmation policies).
     pub fn phone_mut(&mut self, name: &str) -> Option<&mut AmnesiaPhone> {
-        self.phones.get_mut(name)
+        self.phones.get_mut(&self.net.endpoint(name)?)
     }
 
     /// The user's current phone endpoint.
     pub fn user_phone(&self, user_id: &str) -> Option<&str> {
-        self.users.get(user_id).map(|u| u.phone.as_str())
+        self.users.get(user_id).map(|u| self.net.name(u.phone))
     }
 
     /// Dispatch faults recorded so far (rejected/undeliverable traffic).

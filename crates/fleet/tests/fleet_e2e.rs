@@ -562,3 +562,93 @@ fn durable_fleet_persists_shard_state_across_restart() {
     assert_eq!(recovered, users, "every user must be on exactly one shard");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The simulated timeline of the `seed_replay_is_bit_for_bit_deterministic`
+/// scenario at seed `0xd37e` (3 shards, 2 rendezvous instances, a mixed
+/// burst with a rotation, a login and a recovery), pinned as one SHA-256
+/// over the op outcomes, the measured latencies in µs, the faults, every
+/// counter and gauge, and the sorted histogram names (histogram values are
+/// left out: some are wall-clock spans). A change to the order of events, a
+/// simulated time, a byte of a password or the set of metric keys changes
+/// the digest.
+#[test]
+fn fleet_timeline_is_pinned() {
+    let mut fleet = small_fleet(0xd37e, 3, 2);
+    for name in ["alice", "bob", "carol", "dave"] {
+        fleet.add_user(name, &format!("mp-{name}")).expect("setup");
+        for a in 0..2 {
+            let (u, d) = acct(name, a);
+            fleet
+                .add_account(name, u, d, PasswordPolicy::default())
+                .expect("account");
+        }
+    }
+    let generate = |user: &str, account| FleetOp::Generate {
+        user: user.into(),
+        account,
+    };
+    let ops = vec![
+        generate("alice", 0),
+        generate("bob", 1),
+        FleetOp::Rotate {
+            user: "carol".into(),
+            account: 0,
+        },
+        generate("carol", 1),
+        FleetOp::Login {
+            user: "dave".into(),
+        },
+        generate("dave", 0),
+        FleetOp::Recover { user: "bob".into() },
+        generate("alice", 1),
+    ];
+    let mut lines: Vec<String> = fleet
+        .run_ops(&ops)
+        .into_iter()
+        .map(|r| match r {
+            Ok(OpOutcome::Password {
+                account,
+                password,
+                latency,
+            }) => format!(
+                "password:{:?}:{}:{}us",
+                account,
+                password.as_str(),
+                latency.as_micros()
+            ),
+            Ok(other) => format!("{other:?}"),
+            Err(e) => format!("err:{e:?}"),
+        })
+        .collect();
+    lines.extend(
+        fleet
+            .generation_latencies()
+            .iter()
+            .map(|l| format!("latency:{}", l.as_micros())),
+    );
+    lines.extend(fleet.faults().iter().map(|f| format!("fault:{f}")));
+    let snapshot = fleet.telemetry().snapshot();
+    lines.extend(
+        snapshot
+            .counters
+            .iter()
+            .map(|(name, v)| format!("counter:{name}={v}")),
+    );
+    lines.extend(
+        snapshot
+            .gauges
+            .iter()
+            .map(|(name, v)| format!("gauge:{name}={v}")),
+    );
+    lines.extend(
+        snapshot
+            .histograms
+            .keys()
+            .map(|name| format!("histogram:{name}")),
+    );
+    let digest = amnesia_crypto::hex::encode(&amnesia_crypto::sha256(lines.join("\n").as_bytes()));
+    assert_eq!(
+        digest, "aaa1f966c04384ca19e2005c09ea2cc0ffec734d5bb62c66b55b7bbeb5bcc4e7",
+        "{lines:#?}"
+    );
+}

@@ -12,7 +12,8 @@
 //!   truncated normal via Box–Muller, log-normal). The Figure 3 experiment
 //!   calibrates normal models so the end-to-end distribution matches the
 //!   paper's measured Wifi/4G means and standard deviations.
-//! * [`SimNet`] — named endpoints, directed links with [`LinkProfile`]s, an
+//! * [`SimNet`] — named endpoints addressed by dense [`EndpointId`]s,
+//!   directed links with [`LinkProfile`]s, an
 //!   event queue ordered by delivery time whose [`step`](SimNet::step)
 //!   hands each frame to the orchestrator (the network keeps nothing it
 //!   delivered), and [`Wiretap`]s that record every frame crossing a link
@@ -22,7 +23,8 @@
 //!   HMAC-SHA-256 for integrity, with a DTLS/QUIC-style sliding anti-replay
 //!   window so out-of-order frames authenticate exactly once. A wiretap on
 //!   a protected link sees only ciphertext; the "broken HTTPS" attack is
-//!   modelled by handing the attacker the channel key.
+//!   modelled by handing the attacker the channel key. A [`ChannelMap`]
+//!   holds a deployment's channels, keyed `(from, to)` by endpoint id.
 //!
 //! # Example
 //!
@@ -37,7 +39,7 @@
 //! net.send("browser", "server", b"hello".to_vec()).unwrap();
 //! let frame = net.step().unwrap();
 //! assert!(net.step().is_none());
-//! assert_eq!(frame.to, "server");
+//! assert_eq!(net.name(frame.to), "server");
 //! assert_eq!(frame.payload, b"hello");
 //! assert_eq!(frame.delivered_at.as_millis_f64(), 10.0);
 //! ```
@@ -53,6 +55,6 @@ pub mod time;
 
 pub use error::NetError;
 pub use latency::LatencyModel;
-pub use network::{Frame, LinkProfile, SimNet, Wiretap, WiretapRecord};
-pub use secure::{ChannelError, SecureChannel, REPLAY_WINDOW};
+pub use network::{EndpointId, Frame, LinkProfile, SimNet, Wiretap, WiretapRecord};
+pub use secure::{ChannelError, ChannelMap, SecureChannel, REPLAY_WINDOW};
 pub use time::{SimClock, SimDuration, SimInstant};

@@ -4,9 +4,9 @@ use crate::error::NetError;
 use crate::latency::LatencyModel;
 use crate::time::{SimClock, SimDuration, SimInstant};
 use amnesia_crypto::SecretRng;
-use amnesia_telemetry::{Counter, Gauge, HistogramHandle, Registry};
+use amnesia_telemetry::{Counter, Gauge, HistogramHandle, LazyHandle, Registry};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -86,14 +86,30 @@ impl LinkProfile {
     }
 }
 
+/// A registered endpoint, as a dense index in registration order.
+///
+/// [`SimNet::register`] hands ids out and every [`Frame`] carries them, so
+/// routing, sealing and dispatching a frame compare integers, never names.
+/// [`SimNet::name`] and [`SimNet::endpoint`] convert at the edges.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EndpointId(u32);
+
+impl EndpointId {
+    /// The endpoint's position in registration order (the first endpoint
+    /// registered is 0), for indexing per-endpoint tables.
+    pub fn index(self) -> usize {
+        usize::try_from(self.0).unwrap_or(usize::MAX)
+    }
+}
+
 /// A frame on the simulated network; [`SimNet::step`] hands each one to the
 /// orchestrator when it is delivered.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Sending endpoint.
-    pub from: String,
+    pub from: EndpointId,
     /// Receiving endpoint.
-    pub to: String,
+    pub to: EndpointId,
     /// Opaque payload (typically `amnesia-store` codec bytes, possibly
     /// sealed by a [`SecureChannel`](crate::SecureChannel)).
     pub payload: Vec<u8>,
@@ -181,6 +197,8 @@ impl Wiretap {
 }
 
 struct LinkState {
+    from: EndpointId,
+    to: EndpointId,
     profile: LinkProfile,
     taps: Vec<Wiretap>,
     /// Latest delivery already scheduled on this link — only consulted when
@@ -193,11 +211,14 @@ struct LinkState {
     latency: Option<HistogramHandle>,
 }
 
-/// The network-wide metric handles, resolved once per registry.
+/// The network-wide metric handles, resolved once per registry; the
+/// counters of rare events (drops, wiretap hits) register on first use.
 struct NetMetrics {
     frames_sent: Counter,
     queue_depth: Gauge,
     delivery_latency: HistogramHandle,
+    frames_dropped: LazyHandle<Counter>,
+    wiretap_hits: LazyHandle<Counter>,
 }
 
 impl NetMetrics {
@@ -206,6 +227,8 @@ impl NetMetrics {
             frames_sent: registry.counter("net.frames_sent"),
             queue_depth: registry.gauge("net.queue_depth"),
             delivery_latency: registry.histogram("net.delivery_latency_us"),
+            frames_dropped: LazyHandle::new(registry, "net.frames_dropped"),
+            wiretap_hits: LazyHandle::new(registry, "net.wiretap_hits"),
         }
     }
 }
@@ -213,6 +236,8 @@ impl NetMetrics {
 struct Pending {
     deliver_at: SimInstant,
     seq: u64,
+    /// The link the frame crossed, so delivery looks nothing up.
+    link: usize,
     frame: Frame,
 }
 
@@ -236,17 +261,27 @@ impl Ord for Pending {
 
 /// The simulated network.
 ///
-/// Endpoints are registered by name, links are directed and carry a
-/// [`LinkProfile`], and frames traverse the network in delivery-time order
-/// while the embedded [`SimClock`] advances. See the crate-level example.
+/// Endpoints are registered by name and addressed by [`EndpointId`], links
+/// are directed and carry a [`LinkProfile`], and frames traverse the
+/// network in delivery-time order while the embedded [`SimClock`]
+/// advances. See the crate-level example.
+///
+/// Every frame takes one path, [`transmit`](Self::transmit), which works
+/// on ids. The name-taking [`send`](Self::send),
+/// [`send_after`](Self::send_after), [`connect`](Self::connect) and
+/// [`tap`](Self::tap) are the setup and test API: they resolve the names
+/// and call the id path.
 pub struct SimNet {
     clock: SimClock,
     rng: SecretRng,
-    endpoints: BTreeSet<String>,
-    /// Nested by sender, then receiver, so the send hot path can look a
-    /// route up with two `&str` probes instead of allocating a
-    /// `(String, String)` key per frame.
-    links: BTreeMap<String, BTreeMap<String, LinkState>>,
+    /// Endpoint names, indexed by [`EndpointId`].
+    names: Vec<String>,
+    /// Name → id, for the name-taking API.
+    ids: BTreeMap<String, EndpointId>,
+    /// Every directed link, in creation order.
+    links: Vec<LinkState>,
+    /// Per sender, indexed by its id: receiver → index into `links`.
+    routes: Vec<BTreeMap<EndpointId, usize>>,
     queue: BinaryHeap<Pending>,
     seq: u64,
     dropped: u64,
@@ -258,11 +293,8 @@ impl fmt::Debug for SimNet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimNet")
             .field("now", &self.clock.now())
-            .field("endpoints", &self.endpoints)
-            .field(
-                "links",
-                &self.links.values().map(BTreeMap::len).sum::<usize>(),
-            )
+            .field("endpoints", &self.names.len())
+            .field("links", &self.links.len())
             .field("pending", &self.queue.len())
             .field("dropped", &self.dropped)
             .finish()
@@ -276,8 +308,10 @@ impl SimNet {
         SimNet {
             clock: SimClock::new(),
             rng: SecretRng::seeded(seed),
-            endpoints: BTreeSet::new(),
-            links: BTreeMap::new(),
+            names: Vec::new(),
+            ids: BTreeMap::new(),
+            links: Vec::new(),
+            routes: Vec::new(),
             queue: BinaryHeap::new(),
             seq: 0,
             dropped: 0,
@@ -291,7 +325,7 @@ impl SimNet {
     /// covers every component.
     pub fn set_telemetry(&mut self, registry: Registry) {
         self.metrics = NetMetrics::resolve(&registry);
-        for link in self.links.values_mut().flat_map(BTreeMap::values_mut) {
+        for link in &mut self.links {
             link.latency = None;
         }
         self.telemetry = registry;
@@ -309,46 +343,93 @@ impl SimNet {
         self.clock.clone()
     }
 
-    /// Registers an endpoint.
+    /// Registers an endpoint and returns its id, the next one in
+    /// registration order.
     ///
     /// # Panics
     ///
     /// Panics if the name is already registered — endpoint wiring is harness
     /// configuration, not runtime input.
-    pub fn register(&mut self, name: &str) {
-        let fresh = self.endpoints.insert(name.to_string());
+    pub fn register(&mut self, name: &str) -> EndpointId {
+        let fresh = !self.ids.contains_key(name);
         assert!(fresh, "endpoint {name:?} already registered");
+        let index = u32::try_from(self.names.len());
+        assert!(index.is_ok(), "endpoint ids exhausted");
+        let id = EndpointId(index.unwrap_or(u32::MAX));
+        self.names.push(name.to_string());
+        self.ids.insert(name.to_string(), id);
+        self.routes.push(BTreeMap::new());
+        id
     }
 
     /// Whether `name` is a registered endpoint.
     pub fn has_endpoint(&self, name: &str) -> bool {
-        self.endpoints.contains(name)
+        self.ids.contains_key(name)
     }
 
-    /// Creates a directed link `from → to`.
+    /// The id registered under `name`, if any.
+    pub fn endpoint(&self, name: &str) -> Option<EndpointId> {
+        self.ids.get(name).copied()
+    }
+
+    /// The name `id` was registered under (empty for an id this network
+    /// never issued).
+    pub fn name(&self, id: EndpointId) -> &str {
+        self.names.get(id.index()).map_or("", String::as_str)
+    }
+
+    /// Creates a directed link `from → to` between named endpoints.
     ///
     /// # Panics
     ///
     /// Panics if either endpoint is unregistered (harness configuration
     /// error).
     pub fn connect(&mut self, from: &str, to: &str, profile: LinkProfile) {
-        assert!(self.has_endpoint(from), "unknown endpoint {from:?}");
-        assert!(self.has_endpoint(to), "unknown endpoint {to:?}");
-        self.links.entry(from.to_string()).or_default().insert(
-            to.to_string(),
-            LinkState {
-                profile,
-                taps: Vec::new(),
-                last_deliver_at: SimInstant::EPOCH,
-                latency: None,
-            },
-        );
+        let (from_id, to_id) = (self.endpoint(from), self.endpoint(to));
+        assert!(from_id.is_some(), "unknown endpoint {from:?}");
+        assert!(to_id.is_some(), "unknown endpoint {to:?}");
+        if let (Some(from), Some(to)) = (from_id, to_id) {
+            self.connect_ids(from, to, profile);
+        }
+    }
+
+    /// Creates a directed link `from → to`, replacing any link already
+    /// there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id was not issued by this network.
+    pub fn connect_ids(&mut self, from: EndpointId, to: EndpointId, profile: LinkProfile) {
+        assert!(to.index() < self.names.len(), "unknown endpoint id {to:?}");
+        let state = LinkState {
+            from,
+            to,
+            profile,
+            taps: Vec::new(),
+            last_deliver_at: SimInstant::EPOCH,
+            latency: None,
+        };
+        let next = self.links.len();
+        let routes = self.routes.get_mut(from.index());
+        assert!(routes.is_some(), "unknown endpoint id {from:?}");
+        if let Some(routes) = routes {
+            let index = *routes.entry(to).or_insert(next);
+            match self.links.get_mut(index) {
+                Some(link) => *link = state,
+                None => self.links.push(state),
+            }
+        }
     }
 
     /// Creates links in both directions with the same profile.
     pub fn connect_bidirectional(&mut self, a: &str, b: &str, profile: LinkProfile) {
         self.connect(a, b, profile.clone());
         self.connect(b, a, profile);
+    }
+
+    /// The index into `links` of the link `from → to`.
+    fn route(&self, from: EndpointId, to: EndpointId) -> Option<usize> {
+        self.routes.get(from.index())?.get(&to).copied()
     }
 
     /// Attaches a wiretap to the directed link `from → to` and returns the
@@ -358,10 +439,12 @@ impl SimNet {
     ///
     /// Returns [`NetError::NoLink`] if the link does not exist.
     pub fn tap(&mut self, from: &str, to: &str) -> Result<Wiretap, NetError> {
-        let link = self
-            .links
-            .get_mut(from)
-            .and_then(|routes| routes.get_mut(to))
+        let link = match (self.endpoint(from), self.endpoint(to)) {
+            (Some(from), Some(to)) => self.route(from, to),
+            _ => None,
+        };
+        let link = link
+            .and_then(|index| self.links.get_mut(index))
             .ok_or_else(|| NetError::NoLink {
                 from: from.into(),
                 to: to.into(),
@@ -422,35 +505,49 @@ impl SimNet {
         payload: Vec<u8>,
         delay: SimDuration,
     ) -> Result<Option<SimInstant>, NetError> {
-        if !self.has_endpoint(from) {
-            return Err(NetError::UnknownEndpoint { name: from.into() });
-        }
-        if !self.has_endpoint(to) {
-            return Err(NetError::UnknownEndpoint { name: to.into() });
-        }
-        let link = self
-            .links
-            .get_mut(from)
-            .and_then(|routes| routes.get_mut(to))
-            .ok_or_else(|| NetError::NoLink {
-                from: from.into(),
-                to: to.into(),
-            })?;
+        let resolve = |name: &str| {
+            self.endpoint(name)
+                .ok_or_else(|| NetError::UnknownEndpoint { name: name.into() })
+        };
+        let (from, to) = (resolve(from)?, resolve(to)?);
+        self.transmit(from, to, payload, delay)
+    }
+
+    /// Sends `payload` over the link `from → to` after a sender-local
+    /// compute delay — the one path every frame takes (see
+    /// [`send_after`](Self::send_after)).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::NoLink`] if no link runs from `from` to `to`.
+    pub fn transmit(
+        &mut self,
+        from: EndpointId,
+        to: EndpointId,
+        payload: Vec<u8>,
+        delay: SimDuration,
+    ) -> Result<Option<SimInstant>, NetError> {
+        let index = self.route(from, to);
+        let Some((index, link)) = index.and_then(|i| Some((i, self.links.get_mut(i)?))) else {
+            return Err(NetError::NoLink {
+                from: self.name(from).into(),
+                to: self.name(to).into(),
+            });
+        };
 
         let sent_at = self.clock.now() + delay;
         self.metrics.frames_sent.inc();
         if !link.taps.is_empty() {
-            self.telemetry
-                .counter("net.wiretap_hits")
-                .add(link.taps.len() as u64);
-        }
-        for tap in &link.taps {
-            tap.observe(WiretapRecord {
-                from: from.to_string(),
-                to: to.to_string(),
-                payload: payload.clone(),
-                sent_at,
-            });
+            self.metrics.wiretap_hits.get().add(link.taps.len() as u64);
+            let name = |id: EndpointId| self.names.get(id.index()).cloned().unwrap_or_default();
+            for tap in &link.taps {
+                tap.observe(WiretapRecord {
+                    from: name(from),
+                    to: name(to),
+                    payload: payload.clone(),
+                    sent_at,
+                });
+            }
         }
 
         let dropped = link.profile.drop_probability > 0.0 && {
@@ -459,7 +556,7 @@ impl SimNet {
         };
         if dropped {
             self.dropped += 1;
-            self.telemetry.counter("net.frames_dropped").inc();
+            self.metrics.frames_dropped.get().inc();
             return Ok(None);
         }
 
@@ -478,8 +575,8 @@ impl SimNet {
             sent_at + latency
         };
         let frame = Frame {
-            from: from.to_string(),
-            to: to.to_string(),
+            from,
+            to,
             payload,
             sent_at,
             delivered_at: deliver_at,
@@ -487,6 +584,7 @@ impl SimNet {
         self.queue.push(Pending {
             deliver_at,
             seq: self.seq,
+            link: index,
             frame,
         });
         self.seq += 1;
@@ -512,17 +610,18 @@ impl SimNet {
         let latency = (frame.delivered_at - frame.sent_at).as_micros();
         self.metrics.delivery_latency.record(latency);
         // Every queued frame crossed a link that still exists (links are
-        // never removed), so this lookup always finds it.
-        if let Some(link) = self
-            .links
-            .get_mut(&frame.from)
-            .and_then(|routes| routes.get_mut(&frame.to))
-        {
-            let telemetry = &self.telemetry;
+        // only ever replaced in place), so this always finds it.
+        if let Some(link) = self.links.get_mut(pending.link) {
+            let (names, telemetry) = (&self.names, &self.telemetry);
+            let (from, to) = (link.from, link.to);
             link.latency
                 .get_or_insert_with(|| {
-                    telemetry
-                        .histogram(&format!("net.link.{}->{}.latency_us", frame.from, frame.to))
+                    let name = |id: EndpointId| names.get(id.index()).map_or("", String::as_str);
+                    telemetry.histogram(&format!(
+                        "net.link.{}->{}.latency_us",
+                        name(from),
+                        name(to)
+                    ))
                 })
                 .record(latency);
         }
@@ -584,7 +683,7 @@ mod tests {
         let frames = deliver_all(&mut net);
         assert_eq!(net.now().as_millis_f64(), 25.0);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].to, "b");
+        assert_eq!(net.name(frames[0].to), "b");
         assert_eq!(frames[0].payload, vec![9]);
         assert_eq!(frames[0].sent_at.as_millis_f64(), 0.0);
     }
@@ -614,10 +713,10 @@ mod tests {
         net.send("a", "c", vec![2]).unwrap();
         // The c-bound frame arrives first even though it was sent second.
         let first = net.step().unwrap();
-        assert_eq!(first.to, "c");
+        assert_eq!(net.name(first.to), "c");
         assert_eq!(net.now().as_millis_f64(), 5.0);
         let second = net.step().unwrap();
-        assert_eq!(second.to, "b");
+        assert_eq!(net.name(second.to), "b");
         assert_eq!(net.now().as_millis_f64(), 50.0);
     }
 

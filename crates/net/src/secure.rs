@@ -24,7 +24,9 @@
 //! This is **not** a production cipher; it is a faithful simulation substrate
 //! (the paper's prototype likewise used a self-signed certificate).
 
-use amnesia_crypto::{ct_eq, hmac_sha256, sha256_concat, HmacKey, Sha256};
+use crate::network::EndpointId;
+use amnesia_crypto::{ct_eq, hmac_sha256, sha256_concat, HmacKey, SecretRng, Sha256};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -359,6 +361,86 @@ impl SecureChannel {
     }
 }
 
+/// The directed secure channels between a deployment's endpoints, keyed
+/// `(from, to)` by endpoint id: what a session host seals and opens every
+/// frame with.
+///
+/// A pair is provisioned once per browser or phone, as a stand-in for the
+/// TLS handshake; traffic between two endpoints with no channel (the
+/// rendezvous legs) passes through in the clear.
+///
+/// ```
+/// use amnesia_crypto::SecretRng;
+/// use amnesia_net::{ChannelMap, SimNet};
+///
+/// let mut net = SimNet::new(1);
+/// let (browser, server) = (net.register("browser"), net.register("server"));
+/// let mut channels = ChannelMap::default();
+/// channels.provision_pair(browser, server, &mut SecretRng::seeded(2));
+/// let wire = channels.seal(browser, server, b"hello".to_vec()).unwrap();
+/// assert_ne!(wire, b"hello");
+/// assert_eq!(channels.open(browser, server, &wire).unwrap(), b"hello");
+/// ```
+#[derive(Debug, Default)]
+pub struct ChannelMap {
+    channels: BTreeMap<(EndpointId, EndpointId), SecureChannel>,
+}
+
+impl ChannelMap {
+    /// Keys both directions between `a` and `b` from one fresh 32-byte
+    /// secret drawn from `rng` (`a → b` is the `"fwd"` role, `b → a` the
+    /// `"rev"` role), replacing any channels already there.
+    pub fn provision_pair(&mut self, a: EndpointId, b: EndpointId, rng: &mut SecretRng) {
+        let secret = rng.bytes::<32>();
+        self.channels
+            .insert((a, b), SecureChannel::new(&secret, "fwd"));
+        self.channels
+            .insert((b, a), SecureChannel::new(&secret, "rev"));
+    }
+
+    /// The channel `from → to`, if one was provisioned.
+    pub fn get(&self, from: EndpointId, to: EndpointId) -> Option<&SecureChannel> {
+        self.channels.get(&(from, to))
+    }
+
+    /// Seals `bytes` on the channel `from → to`, or passes them through
+    /// unchanged when there is none.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChannelError::Exhausted`] when the channel's nonces are
+    /// spent.
+    pub fn seal(
+        &mut self,
+        from: EndpointId,
+        to: EndpointId,
+        bytes: Vec<u8>,
+    ) -> Result<Vec<u8>, ChannelError> {
+        match self.channels.get_mut(&(from, to)) {
+            Some(channel) => channel.seal(&bytes),
+            None => Ok(bytes),
+        }
+    }
+
+    /// Opens `bytes` received on the channel `from → to`, or copies them
+    /// when there is none.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SecureChannel::open`] errors.
+    pub fn open(
+        &mut self,
+        from: EndpointId,
+        to: EndpointId,
+        bytes: &[u8],
+    ) -> Result<Vec<u8>, ChannelError> {
+        match self.channels.get_mut(&(from, to)) {
+            Some(channel) => channel.open(bytes),
+            None => Ok(bytes.to_vec()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +647,22 @@ mod tests {
         let a = tx.seal(b"same plaintext").unwrap();
         let b = tx.seal(b"same plaintext").unwrap();
         assert_ne!(a, b, "nonce must vary the ciphertext");
+    }
+
+    #[test]
+    fn channel_map_keys_each_direction_and_passes_unkeyed_pairs_through() {
+        let mut net = crate::SimNet::new(1);
+        let (a, b, c) = (net.register("a"), net.register("b"), net.register("c"));
+        let mut channels = ChannelMap::default();
+        channels.provision_pair(a, b, &mut SecretRng::seeded(3));
+        let up = channels.seal(a, b, b"up".to_vec()).unwrap();
+        let down = channels.seal(b, a, b"down".to_vec()).unwrap();
+        assert_eq!(channels.open(b, a, &up), Err(ChannelError::BadTag));
+        assert_eq!(channels.open(a, b, &up).unwrap(), b"up");
+        assert_eq!(channels.open(b, a, &down).unwrap(), b"down");
+        assert!(channels.get(a, c).is_none());
+        assert_eq!(channels.seal(a, c, b"clear".to_vec()).unwrap(), b"clear");
+        assert_eq!(channels.open(c, a, b"clear").unwrap(), b"clear");
     }
 
     #[test]

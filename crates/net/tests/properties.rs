@@ -1,7 +1,7 @@
 //! Property-based tests of the simulated network's delivery invariants, on
 //! the in-repo `amnesia-testkit` harness.
 
-use amnesia_net::{LatencyModel, LinkProfile, SimNet};
+use amnesia_net::{LatencyModel, LinkProfile, SimDuration, SimNet};
 use amnesia_testkit::{for_all, require, require_eq, Gen};
 
 const CASES: u32 = 64;
@@ -52,7 +52,9 @@ fn frames_conserved() {
         let frames: Vec<_> = std::iter::from_fn(|| net.step()).collect();
         require_eq!(frames.len() as u64 + net.dropped_count(), sent);
         require!(
-            frames.iter().all(|f| names.contains(&f.to)),
+            frames
+                .iter()
+                .all(|f| names.iter().any(|name| name == net.name(f.to))),
             "frame delivered to an unregistered endpoint"
         );
         require_eq!(net.pending_count(), 0);
@@ -133,6 +135,95 @@ fn schedules_deterministic() {
             times
         };
         require_eq!(run(seed), run(seed));
+        Ok(())
+    });
+}
+
+/// The name-taking API and the id path are one path: for a random topology
+/// (sparse links, lossy and jittered, some tapped) the same sends made by
+/// name (`send_after`) and by id (`transmit`), interleaved with the same
+/// deliveries, produce the same results, the same delivered frames
+/// (endpoints, payloads, send and delivery times), the same wiretap
+/// records and the same drop count.
+#[test]
+fn name_and_id_sends_agree() {
+    for_all("name and id sends agree", CASES, |g: &mut Gen| {
+        let seed = g.next_u64();
+        let n = g.usize_in(2, 6);
+        let drop = g.f64_in(0.0, 0.4);
+        // Each ordered pair is linked with probability 2/3 and a link is
+        // tapped with probability 1/4.
+        let mut links: Vec<(usize, usize, bool)> = Vec::new();
+        for a in 0..n {
+            for b in (0..n).filter(|&b| b != a) {
+                let (linked, tapped) = (g.next_u8() % 3 != 0, g.next_u8() % 4 == 0);
+                if linked {
+                    links.push((a, b, tapped));
+                }
+            }
+        }
+        let sends: Vec<(usize, usize, Vec<u8>, u64, bool)> = (0..g.usize_in(1, 40))
+            .map(|_| {
+                let len = g.usize_in(0, 9);
+                (
+                    g.usize_in(0, n - 1),
+                    g.usize_in(0, n - 1),
+                    g.bytes(len),
+                    g.u64_in(0, 3_000),
+                    g.next_u8() % 2 == 0,
+                )
+            })
+            .collect();
+
+        // Builds the topology on a fresh network and replays `sends`,
+        // either by name or by id; returns everything observable.
+        let run = |by_id: bool| {
+            let mut net = SimNet::new(seed);
+            let names: Vec<String> = (0..n).map(|i| format!("node{i}")).collect();
+            let ids: Vec<_> = names.iter().map(|name| net.register(name)).collect();
+            let mut taps = Vec::new();
+            for &(a, b, tapped) in &links {
+                let profile = LinkProfile::new(LatencyModel::uniform_ms(1.0, 40.0))
+                    .with_drop_probability(drop);
+                net.connect(&names[a], &names[b], profile);
+                if tapped {
+                    taps.push(net.tap(&names[a], &names[b]).unwrap());
+                }
+            }
+            let mut results = Vec::new();
+            let mut delivered = Vec::new();
+            let observe = |net: &mut SimNet| {
+                net.step().map(|f| {
+                    (
+                        net.name(f.from).to_string(),
+                        net.name(f.to).to_string(),
+                        f.payload,
+                        f.sent_at,
+                        f.delivered_at,
+                    )
+                })
+            };
+            for (a, b, payload, delay_us, step) in &sends {
+                let delay = SimDuration::from_micros(*delay_us);
+                results.push(if by_id {
+                    net.transmit(ids[*a], ids[*b], payload.clone(), delay)
+                } else {
+                    net.send_after(&names[*a], &names[*b], payload.clone(), delay)
+                });
+                if *step {
+                    delivered.extend(observe(&mut net));
+                }
+            }
+            delivered.extend(std::iter::from_fn(|| observe(&mut net)));
+            let records: Vec<_> = taps.iter().map(|tap| tap.records()).collect();
+            (results, delivered, records, net.dropped_count())
+        };
+
+        let (by_name, by_id) = (run(false), run(true));
+        require_eq!(by_name.0, by_id.0);
+        require_eq!(by_name.1, by_id.1);
+        require_eq!(by_name.2, by_id.2);
+        require_eq!(by_name.3, by_id.3);
         Ok(())
     });
 }

@@ -49,7 +49,7 @@ use amnesia_net::SimInstant;
 use amnesia_rendezvous::{RegistrationId, RendezvousServer};
 use amnesia_server::protocol::{KpBackup, PhonePush, SessionGrantToken, TokenResponse};
 use amnesia_store::{codec, Database};
-use amnesia_telemetry::Registry;
+use amnesia_telemetry::{Counter, HistogramHandle, LazyHandle, Registry};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -174,6 +174,24 @@ impl PhoneConfig {
     }
 }
 
+/// The phone's metric handles, each registered at its first event and kept,
+/// so a push costs no name lookup.
+struct PhoneMetrics {
+    pushes_received: LazyHandle<Counter>,
+    tokens_computed: LazyHandle<Counter>,
+    confirm_latency: LazyHandle<HistogramHandle>,
+}
+
+impl PhoneMetrics {
+    fn new(registry: &Registry) -> Self {
+        PhoneMetrics {
+            pushes_received: LazyHandle::new(registry, "phone.pushes_received"),
+            tokens_computed: LazyHandle::new(registry, "phone.tokens_computed"),
+            confirm_latency: LazyHandle::new(registry, "phone.confirm_latency_us"),
+        }
+    }
+}
+
 /// The Amnesia mobile application agent.
 pub struct AmnesiaPhone {
     config: PhoneConfig,
@@ -185,7 +203,7 @@ pub struct AmnesiaPhone {
     notifications: Vec<Notification>,
     tokens_computed: u64,
     session_grant: Option<(SessionGrantToken, u32)>,
-    telemetry: Registry,
+    metrics: PhoneMetrics,
 }
 
 impl fmt::Debug for AmnesiaPhone {
@@ -220,14 +238,14 @@ impl AmnesiaPhone {
             notifications: Vec::new(),
             tokens_computed: 0,
             session_grant: None,
-            telemetry: Registry::new(),
+            metrics: PhoneMetrics::new(&Registry::new()),
         }
     }
 
     /// Replaces the metrics registry this phone records into (`phone.*`
     /// counters and the push-to-confirm latency histogram).
     pub fn set_telemetry(&mut self, registry: Registry) {
-        self.telemetry = registry;
+        self.metrics = PhoneMetrics::new(&registry);
     }
 
     /// The phone's network endpoint name.
@@ -273,17 +291,17 @@ impl AmnesiaPhone {
     pub fn compute_token(&mut self, request: &PasswordRequest) -> Result<Token, PhoneError> {
         let token = self.table.token(request)?;
         self.tokens_computed += 1;
-        self.telemetry.counter("phone.tokens_computed").inc();
+        self.metrics.tokens_computed.get().inc();
         Ok(token)
     }
 
     /// Records how long a push waited between leaving the server (`tstart`)
     /// and being confirmed on the phone at `now`.
     fn note_confirm_latency(&self, tstart: SimInstant, now: SimInstant) {
-        self.telemetry.record(
-            "phone.confirm_latency_us",
-            now.as_micros().saturating_sub(tstart.as_micros()),
-        );
+        self.metrics
+            .confirm_latency
+            .get()
+            .record(now.as_micros().saturating_sub(tstart.as_micros()));
     }
 
     /// Handles a push delivered from the rendezvous service.
@@ -304,7 +322,7 @@ impl AmnesiaPhone {
             return Err(PhoneError::NotRegistered);
         }
         let push = PhonePush::from_wire(payload).map_err(PhoneError::MalformedPush)?;
-        self.telemetry.counter("phone.pushes_received").inc();
+        self.metrics.pushes_received.get().inc();
         self.notifications.push(Notification {
             origin: push.origin.clone(),
             arrived_at: now,
@@ -554,7 +572,7 @@ impl AmnesiaPhone {
             notifications: Vec::new(),
             tokens_computed: 0,
             session_grant: None,
-            telemetry: Registry::new(),
+            metrics: PhoneMetrics::new(&Registry::new()),
         })
     }
 

@@ -41,7 +41,7 @@
 //! let frame = net.step().unwrap();
 //! gcm.handle_frame(&frame, &mut net).unwrap();
 //! let delivered = net.step().unwrap();
-//! assert_eq!(delivered.to, "phone");
+//! assert_eq!(net.name(delivered.to), "phone");
 //! assert_eq!(delivered.payload, b"request R");
 //! ```
 
@@ -49,9 +49,9 @@
 #![warn(missing_docs)]
 
 use amnesia_crypto::{hex, SecretRng};
-use amnesia_net::{Frame, NetError, SimNet};
+use amnesia_net::{Frame, NetError, SimDuration, SimNet};
 use amnesia_store::codec;
-use amnesia_telemetry::Registry;
+use amnesia_telemetry::{Counter, Gauge, LazyHandle, Registry};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -153,6 +153,24 @@ impl From<NetError> for RendezvousError {
     }
 }
 
+/// The service's metric handles, each registered on first use.
+#[derive(Debug)]
+struct RendezvousMetrics {
+    devices: LazyHandle<Gauge>,
+    forwarded: LazyHandle<Counter>,
+    rejected: LazyHandle<Counter>,
+}
+
+impl RendezvousMetrics {
+    fn new(registry: &Registry) -> Self {
+        RendezvousMetrics {
+            devices: LazyHandle::new(registry, "rendezvous.devices"),
+            forwarded: LazyHandle::new(registry, "rendezvous.push_forwarded"),
+            rejected: LazyHandle::new(registry, "rendezvous.push_rejected"),
+        }
+    }
+}
+
 /// The rendezvous (push) service.
 ///
 /// Holds the registration-ID → device-endpoint mapping and forwards pushed
@@ -164,7 +182,7 @@ pub struct RendezvousServer {
     rng: SecretRng,
     forwarded: u64,
     rejected: u64,
-    telemetry: Registry,
+    metrics: RendezvousMetrics,
 }
 
 impl RendezvousServer {
@@ -176,14 +194,14 @@ impl RendezvousServer {
             rng: SecretRng::seeded(seed),
             forwarded: 0,
             rejected: 0,
-            telemetry: Registry::new(),
+            metrics: RendezvousMetrics::new(&Registry::new()),
         }
     }
 
     /// Replaces the metrics registry this service records into
     /// (`rendezvous.*` counters and the registered-device gauge).
     pub fn set_telemetry(&mut self, registry: Registry) {
-        self.telemetry = registry;
+        self.metrics = RendezvousMetrics::new(&registry);
     }
 
     /// The service's network endpoint name.
@@ -199,18 +217,14 @@ impl RendezvousServer {
         let id = RegistrationId(format!("reg:{}", hex::encode(&token)));
         self.registry
             .insert(id.clone(), device_endpoint.to_string());
-        self.telemetry
-            .gauge("rendezvous.devices")
-            .set_usize(self.registry.len());
+        self.metrics.devices.get().set_usize(self.registry.len());
         id
     }
 
     /// Revokes a registration ID; returns whether it existed.
     pub fn unregister(&mut self, id: &RegistrationId) -> bool {
         let existed = self.registry.remove(id).is_some();
-        self.telemetry
-            .gauge("rendezvous.devices")
-            .set_usize(self.registry.len());
+        self.metrics.devices.get().set_usize(self.registry.len());
         existed
     }
 
@@ -225,7 +239,8 @@ impl RendezvousServer {
     }
 
     /// Processes one frame addressed to the rendezvous service: decodes the
-    /// [`PushEnvelope`] and forwards `data` to the registered device.
+    /// [`PushEnvelope`] and forwards `data` to the registered device, from
+    /// the endpoint the frame was delivered to.
     ///
     /// Returns the device endpoint the payload was forwarded to.
     ///
@@ -241,23 +256,25 @@ impl RendezvousServer {
     ) -> Result<String, RendezvousError> {
         let envelope = PushEnvelope::from_wire(&frame.payload).map_err(|e| {
             self.rejected += 1;
-            self.telemetry.counter("rendezvous.push_rejected").inc();
+            self.metrics.rejected.get().inc();
             RendezvousError::MalformedEnvelope(e)
         })?;
-        let device = match self.registry.get(&envelope.registration_id) {
-            Some(d) => d.clone(),
-            None => {
-                self.rejected += 1;
-                self.telemetry.counter("rendezvous.push_rejected").inc();
-                return Err(RendezvousError::UnknownRegistration(
-                    envelope.registration_id,
-                ));
-            }
+        let Some(device) = self.registry.get(&envelope.registration_id) else {
+            self.rejected += 1;
+            self.metrics.rejected.get().inc();
+            return Err(RendezvousError::UnknownRegistration(
+                envelope.registration_id,
+            ));
         };
-        net.send(&self.endpoint, &device, envelope.data)?;
+        let to = net
+            .endpoint(device)
+            .ok_or_else(|| NetError::UnknownEndpoint {
+                name: device.clone(),
+            })?;
+        net.transmit(frame.to, to, envelope.data, SimDuration::ZERO)?;
         self.forwarded += 1;
-        self.telemetry.counter("rendezvous.push_forwarded").inc();
-        Ok(device)
+        self.metrics.forwarded.get().inc();
+        Ok(device.clone())
     }
 
     /// Total payloads forwarded so far.
@@ -317,7 +334,7 @@ mod tests {
         assert_eq!(device, "phone");
         let frames: Vec<Frame> = std::iter::from_fn(|| net.step()).collect();
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].to, "phone");
+        assert_eq!(net.name(frames[0].to), "phone");
         assert_eq!(frames[0].payload, b"R-bytes");
         // Total path latency = 10ms (server→gcm) + 15ms (gcm→phone).
         assert_eq!(frames[0].delivered_at.as_millis_f64(), 25.0);

@@ -51,12 +51,14 @@
 mod config;
 mod error;
 pub mod latency;
+mod metrics;
 pub mod realtime;
 pub mod session;
 mod system;
 
 pub use config::{NetProfile, SystemConfig};
 pub use error::SystemError;
+pub use metrics::HostMetrics;
 pub use session::{Action, Event, FlowSpec, Origin, Session, SessionId, SessionOutcome};
 pub use system::{
     AmnesiaSystem, GenerationOutcome, GenerationRequest, RecoveryOutcome, GCM_ENDPOINT,

@@ -10,19 +10,23 @@
 
 use crate::config::SystemConfig;
 use crate::error::SystemError;
+use crate::metrics::HostMetrics;
 use crate::session::{Action, Event, FlowSpec, Origin, Session, SessionId, SessionOutcome};
 use amnesia_client::Browser;
 use amnesia_cloud::CloudProvider;
 use amnesia_core::{Domain, GeneratedPassword, PasswordPolicy, Username};
 use amnesia_crypto::SecretRng;
-use amnesia_net::{Frame, LinkProfile, SecureChannel, SimClock, SimDuration, SimInstant, SimNet};
+use amnesia_net::{
+    ChannelMap, EndpointId, Frame, LatencyModel, LinkProfile, NetError, SecureChannel, SimClock,
+    SimDuration, SimInstant, SimNet,
+};
 use amnesia_phone::{AmnesiaPhone, PhoneConfig, PhoneError, PushOutcome};
 use amnesia_rendezvous::{RegistrationId, RendezvousServer};
 use amnesia_server::protocol::FromServer;
 use amnesia_server::protocol::{PhonePush, Reply, ToServer};
 use amnesia_server::storage::AccountRef;
 use amnesia_server::{AmnesiaServer, ServerConfig};
-use amnesia_telemetry::{Registry, Span};
+use amnesia_telemetry::{Gauge, LazyHandle, Registry, Span};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -70,8 +74,8 @@ pub struct GenerationRequest {
 /// Host-side bookkeeping around one engine [`Session`].
 struct SessionEntry {
     engine: Session,
-    browser: String,
-    phone: Option<String>,
+    browser: EndpointId,
+    phone: Option<EndpointId>,
     user_id: Option<String>,
     /// Simulated deadline of the last `ArmTimer`.
     deadline: Option<SimInstant>,
@@ -97,11 +101,12 @@ pub struct AmnesiaSystem {
     server_seed: u64,
     gcm: RendezvousServer,
     cloud: CloudProvider,
-    phones: BTreeMap<String, AmnesiaPhone>,
-    browsers: BTreeMap<String, Browser>,
-    /// Directed secure channels, keyed `from → to` (nested so the per-frame
-    /// seal/open lookups borrow `&str` instead of allocating key tuples).
-    channels: BTreeMap<String, BTreeMap<String, SecureChannel>>,
+    /// The endpoints of the server and of the rendezvous service.
+    server_id: EndpointId,
+    gcm_id: EndpointId,
+    phones: BTreeMap<EndpointId, AmnesiaPhone>,
+    browsers: BTreeMap<EndpointId, Browser>,
+    channels: ChannelMap,
     channel_rng: SecretRng,
     sessions: BTreeMap<SessionId, SessionEntry>,
     next_session_id: SessionId,
@@ -113,14 +118,21 @@ pub struct AmnesiaSystem {
     generation_latencies: Vec<SimDuration>,
     faults: Vec<String>,
     telemetry: Registry,
+    metrics: HostMetrics,
+    /// `system.session.inflight_peak`, which only the single host keeps.
+    inflight_peak: LazyHandle<Gauge>,
 }
 
 impl fmt::Debug for AmnesiaSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = |id: &EndpointId| self.net.name(*id);
         f.debug_struct("AmnesiaSystem")
             .field("profile", &self.config.profile.name)
-            .field("phones", &self.phones.keys().collect::<Vec<_>>())
-            .field("browsers", &self.browsers.keys().collect::<Vec<_>>())
+            .field("phones", &self.phones.keys().map(name).collect::<Vec<_>>())
+            .field(
+                "browsers",
+                &self.browsers.keys().map(name).collect::<Vec<_>>(),
+            )
             .field("now", &self.net.now())
             .finish_non_exhaustive()
     }
@@ -134,11 +146,11 @@ impl AmnesiaSystem {
         let mut seed_rng = SecretRng::seeded(config.seed);
         let mut net = SimNet::new(seed_rng.next_u64());
         net.set_telemetry(telemetry.clone());
-        net.register(SERVER_ENDPOINT);
-        net.register(GCM_ENDPOINT);
-        net.connect(
-            SERVER_ENDPOINT,
-            GCM_ENDPOINT,
+        let server_id = net.register(SERVER_ENDPOINT);
+        let gcm_id = net.register(GCM_ENDPOINT);
+        net.connect_ids(
+            server_id,
+            gcm_id,
             LinkProfile::new(config.profile.server_gcm.clone()),
         );
 
@@ -163,9 +175,11 @@ impl AmnesiaSystem {
             server_seed,
             gcm,
             cloud: CloudProvider::new("sim-cloud"),
+            server_id,
+            gcm_id,
             phones: BTreeMap::new(),
             browsers: BTreeMap::new(),
-            channels: BTreeMap::new(),
+            channels: ChannelMap::default(),
             channel_rng,
             sessions: BTreeMap::new(),
             next_session_id: 1,
@@ -173,37 +187,30 @@ impl AmnesiaSystem {
             seen_drops: 0,
             generation_latencies: Vec::new(),
             faults: Vec::new(),
+            metrics: HostMetrics::new(&telemetry, "system"),
+            inflight_peak: LazyHandle::new(&telemetry, "system.session.inflight_peak"),
             telemetry,
         }
     }
 
     // -- topology -----------------------------------------------------------
 
-    fn provision_channel_pair(&mut self, a: &str, b: &str) {
-        // Stand-in for the TLS handshake: both directions keyed from one
-        // fresh shared secret.
-        let secret = self.channel_rng.bytes::<32>();
+    /// Registers a browser endpoint with an HTTPS link to the server over
+    /// `latency` and a protected channel pair.
+    fn wire_browser(&mut self, name: &str, latency: LatencyModel) {
+        let id = self.net.register(name);
+        let profile = LinkProfile::new(latency);
+        self.net.connect_ids(id, self.server_id, profile.clone());
+        self.net.connect_ids(self.server_id, id, profile);
         self.channels
-            .entry(a.to_string())
-            .or_default()
-            .insert(b.to_string(), SecureChannel::new(&secret, "fwd"));
-        self.channels
-            .entry(b.to_string())
-            .or_default()
-            .insert(a.to_string(), SecureChannel::new(&secret, "rev"));
+            .provision_pair(id, self.server_id, &mut self.channel_rng);
+        self.browsers.insert(id, Browser::new(name));
     }
 
     /// Adds a browser endpoint connected to the server over the profile's
     /// HTTPS link.
     pub fn add_browser(&mut self, name: &str) {
-        self.net.register(name);
-        self.net.connect_bidirectional(
-            name,
-            SERVER_ENDPOINT,
-            LinkProfile::new(self.config.profile.browser_server.clone()),
-        );
-        self.provision_channel_pair(name, SERVER_ENDPOINT);
-        self.browsers.insert(name.to_string(), Browser::new(name));
+        self.wire_browser(name, self.config.profile.browser_server.clone());
     }
 
     /// Adds a browser running *on the phone* (paper §III: "The process is
@@ -212,65 +219,85 @@ impl AmnesiaSystem {
     /// server uses the phone's access-network latency instead of the
     /// computer's.
     pub fn add_mobile_browser(&mut self, name: &str) {
-        self.net.register(name);
-        self.net.connect_bidirectional(
-            name,
-            SERVER_ENDPOINT,
-            LinkProfile::new(self.config.profile.phone_server.clone()),
-        );
-        self.provision_channel_pair(name, SERVER_ENDPOINT);
-        self.browsers.insert(name.to_string(), Browser::new(name));
+        self.wire_browser(name, self.config.profile.phone_server.clone());
     }
 
     /// Installs a phone: endpoint, push link from the rendezvous, direct
     /// link to the server, and a protected phone↔server channel.
     pub fn add_phone(&mut self, name: &str, seed: u64) {
-        self.net.register(name);
-        self.net.connect(
-            GCM_ENDPOINT,
-            name,
+        self.wire_phone(name, seed);
+    }
+
+    fn wire_phone(&mut self, name: &str, seed: u64) -> EndpointId {
+        let id = self.net.register(name);
+        self.net.connect_ids(
+            self.gcm_id,
+            id,
             LinkProfile::new(self.config.profile.gcm_phone.clone())
                 .with_drop_probability(self.config.profile.push_drop_probability),
         );
-        self.net.connect(
-            name,
-            SERVER_ENDPOINT,
+        self.net.connect_ids(
+            id,
+            self.server_id,
             LinkProfile::new(self.config.profile.phone_server.clone()),
         );
-        self.provision_channel_pair(name, SERVER_ENDPOINT);
+        self.channels
+            .provision_pair(id, self.server_id, &mut self.channel_rng);
         let mut phone =
             AmnesiaPhone::new(PhoneConfig::new(name, seed).with_table_size(self.config.table_size));
         phone.set_telemetry(self.telemetry.clone());
-        self.phones.insert(name.to_string(), phone);
+        self.phones.insert(id, phone);
+        id
     }
 
     /// Removes a phone component (a lost/stolen device leaving the
     /// deployment). Its network endpoint remains but nothing handles its
     /// frames.
     pub fn remove_phone(&mut self, name: &str) -> Option<AmnesiaPhone> {
-        self.phones.remove(name)
+        let id = self.net.endpoint(name)?;
+        self.phones.remove(&id)
+    }
+
+    /// The id of the endpoint a public method names.
+    fn endpoint(&self, name: &str) -> Result<EndpointId, SystemError> {
+        self.net
+            .endpoint(name)
+            .ok_or_else(|| SystemError::UnknownComponent {
+                endpoint: name.into(),
+            })
+    }
+
+    /// `UnknownComponent` for an endpoint that has no live component.
+    fn unknown(&self, id: EndpointId) -> SystemError {
+        SystemError::UnknownComponent {
+            endpoint: self.net.name(id).into(),
+        }
     }
 
     // -- channel plumbing ------------------------------------------------------
 
-    fn seal(&mut self, from: &str, to: &str, bytes: Vec<u8>) -> Result<Vec<u8>, SystemError> {
+    fn seal(
+        &mut self,
+        from: EndpointId,
+        to: EndpointId,
+        bytes: Vec<u8>,
+    ) -> Result<Vec<u8>, SystemError> {
         if !self.config.secure_channels {
             return Ok(bytes);
         }
-        match self.channels.get_mut(from).and_then(|m| m.get_mut(to)) {
-            Some(channel) => channel.seal(&bytes).map_err(SystemError::from),
-            None => Ok(bytes),
-        }
+        Ok(self.channels.seal(from, to, bytes)?)
     }
 
-    fn open(&mut self, from: &str, to: &str, bytes: &[u8]) -> Result<Vec<u8>, SystemError> {
+    fn open(
+        &mut self,
+        from: EndpointId,
+        to: EndpointId,
+        bytes: &[u8],
+    ) -> Result<Vec<u8>, SystemError> {
         if !self.config.secure_channels {
             return Ok(bytes.to_vec());
         }
-        match self.channels.get_mut(from).and_then(|m| m.get_mut(to)) {
-            Some(channel) => channel.open(bytes).map_err(SystemError::from),
-            None => Ok(bytes.to_vec()),
-        }
+        Ok(self.channels.open(from, to, bytes)?)
     }
 
     /// Exports the channel keys for one direction — the §IV-A broken-HTTPS
@@ -281,9 +308,9 @@ impl AmnesiaSystem {
         from: &str,
         to: &str,
     ) -> Option<([u8; 32], [u8; 32])> {
+        let (from, to) = (self.net.endpoint(from)?, self.net.endpoint(to)?);
         self.channels
-            .get(from)
-            .and_then(|m| m.get(to))
+            .get(from, to)
             .map(SecureChannel::export_keys_for_attack_model)
     }
 
@@ -294,23 +321,20 @@ impl AmnesiaSystem {
     /// sends.
     fn begin(
         &mut self,
-        browser: &str,
-        phone: Option<&str>,
+        browser: EndpointId,
+        phone: Option<EndpointId>,
         user_id: Option<&str>,
         spec: FlowSpec,
         attempts: u32,
         install: Option<(String, u64)>,
     ) -> Result<SessionId, SystemError> {
-        let browser_agent =
-            self.browsers
-                .get(browser)
-                .ok_or_else(|| SystemError::UnknownComponent {
-                    endpoint: browser.into(),
-                })?;
+        let Some(browser_agent) = self.browsers.get(&browser) else {
+            return Err(self.unknown(browser));
+        };
         let is_generate = matches!(spec, FlowSpec::Generate { .. });
         let id = self.next_session_id;
         self.next_session_id += 1;
-        let mut engine = Session::new(id, browser, spec)
+        let mut engine = Session::new(id, self.net.name(browser), spec)
             .with_attempts(attempts.max(1))
             .with_timeout(self.config.session_timeout);
         if let Some(token) = browser_agent.session().cloned() {
@@ -318,16 +342,13 @@ impl AmnesiaSystem {
         }
         // End-to-end span over simulated time: browser click to password in
         // the browser, a superset of the paper's measured tstart→tend window.
-        let span = is_generate.then(|| {
-            self.telemetry
-                .span("system.generate_password_e2e_us", self.net.clock())
-        });
+        let span = is_generate.then(|| self.metrics.e2e.get().span(self.net.clock()));
         self.sessions.insert(
             id,
             SessionEntry {
                 engine,
-                browser: browser.to_string(),
-                phone: phone.map(str::to_string),
+                browser,
+                phone,
                 user_id: user_id.map(str::to_string),
                 deadline: None,
                 window: None,
@@ -407,9 +428,7 @@ impl AmnesiaSystem {
                         self.complete(sid, Err(e));
                     }
                 }
-                Action::NoteRetry => {
-                    self.telemetry.counter("system.generation_retries").inc();
-                }
+                Action::NoteRetry => self.metrics.retries.get().inc(),
                 Action::Deliver(outcome) => self.complete(sid, Ok(outcome)),
                 Action::Fail(error) => self.complete(sid, Err(error)),
             }
@@ -428,17 +447,15 @@ impl AmnesiaSystem {
             expected: "session",
         })?;
         let from = match origin {
-            Origin::Browser => entry.browser.clone(),
-            Origin::Phone => entry
-                .phone
-                .clone()
-                .ok_or_else(|| SystemError::UnknownComponent {
-                    endpoint: "phone".into(),
-                })?,
+            Origin::Browser => entry.browser,
+            Origin::Phone => entry.phone.ok_or_else(|| SystemError::UnknownComponent {
+                endpoint: "phone".into(),
+            })?,
         };
         let bytes = message.to_wire()?;
-        let sealed = self.seal(&from, SERVER_ENDPOINT, bytes)?;
-        self.net.send(&from, SERVER_ENDPOINT, sealed)?;
+        let sealed = self.seal(from, self.server_id, bytes)?;
+        self.net
+            .transmit(from, self.server_id, sealed, SimDuration::ZERO)?;
         Ok(())
     }
 
@@ -461,7 +478,7 @@ impl AmnesiaSystem {
             }
         }
         if matches!(result, Ok(SessionOutcome::Password { .. })) {
-            self.telemetry.counter("system.generations").inc();
+            self.metrics.generations.get().inc();
         }
         entry.outcome = Some(result);
         self.inflight = self.inflight.saturating_sub(1);
@@ -469,12 +486,8 @@ impl AmnesiaSystem {
     }
 
     fn update_inflight_gauge(&self) {
-        self.telemetry
-            .gauge("system.session.inflight")
-            .set_u64(self.inflight);
-        self.telemetry
-            .gauge("system.session.inflight_peak")
-            .set_max_u64(self.inflight);
+        self.metrics.inflight.get().set_u64(self.inflight);
+        self.inflight_peak.get().set_max_u64(self.inflight);
     }
 
     /// If the session's phone holds a pending confirmation for it and the
@@ -483,11 +496,11 @@ impl AmnesiaSystem {
         let Some(entry) = self.sessions.get(&sid) else {
             return Ok(());
         };
-        let Some(phone_name) = entry.phone.clone() else {
+        let Some(phone) = entry.phone else {
             return Ok(());
         };
         let now = self.net.now();
-        let response = match self.phones.get_mut(&phone_name) {
+        let response = match self.phones.get_mut(&phone) {
             Some(agent) => match agent.confirm_request(sid, now) {
                 Ok(response) => response,
                 // The push has not reached the phone yet (or was consumed by
@@ -497,7 +510,7 @@ impl AmnesiaSystem {
             },
             None => return Ok(()),
         };
-        self.send_token_from_phone(&phone_name, response)
+        self.send_token_from_phone(phone, response)
     }
 
     // -- host-executed actions -------------------------------------------------
@@ -505,17 +518,10 @@ impl AmnesiaSystem {
     /// `Action::RegisterPhone`: the phone registers with the rendezvous and
     /// reports its identity for `CompletePhonePairing`.
     fn exec_register_phone(&mut self, sid: SessionId) -> Result<Event, SystemError> {
-        let name = self
-            .sessions
-            .get(&sid)
-            .and_then(|e| e.phone.clone())
-            .ok_or_else(|| SystemError::UnknownComponent {
-                endpoint: "phone".into(),
-            })?;
-        let agent = self
-            .phones
-            .get_mut(&name)
-            .ok_or_else(|| SystemError::UnknownComponent { endpoint: name })?;
+        let phone = self.session_phone(sid)?;
+        let Some(agent) = self.phones.get_mut(&phone) else {
+            return Err(self.unknown(phone));
+        };
         let registration_id = agent.register_with_rendezvous(&mut self.gcm);
         Ok(Event::PairingInfo {
             pid: agent.pid().clone(),
@@ -554,26 +560,19 @@ impl AmnesiaSystem {
         let (name, seed) = install.ok_or(SystemError::MissingReply {
             expected: "replacement phone",
         })?;
-        self.add_phone(&name, seed);
+        let phone = self.wire_phone(&name, seed);
         if let Some(entry) = self.sessions.get_mut(&sid) {
-            entry.phone = Some(name);
+            entry.phone = Some(phone);
         }
         Ok(Event::PhoneInstalled)
     }
 
     /// `Action::MintGrant`: the phone mints the §VIII session grant.
     fn exec_mint_grant(&mut self, sid: SessionId, max_uses: u32) -> Result<Event, SystemError> {
-        let name = self
-            .sessions
-            .get(&sid)
-            .and_then(|e| e.phone.clone())
-            .ok_or_else(|| SystemError::UnknownComponent {
-                endpoint: "phone".into(),
-            })?;
-        let agent = self
-            .phones
-            .get_mut(&name)
-            .ok_or_else(|| SystemError::UnknownComponent { endpoint: name })?;
+        let phone = self.session_phone(sid)?;
+        let Some(agent) = self.phones.get_mut(&phone) else {
+            return Err(self.unknown(phone));
+        };
         let grant = agent.grant_session(max_uses, &mut self.channel_rng);
         Ok(Event::GrantMinted(grant))
     }
@@ -587,19 +586,22 @@ impl AmnesiaSystem {
             .ok_or(SystemError::MissingReply {
                 expected: "user id",
             })?;
-        let name = self
-            .sessions
-            .get(&sid)
-            .and_then(|e| e.phone.clone())
-            .ok_or_else(|| SystemError::UnknownComponent {
-                endpoint: "phone".into(),
-            })?;
-        let agent = self
-            .phones
-            .get(&name)
-            .ok_or_else(|| SystemError::UnknownComponent { endpoint: name })?;
+        let phone = self.session_phone(sid)?;
+        let Some(agent) = self.phones.get(&phone) else {
+            return Err(self.unknown(phone));
+        };
         agent.backup_to_cloud(&mut self.cloud, &user_id)?;
         Ok(())
+    }
+
+    /// The phone a session was started with.
+    fn session_phone(&self, sid: SessionId) -> Result<EndpointId, SystemError> {
+        self.sessions
+            .get(&sid)
+            .and_then(|e| e.phone)
+            .ok_or_else(|| SystemError::UnknownComponent {
+                endpoint: "phone".into(),
+            })
     }
 
     // -- event loop ------------------------------------------------------------
@@ -728,7 +730,7 @@ impl AmnesiaSystem {
                 .and_then(|e| e.deadline)
                 .is_some_and(|d| d <= now);
             if expired {
-                self.telemetry.counter("system.session.timeouts").inc();
+                self.metrics.timeouts.get().inc();
                 self.feed(*sid, Event::TimerFired);
             }
         }
@@ -738,10 +740,16 @@ impl AmnesiaSystem {
     /// component-level rejections as faults (same policy as [`pump`](Self::pump)).
     fn deliver_one_frame(&mut self) {
         if let Some(frame) = self.net.step() {
-            if let Err(e) = self.dispatch(frame) {
-                self.telemetry.counter("system.dispatch_faults").inc();
-                self.faults.push(e.to_string());
-            }
+            self.dispatch_or_fault(frame);
+        }
+    }
+
+    /// Dispatches one delivered frame, recording a component-level
+    /// rejection as a fault.
+    fn dispatch_or_fault(&mut self, frame: Frame) {
+        if let Err(e) = self.dispatch(frame) {
+            self.metrics.dispatch_faults.get().inc();
+            self.faults.push(e.to_string());
         }
     }
 
@@ -780,10 +788,7 @@ impl AmnesiaSystem {
     /// aborting the pump — on a real network they are just dropped traffic.
     pub fn pump(&mut self) {
         while let Some(frame) = self.net.step() {
-            if let Err(e) = self.dispatch(frame) {
-                self.telemetry.counter("system.dispatch_faults").inc();
-                self.faults.push(e.to_string());
-            }
+            self.dispatch_or_fault(frame);
         }
     }
 
@@ -794,13 +799,12 @@ impl AmnesiaSystem {
     }
 
     fn dispatch(&mut self, frame: Frame) -> Result<(), SystemError> {
-        if frame.to == SERVER_ENDPOINT {
+        if frame.to == self.server_id {
             self.dispatch_to_server(frame)
-        } else if frame.to == GCM_ENDPOINT {
+        } else if frame.to == self.gcm_id {
             // Step 2 leg of Fig. 1: the server's push travelling to the
             // rendezvous service.
-            self.telemetry
-                .record("steps.step2_server_to_gcm_us", Self::leg_micros(&frame));
+            self.metrics.step2.get().record(Self::leg_micros(&frame));
             self.gcm
                 .handle_frame(&frame, &mut self.net)
                 .map(|_| ())
@@ -813,12 +817,12 @@ impl AmnesiaSystem {
             self.dispatch_to_browser(frame)
         } else {
             // Endpoint exists but no live component (e.g. removed phone).
-            Err(SystemError::UnknownComponent { endpoint: frame.to })
+            Err(self.unknown(frame.to))
         }
     }
 
     fn dispatch_to_server(&mut self, frame: Frame) -> Result<(), SystemError> {
-        let plaintext = self.open(&frame.from, SERVER_ENDPOINT, &frame.payload)?;
+        let plaintext = self.open(frame.from, self.server_id, &frame.payload)?;
         let message = ToServer::from_wire(&plaintext)?;
         // Per-request server compute (deriving R, assembling the password) is
         // modelled as a delay on this request's *outgoing* frames, not as a
@@ -828,19 +832,17 @@ impl AmnesiaSystem {
         let compute = match &message {
             ToServer::RequestPassword { .. } => {
                 // Step 1 of Fig. 1: the browser's request reaching the server.
-                self.telemetry
-                    .record("steps.step1_request_upload_us", Self::leg_micros(&frame));
+                self.metrics.step1.get().record(Self::leg_micros(&frame));
                 self.config.profile.request_compute
             }
             ToServer::Token(_) => {
                 // Step 4 leg (token upload) and step 5 (password assembly,
                 // modelled as the configured compute delay).
-                self.telemetry
-                    .record("steps.step4_token_upload_us", Self::leg_micros(&frame));
-                self.telemetry.record(
-                    "steps.step5_password_compute_us",
-                    self.config.profile.password_compute.as_micros(),
-                );
+                self.metrics.step4.get().record(Self::leg_micros(&frame));
+                self.metrics
+                    .step5
+                    .get()
+                    .record(self.config.profile.password_compute.as_micros());
                 self.config.profile.password_compute
             }
             _ => SimDuration::ZERO,
@@ -850,39 +852,41 @@ impl AmnesiaSystem {
         let reaction = self.server.handle_message(message, now);
         if let Some(push) = reaction.push {
             self.net
-                .send_after(SERVER_ENDPOINT, GCM_ENDPOINT, push.to_wire()?, compute)?;
+                .transmit(self.server_id, self.gcm_id, push.to_wire()?, compute)?;
         }
         for (dest, reply) in reaction.replies {
             if let FromServer::PasswordReady { requested_at, .. } = &reply.message {
                 let latency = now.duration_since(*requested_at);
-                self.telemetry
-                    .record("system.generate_password_us", latency.as_micros());
+                self.metrics.window.get().record(latency.as_micros());
                 self.generation_latencies.push(latency);
                 // Attribute the measured window to the owning session.
                 if let Some(entry) = self.sessions.get_mut(&reply.request_id) {
                     entry.window = Some(latency);
                 }
             }
+            // The reply is addressed by the name the request carried.
+            let to = self
+                .net
+                .endpoint(&dest)
+                .ok_or(NetError::UnknownEndpoint { name: dest })?;
             let bytes = reply.to_wire()?;
-            let sealed = self.seal(SERVER_ENDPOINT, &dest, bytes)?;
-            self.net
-                .send_after(SERVER_ENDPOINT, &dest, sealed, compute)?;
+            let sealed = self.seal(self.server_id, to, bytes)?;
+            self.net.transmit(self.server_id, to, sealed, compute)?;
         }
         Ok(())
     }
 
     fn dispatch_to_phone(&mut self, frame: Frame) -> Result<(), SystemError> {
         // Step 3 of Fig. 1: the rendezvous push arriving at the phone.
-        self.telemetry
-            .record("steps.step3_push_delivery_us", Self::leg_micros(&frame));
+        self.metrics.step3.get().record(Self::leg_micros(&frame));
         let now = self.net.now();
         let outcome = match self.phones.get_mut(&frame.to) {
             Some(phone) => phone.handle_push(&frame.payload, now)?,
-            None => return Err(SystemError::UnknownComponent { endpoint: frame.to }),
+            None => return Err(self.unknown(frame.to)),
         };
         match outcome {
             PushOutcome::Respond(response) => {
-                self.send_token_from_phone(&frame.to.clone(), response)?;
+                self.send_token_from_phone(frame.to, response)?;
             }
             PushOutcome::AwaitingConfirmation => {
                 // If the owning session's user already approved (the
@@ -906,14 +910,14 @@ impl AmnesiaSystem {
     /// compute must not pause the rest of the simulation).
     fn send_token_from_phone(
         &mut self,
-        phone_endpoint: &str,
+        phone: EndpointId,
         response: amnesia_server::protocol::TokenResponse,
     ) -> Result<(), SystemError> {
         let bytes = ToServer::Token(response).to_wire()?;
-        let sealed = self.seal(phone_endpoint, SERVER_ENDPOINT, bytes)?;
-        self.net.send_after(
-            phone_endpoint,
-            SERVER_ENDPOINT,
+        let sealed = self.seal(phone, self.server_id, bytes)?;
+        self.net.transmit(
+            phone,
+            self.server_id,
             sealed,
             self.config.profile.token_compute,
         )?;
@@ -921,16 +925,15 @@ impl AmnesiaSystem {
     }
 
     fn dispatch_to_browser(&mut self, frame: Frame) -> Result<(), SystemError> {
-        let plaintext = self.open(&frame.from, &frame.to, &frame.payload)?;
+        let plaintext = self.open(frame.from, frame.to, &frame.payload)?;
         let reply = Reply::from_wire(&plaintext)?;
         if matches!(reply.message, FromServer::PasswordReady { .. }) {
             // Step 6 of Fig. 1: the assembled password reaching the browser.
-            self.telemetry
-                .record("steps.step6_password_download_us", Self::leg_micros(&frame));
+            self.metrics.step6.get().record(Self::leg_micros(&frame));
         }
         match self.browsers.get_mut(&frame.to) {
             Some(browser) => browser.handle_reply(reply.message.clone()),
-            None => return Err(SystemError::UnknownComponent { endpoint: frame.to }),
+            None => return Err(self.unknown(frame.to)),
         }
         // Route the reply to the session that is waiting for it. A session
         // that already settled (e.g. its timer fired while this frame was in
@@ -941,7 +944,7 @@ impl AmnesiaSystem {
             .get(&reply.request_id)
             .is_none_or(|e| e.outcome.is_some());
         if late {
-            self.telemetry.counter("system.session.late_replies").inc();
+            self.metrics.late_replies.get().inc();
         } else {
             self.feed(reply.request_id, Event::FrameReceived(reply.message));
         }
@@ -960,9 +963,21 @@ impl AmnesiaSystem {
         attempts: u32,
         install: Option<(String, u64)>,
     ) -> Result<SessionOutcome, SystemError> {
+        let (browser, phone) = self.endpoints(browser, phone)?;
         let sid = self.begin(browser, phone, user_id, spec, attempts, install)?;
         self.drive(&[sid]);
         self.finish_session(sid).0
+    }
+
+    /// Resolves a flow's browser and phone names, browser first.
+    fn endpoints(
+        &self,
+        browser: &str,
+        phone: Option<&str>,
+    ) -> Result<(EndpointId, Option<EndpointId>), SystemError> {
+        let browser = self.endpoint(browser)?;
+        let phone = phone.map(|name| self.endpoint(name)).transpose()?;
+        Ok((browser, phone))
     }
 
     // -- end-to-end flows -----------------------------------------------------------
@@ -1131,9 +1146,10 @@ impl AmnesiaSystem {
         domain: &Domain,
         attempts: u32,
     ) -> Result<GenerationOutcome, SystemError> {
+        let (browser, phone) = self.endpoints(browser, Some(phone))?;
         let sid = self.begin(
             browser,
-            Some(phone),
+            phone,
             None,
             FlowSpec::Generate {
                 username: username.clone(),
@@ -1181,17 +1197,21 @@ impl AmnesiaSystem {
                 self.drive_until_below(&live, live.len());
                 live.retain(|sid| self.sessions.get(sid).is_some_and(|e| e.outcome.is_none()));
             }
-            let slot = self.begin(
-                &request.browser,
-                Some(&request.phone),
-                None,
-                FlowSpec::Generate {
-                    username: request.username.clone(),
-                    domain: request.domain.clone(),
-                },
-                attempts,
-                None,
-            );
+            let slot = self
+                .endpoints(&request.browser, Some(&request.phone))
+                .and_then(|(browser, phone)| {
+                    self.begin(
+                        browser,
+                        phone,
+                        None,
+                        FlowSpec::Generate {
+                            username: request.username.clone(),
+                            domain: request.domain.clone(),
+                        },
+                        attempts,
+                        None,
+                    )
+                });
             if let Ok(sid) = &slot {
                 live.push(*sid);
             }
@@ -1305,6 +1325,15 @@ impl AmnesiaSystem {
         new_phone: &str,
         new_phone_seed: u64,
     ) -> Result<RecoveryOutcome, SystemError> {
+        // The replacement is installed mid-flow, after the server accepted
+        // the backup and the old registration is purged; a name already
+        // taken must fail here, before anything changes.
+        if self.net.has_endpoint(new_phone) {
+            return Err(NetError::DuplicateEndpoint {
+                name: new_phone.into(),
+            }
+            .into());
+        }
         match self.run_flow(
             browser,
             None,
@@ -1338,8 +1367,7 @@ impl AmnesiaSystem {
         phone: &str,
     ) -> Result<(), SystemError> {
         let pid = self
-            .phones
-            .get(phone)
+            .phone(phone)
             .ok_or_else(|| SystemError::UnknownComponent {
                 endpoint: phone.into(),
             })?
@@ -1411,17 +1439,17 @@ impl AmnesiaSystem {
 
     /// A phone agent by endpoint name.
     pub fn phone(&self, name: &str) -> Option<&AmnesiaPhone> {
-        self.phones.get(name)
+        self.phones.get(&self.net.endpoint(name)?)
     }
 
     /// Mutable phone access (confirmation policies, compromise models).
     pub fn phone_mut(&mut self, name: &str) -> Option<&mut AmnesiaPhone> {
-        self.phones.get_mut(name)
+        self.phones.get_mut(&self.net.endpoint(name)?)
     }
 
     /// A browser by endpoint name.
     pub fn browser_ref(&self, name: &str) -> Option<&Browser> {
-        self.browsers.get(name)
+        self.browsers.get(&self.net.endpoint(name)?)
     }
 
     /// Measured generation latencies, in completion order (the Figure 3

@@ -121,3 +121,24 @@ fn system_debug_summarizes_topology() {
     assert!(dbg.contains("phone"));
     assert!(dbg.contains("browser"));
 }
+
+#[test]
+fn recovery_onto_a_taken_endpoint_name_fails_before_anything_changes() {
+    let mut sys = base(9);
+    let u = Username::new("alice").unwrap();
+    let d = Domain::new("keep.example.com").unwrap();
+    sys.add_account("browser", u.clone(), d.clone(), PasswordPolicy::default())
+        .unwrap();
+    let before = sys.generate_password("browser", "phone", &u, &d).unwrap();
+
+    // "phone" is alice's current phone: installing a replacement under that
+    // name cannot succeed, so the flow must refuse before the server takes
+    // the backup or the rendezvous forgets the old registration.
+    let err = sys
+        .recover_phone("alice", "mp", "browser", "phone", 99)
+        .unwrap_err();
+    assert!(err.to_string().contains("already registered"), "{err}");
+
+    let after = sys.generate_password("browser", "phone", &u, &d).unwrap();
+    assert_eq!(after.password, before.password);
+}

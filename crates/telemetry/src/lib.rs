@@ -6,6 +6,8 @@
 //!
 //! - [`Registry`] — a cloneable handle to a shared table of named metrics;
 //! - [`Counter`] / [`Gauge`] — lock-free monotonic and instantaneous values;
+//! - [`LazyHandle`] — a metric handle resolved at its first event, for hot
+//!   paths whose keys must not appear before the event does;
 //! - [`Histogram`] — a log-scale latency histogram with exact count/sum/
 //!   min/max and quantile *bounds* with ≤ 1/32 relative bucket width;
 //! - [`Span`] / [`span!`] — scope guards that time a region against any
@@ -49,5 +51,5 @@ mod report;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use histogram::Histogram;
-pub use registry::{Counter, Gauge, HistogramHandle, Registry, Span};
+pub use registry::{Counter, Gauge, HistogramHandle, LazyHandle, Metric, Registry, Span};
 pub use report::{histogram_json, json_string, Snapshot};

@@ -8,6 +8,7 @@
 //! single atomic operation (counters/gauges) or a short mutex-guarded bucket
 //! increment (histograms).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -158,29 +159,17 @@ impl Registry {
 
     /// Returns the counter registered under `name`, creating it if needed.
     pub fn counter(&self, name: &str) -> Counter {
-        self.lock()
-            .counters
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_register(&mut self.lock().counters, name)
     }
 
     /// Returns the gauge registered under `name`, creating it if needed.
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.lock()
-            .gauges
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_register(&mut self.lock().gauges, name)
     }
 
     /// Returns the histogram registered under `name`, creating it if needed.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        self.lock()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_register(&mut self.lock().histograms, name)
     }
 
     /// Records one sample into the histogram named `name`.
@@ -230,6 +219,72 @@ impl Registry {
         for histogram in inner.histograms.values() {
             *histogram.lock() = Histogram::new();
         }
+    }
+}
+
+/// The metric registered under `name`, registering a fresh one first if
+/// there is none. Only the insert allocates the key: a lookup of a name that
+/// already exists probes with the borrowed `&str`.
+fn get_or_register<M: Clone + Default>(map: &mut BTreeMap<String, M>, name: &str) -> M {
+    if let Some(metric) = map.get(name) {
+        return metric.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
+}
+
+/// A kind of metric a [`LazyHandle`] can resolve.
+pub trait Metric: Clone {
+    /// The metric of this kind registered under `name`, created if needed.
+    fn resolve(registry: &Registry, name: &str) -> Self;
+}
+
+impl Metric for Counter {
+    fn resolve(registry: &Registry, name: &str) -> Self {
+        registry.counter(name)
+    }
+}
+
+impl Metric for Gauge {
+    fn resolve(registry: &Registry, name: &str) -> Self {
+        registry.gauge(name)
+    }
+}
+
+impl Metric for HistogramHandle {
+    fn resolve(registry: &Registry, name: &str) -> Self {
+        registry.histogram(name)
+    }
+}
+
+/// A metric handle resolved on first use, then kept.
+///
+/// Resolving a handle registers its name, so a handle resolved up front
+/// puts a zero-valued key into every snapshot taken before its first event.
+/// A `LazyHandle` registers the key at its first event, exactly as a
+/// by-name call there would, and records through the kept handle after
+/// that. Hot paths use it for every metric whose key must not exist before
+/// the event does (a generation counter, a timeout counter).
+#[derive(Debug)]
+pub struct LazyHandle<M> {
+    registry: Registry,
+    name: Cow<'static, str>,
+    handle: OnceLock<M>,
+}
+
+impl<M: Metric> LazyHandle<M> {
+    /// A handle for the metric `name` in `registry`, not resolved yet.
+    pub fn new(registry: &Registry, name: impl Into<Cow<'static, str>>) -> Self {
+        LazyHandle {
+            registry: registry.clone(),
+            name: name.into(),
+            handle: OnceLock::new(),
+        }
+    }
+
+    /// The metric, registered on the first call.
+    pub fn get(&self) -> &M {
+        self.handle
+            .get_or_init(|| M::resolve(&self.registry, &self.name))
     }
 }
 
@@ -364,6 +419,28 @@ mod tests {
         assert_eq!(registry.histogram("h").snapshot().count(), 0);
         counter.inc();
         assert_eq!(registry.counter("c").get(), 1, "handles stay connected");
+    }
+
+    #[test]
+    fn lazy_handle_registers_its_key_on_first_use() {
+        let registry = Registry::new();
+        let lazy = LazyHandle::<Counter>::new(&registry, "late");
+        assert!(registry.snapshot().counters.is_empty(), "no key before use");
+        lazy.get().inc();
+        lazy.get().add(2);
+        assert_eq!(registry.snapshot().counters["late"], 3);
+        let histogram = LazyHandle::<HistogramHandle>::new(&registry, String::from("h"));
+        histogram.get().record(5);
+        assert_eq!(registry.histogram("h").snapshot().count(), 1);
+    }
+
+    #[test]
+    fn lookups_of_existing_names_return_the_same_metric() {
+        let registry = Registry::new();
+        let first = registry.gauge("g");
+        first.set(3);
+        assert_eq!(registry.gauge("g").get(), 3);
+        assert_eq!(registry.snapshot().gauges.len(), 1);
     }
 
     #[test]

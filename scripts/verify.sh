@@ -18,6 +18,13 @@ echo "==> crypto tests in release mode"
 # too, not only in the debug build above.
 cargo test -q --release --offline -p amnesia-crypto
 
+echo "==> net, system and fleet tests in release mode"
+# Endpoint ids, link indices and role-table lookups are integer arithmetic
+# on the frame path; the release build the benchmark measures runs it with
+# overflow checks off, so the hosts' tests (pinned timelines included) run
+# there as well.
+cargo test -q --release --offline -p amnesia-net -p amnesia-system -p amnesia-fleet
+
 echo "==> unsafe budget"
 # Library code may hold exactly one allow(unsafe_code): the SHA-NI dispatch
 # fn in crates/crypto/src/sha256.rs (DESIGN.md §9). Its crate root denies
@@ -201,4 +208,4 @@ for workload in interactive burst mixed signup; do
     fi
 done
 
-echo "OK: offline build, tests, release-mode crypto tests, unsafe budget, formatting, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
+echo "OK: offline build, tests, release-mode crypto, net, system and fleet tests, unsafe budget, formatting, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"

@@ -303,3 +303,99 @@ fn bounded_inflight_cap_slides_without_losing_requests() {
         );
     }
 }
+
+/// The simulated timeline of a small single-host scenario, pinned as one
+/// SHA-256: a concurrent batch behind a sliding window of 4 with push drops
+/// and retries, a seed rotation, a retried generation of the rotated
+/// account, and a generation that times out. The digest covers every
+/// outcome, the measured latencies in µs, the faults, every counter and
+/// gauge, and the sorted histogram names. It leaves out histogram values
+/// (some are wall-clock spans) and the process-global `crypto.*` mirrors,
+/// whose values depend on what else ran in this process. A change to the
+/// order of events, a simulated time, a byte of a password or the set of
+/// metric keys changes the digest.
+#[test]
+fn single_host_timeline_is_pinned() {
+    let mut sys = AmnesiaSystem::new(
+        SystemConfig::default()
+            .with_seed(0x7157)
+            .with_table_size(64)
+            .with_max_inflight(4)
+            .with_profile(NetProfile::wifi().with_push_drop_probability(0.25)),
+    );
+    sys.add_browser("browser");
+    sys.add_phone("phone", 0x7158);
+    sys.setup_user("pinned", "master password", "browser", "phone")
+        .unwrap();
+    let accounts: Vec<(Username, Domain)> = (0..12)
+        .map(|i| {
+            let u = Username::new(format!("pinned{i}")).unwrap();
+            let d = Domain::new(format!("site{i}.pinned.example.com")).unwrap();
+            sys.add_account("browser", u.clone(), d.clone(), PasswordPolicy::default())
+                .unwrap();
+            (u, d)
+        })
+        .collect();
+
+    let mut results = sys.generate_passwords_concurrent(&requests(&accounts), 3);
+    let (u, d) = &accounts[0];
+    sys.rotate_seed("browser", u.clone(), d.clone()).unwrap();
+    results.push(sys.generate_password_with_retry("browser", "phone", u, d, 3));
+    sys.phone_mut("phone")
+        .unwrap()
+        .set_confirm_policy(ConfirmPolicy::AutoReject);
+    results.push(sys.generate_password("browser", "phone", u, d));
+
+    let mut lines: Vec<String> = results
+        .iter()
+        .map(|r| match r {
+            Ok(o) => format!(
+                "password:{:?}:{}:{}us",
+                o.account,
+                o.password.as_str(),
+                o.latency.as_micros()
+            ),
+            Err(e) => format!("err:{e:?}"),
+        })
+        .collect();
+    lines.extend(
+        sys.generation_latencies()
+            .iter()
+            .map(|l| format!("latency:{}", l.as_micros())),
+    );
+    lines.extend(sys.faults().iter().map(|f| format!("fault:{f}")));
+    let snapshot = sys.telemetry().snapshot();
+    let local = |name: &String| !name.starts_with("crypto.");
+    lines.extend(
+        snapshot
+            .counters
+            .iter()
+            .filter(|(name, _)| local(name))
+            .map(|(name, v)| format!("counter:{name}={v}")),
+    );
+    lines.extend(
+        snapshot
+            .gauges
+            .iter()
+            .filter(|(name, _)| local(name))
+            .map(|(name, v)| format!("gauge:{name}={v}")),
+    );
+    lines.extend(
+        snapshot
+            .histograms
+            .keys()
+            .filter(|name| local(name))
+            .map(|name| format!("histogram:{name}")),
+    );
+    let digest =
+        amnesia::crypto::hex::encode(&amnesia::crypto::sha256(lines.join("\n").as_bytes()));
+    assert!(results[..12].iter().any(|r| r.is_ok()));
+    assert!(
+        results[13].is_err(),
+        "the rejected generation must time out"
+    );
+    assert_eq!(
+        digest, "ad39284636c28bf3e21af4babb54469d23cfcf5c1cbcdd359f2da15c06c38803",
+        "{lines:#?}"
+    );
+}
