@@ -11,7 +11,7 @@
 //! [`loadgen`] drives the whole fleet with population-sampled traffic —
 //! workload mixes, diurnal waves and Zipf hot-user skew.
 //!
-//! Sharding is transparent: sessions run the same sans-IO engine as the
+//! Sharding is transparent: sessions run on the same session host as the
 //! single-host `AmnesiaSystem`, and the passwords a fleet generates are
 //! byte-identical to a single host seeded the same way.
 

@@ -50,6 +50,7 @@
 
 mod config;
 mod error;
+mod host;
 pub mod latency;
 mod metrics;
 pub mod realtime;
@@ -58,6 +59,7 @@ mod system;
 
 pub use config::{NetProfile, SystemConfig};
 pub use error::SystemError;
+pub use host::{Finished, SessionHost};
 pub use metrics::HostMetrics;
 pub use session::{Action, Event, FlowSpec, Origin, Session, SessionId, SessionOutcome};
 pub use system::{

@@ -1,6 +1,7 @@
 //! Edge cases of the deployment's dispatch and configuration layer.
 
 use amnesia_core::{Domain, PasswordPolicy, Username};
+use amnesia_rendezvous::{PushEnvelope, RendezvousServer};
 use amnesia_system::{AmnesiaSystem, NetProfile, SystemConfig, GCM_ENDPOINT, SERVER_ENDPOINT};
 
 fn base(seed: u64) -> AmnesiaSystem {
@@ -141,4 +142,29 @@ fn recovery_onto_a_taken_endpoint_name_fails_before_anything_changes() {
 
     let after = sys.generate_password("browser", "phone", &u, &d).unwrap();
     assert_eq!(after.password, before.password);
+}
+
+#[test]
+fn a_push_for_an_unknown_registration_is_rejected_by_the_rendezvous() {
+    let mut sys = base(10);
+    // A registration some other rendezvous service issued: this one has
+    // never heard of it.
+    let foreign = RendezvousServer::new("elsewhere", 11).register_device("nobody");
+    let envelope = PushEnvelope {
+        registration_id: foreign.clone(),
+        data: b"request R".to_vec(),
+    };
+    sys.net_mut()
+        .send(SERVER_ENDPOINT, GCM_ENDPOINT, envelope.to_wire().unwrap())
+        .unwrap();
+    sys.pump();
+
+    assert_eq!(sys.faults().len(), 1, "{:?}", sys.faults());
+    assert!(
+        sys.faults()[0].contains(&format!("{foreign:?}")),
+        "the fault must name the registration: {:?}",
+        sys.faults()
+    );
+    let snapshot = sys.telemetry().snapshot();
+    assert_eq!(snapshot.counters["rendezvous.push_rejected"], 1);
 }
