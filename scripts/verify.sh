@@ -165,13 +165,21 @@ echo "==> e2e throughput smoke run"
 # through generate_passwords_concurrent, fails on any lost session, and
 # enforces the head-of-line gate — N=256 mean simulated latency must stay
 # within 1.25x the N=1 mean. The committed baseline (BENCH_E2E.json) is
-# regenerated with a full run.
+# regenerated with a full run. The simulation is deterministic and quick
+# mode runs the same N = 1 and N = 256 batches as a full run, so each
+# batch's mean simulated latency must equal the committed one exactly.
 cargo run -q --release --offline --locked -p amnesia-bench \
     --bin bench_e2e -- --quick --out target/BENCH_E2E.quick.json
-if ! grep -q '"generations_per_sec"' target/BENCH_E2E.quick.json; then
-    echo "error: generations_per_sec missing from target/BENCH_E2E.quick.json" >&2
-    exit 1
-fi
+for n in 1 256; do
+    committed=$(grep -o "{\"n\":$n,[^}]*}" BENCH_E2E.json |
+        sed -n 's/.*"sim_latency_mean_ms":\([0-9.]*\).*/\1/p')
+    quick=$(grep -o "{\"n\":$n,[^}]*}" target/BENCH_E2E.quick.json |
+        sed -n 's/.*"sim_latency_mean_ms":\([0-9.]*\).*/\1/p')
+    if [ -z "$committed" ] || [ "$quick" != "$committed" ]; then
+        echo "error: bench_e2e N=$n sim_latency_mean_ms is '$quick', BENCH_E2E.json has '$committed'" >&2
+        exit 1
+    fi
+done
 
 echo "==> BENCHMARK.json benchmark smoke test"
 # benchmark/ is its own workspace, so `cargo test --workspace` above never
