@@ -9,7 +9,9 @@
 //!   SHA-256 digests, the intermediate password value `p` is a SHA-512
 //!   digest, and stored verifiers use salted hashes. SHA-256 compresses on
 //!   the x86 SHA extensions when the CPU has them and on a portable kernel
-//!   otherwise, with identical output.
+//!   otherwise, with identical output. One-block hashes whose last block is
+//!   known in advance (the DRBG, every HMAC's outer hash, the counter-mode
+//!   keystream) are built and compressed as words, with no hasher.
 //! * [`Hmac`] and [`HmacKey`] — RFC 2104 keyed-hash message authentication
 //!   code, generic over any [`Digest`] implementation. `HmacKey` caches the
 //!   ipad/opad compression midstates so repeated MACs under one key (the

@@ -5,7 +5,8 @@
 //! [`hmac_sha256`] — no external RNG crate.
 
 use crate::hmac::HmacKey;
-use crate::zeroize::zeroize;
+use crate::sha256::store_words;
+use crate::zeroize::{zeroize, zeroize_u32};
 use crate::Sha256;
 use std::fmt;
 
@@ -29,10 +30,10 @@ use std::fmt;
 /// ```
 pub struct SecretRng {
     /// The SP 800-90A key `K`, kept only in expanded form: its ipad/opad
-    /// midstates. Replaced whenever `update` replaces `K`.
+    /// midstates. Replaced whenever `update` or `refresh` replaces `K`.
     key: HmacKey<Sha256>,
-    /// Chaining value `V` from SP 800-90A.
-    v: [u8; 32],
+    /// Chaining value `V` from SP 800-90A, as eight big-endian words.
+    v: [u32; 8],
 }
 
 impl fmt::Debug for SecretRng {
@@ -47,7 +48,7 @@ impl fmt::Debug for SecretRng {
 /// is wiped here; the midstates of `K` wipe themselves when `key` drops.
 impl Drop for SecretRng {
     fn drop(&mut self) {
-        zeroize(&mut self.v);
+        zeroize_u32(&mut self.v);
     }
 }
 
@@ -56,7 +57,7 @@ impl SecretRng {
     fn instantiate(seed_material: &[u8]) -> Self {
         let mut rng = SecretRng {
             key: HmacKey::new(&[0x00; 32]),
-            v: [0x01; 32],
+            v: [0x0101_0101; 8],
         };
         rng.update(seed_material);
         rng
@@ -68,16 +69,23 @@ impl SecretRng {
     /// Streams `V || round || data` through the cached key instead of
     /// concatenating into a `Vec`, and expands each new `K` once, here; the
     /// output stream is bit-identical (pinned by the `KAT_*` tests below).
+    /// Only seeding calls this; `Generate` closes with [`refresh`], which
+    /// is the same step for empty `data`, on words.
+    ///
+    /// [`refresh`]: SecretRng::refresh
     fn update(&mut self, data: &[u8]) {
         for round in [0x00u8, 0x01] {
+            let mut v = [0u8; 32];
+            store_words(&self.v, &mut v);
             let mut k = [0u8; 32];
             let mut m = self.key.begin();
-            m.update(&self.v);
+            m.update(&v);
             m.update(&[round]);
             m.update(data);
             m.finalize_into(&mut k);
             self.key = HmacKey::new(&k);
             zeroize(&mut k);
+            zeroize(&mut v);
             self.ratchet();
             if data.is_empty() {
                 return;
@@ -85,11 +93,18 @@ impl SecretRng {
         }
     }
 
-    /// `V = HMAC(K, V)`: two compressions under the cached key.
+    /// `V = HMAC(K, V)`: two compressions on words under the cached key.
     fn ratchet(&mut self) {
-        let mut m = self.key.begin();
-        m.update(&self.v);
-        m.finalize_into(&mut self.v);
+        self.v = self.key.mac_words(&self.v, None);
+    }
+
+    /// `HMAC_DRBG_Update` with no data, on words: `K = HMAC(K, V || 0x00)`,
+    /// expanded once, then a ratchet. Six compressions.
+    fn refresh(&mut self) {
+        let mut k = self.key.mac_words(&self.v, Some(0x00));
+        self.key = HmacKey::from_words(&k);
+        zeroize_u32(&mut k);
+        self.ratchet();
     }
 
     /// Creates a generator seeded from operating-system entropy
@@ -114,15 +129,15 @@ impl SecretRng {
     /// ratchet of `V`: two compressions. The closing `update` costs six
     /// more (two for the new `K`, two to expand it, two for `V`), so a
     /// [`next_u64`](SecretRng::next_u64) costs eight compressions and one
-    /// key expansion.
+    /// key expansion, all of them one block of words each.
     pub fn fill(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(32) {
             self.ratchet();
-            chunk.copy_from_slice(&self.v[..chunk.len()]);
+            store_words(&self.v, chunk);
         }
         // Post-generate state refresh, so past output can't be reconstructed
         // from a captured state (backtracking resistance).
-        self.update(&[]);
+        self.refresh();
     }
 
     /// Returns `N` random bytes as a fixed-size array.
