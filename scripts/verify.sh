@@ -27,11 +27,17 @@ cargo test -q --release --offline -p amnesia-net -p amnesia-system -p amnesia-fl
 
 echo "==> unsafe budget"
 # Library code may hold exactly one allow(unsafe_code): the SHA-NI dispatch
-# fn in crates/crypto/src/sha256.rs (DESIGN.md §9). Its crate root denies
-# unsafe_code; every other crate root forbids it.
-unsafe_allows=$(grep -rE '^[[:space:]]*#!?\[allow\(.*unsafe_code' src crates/*/src | wc -l)
+# fn in crates/crypto/src/sha256.rs (DESIGN.md §9), and it must be there. Its
+# crate root denies unsafe_code; every other crate root forbids it.
+unsafe_allow_pattern='^[[:space:]]*#!?\[allow\(.*unsafe_code'
+unsafe_allows=$(grep -rE "$unsafe_allow_pattern" src crates/*/src | wc -l)
 if [ "$unsafe_allows" -ne 1 ]; then
     echo "error: ${unsafe_allows} allow(unsafe_code) attributes in library code (budget: 1)" >&2
+    exit 1
+fi
+unsafe_allow_file=$(grep -rlE "$unsafe_allow_pattern" src crates/*/src)
+if [ "$unsafe_allow_file" != "crates/crypto/src/sha256.rs" ]; then
+    echo "error: allow(unsafe_code) is in ${unsafe_allow_file}, not crates/crypto/src/sha256.rs" >&2
     exit 1
 fi
 for root in src/lib.rs crates/*/src/lib.rs; do
