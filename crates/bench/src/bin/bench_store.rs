@@ -321,8 +321,6 @@ fn run(opts: &Options) -> Result<(), String> {
     // writes are few — each costs a full O(DB) serialize + fsync.
     let tiers: Vec<(u64, u64, u64)> = if opts.quick {
         vec![(20_000, 4, 4_000)]
-    } else if opts.full {
-        vec![(100_000, 6, 24_000), (1_000_000, 3, 24_000)]
     } else {
         vec![(100_000, 6, 24_000), (1_000_000, 3, 24_000)]
     };

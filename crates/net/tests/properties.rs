@@ -156,7 +156,10 @@ fn name_and_id_sends_agree() {
         let mut links: Vec<(usize, usize, bool)> = Vec::new();
         for a in 0..n {
             for b in (0..n).filter(|&b| b != a) {
-                let (linked, tapped) = (g.next_u8() % 3 != 0, g.next_u8() % 4 == 0);
+                let (linked, tapped) = (
+                    !g.next_u8().is_multiple_of(3),
+                    g.next_u8().is_multiple_of(4),
+                );
                 if linked {
                     links.push((a, b, tapped));
                 }
@@ -170,7 +173,7 @@ fn name_and_id_sends_agree() {
                     g.usize_in(0, n - 1),
                     g.bytes(len),
                     g.u64_in(0, 3_000),
-                    g.next_u8() % 2 == 0,
+                    g.next_u8().is_multiple_of(2),
                 )
             })
             .collect();
