@@ -494,6 +494,97 @@ fn mixed_op_kinds_complete() {
     fleet.generate("bob", 0).expect("post-recovery generate");
 }
 
+/// `run_ops`' admission order within one wave: a `Recover` parks until
+/// every in-flight op on its user settles, later ops on accounts it does
+/// not hold overtake it, a duplicate generation coalesces onto the one in
+/// flight, and a `Rotate` holds its account until it lands. Each password
+/// is checked against the ones generated before and after the wave (bob's
+/// recovery and alice's rotation both change theirs).
+#[test]
+fn run_ops_admission_order_is_pinned() {
+    let mut fleet = small_fleet(0xad31, 1, 1);
+    for name in ["alice", "bob"] {
+        fleet.add_user(name, "mp").expect("setup");
+        for a in 0..2 {
+            let (u, d) = acct(name, a);
+            fleet
+                .add_account(name, u, d, PasswordPolicy::default())
+                .expect("account");
+        }
+    }
+    fn passwords(fleet: &mut Fleet) -> Vec<(&'static str, usize, String)> {
+        let mut out = Vec::new();
+        for name in ["alice", "bob"] {
+            for a in 0..2 {
+                let (_, password, _) = fleet.generate(name, a).expect("generate");
+                out.push((name, a, password.as_str().to_string()));
+            }
+        }
+        out
+    }
+    let before = passwords(&mut fleet);
+    let generate = |user: &str, account| FleetOp::Generate {
+        user: user.into(),
+        account,
+    };
+    let ops = [
+        generate("bob", 0),
+        FleetOp::Recover { user: "bob".into() },
+        generate("bob", 1),
+        generate("bob", 0),
+        FleetOp::Rotate {
+            user: "alice".into(),
+            account: 0,
+        },
+        generate("alice", 0),
+    ];
+    let results = fleet.run_ops(&ops);
+    let after = passwords(&mut fleet);
+
+    let lookup = |table: &[(&str, usize, String)], user: &str, account: usize| {
+        table
+            .iter()
+            .find(|(u, a, _)| *u == user && *a == account)
+            .map(|(_, _, p)| p.clone())
+            .expect("generated")
+    };
+    // Which side of the wave each op's password belongs to.
+    let expect_password = |i: usize, user: &str, account: usize, pre_wave: bool| {
+        let (pre, post) = (
+            lookup(&before, user, account),
+            lookup(&after, user, account),
+        );
+        assert_ne!(
+            pre, post,
+            "op {i}: the wave changes {user}'s account {account}"
+        );
+        let got = password_of(i, &results[i]).unwrap_or_else(|| panic!("op {i}: {:?}", results[i]));
+        let want = if pre_wave { pre } else { post };
+        assert_eq!(got, want, "op {i} ({user} {account}, pre-wave {pre_wave})");
+    };
+    expect_password(0, "bob", 0, true);
+    assert!(
+        matches!(results[1], Ok(OpOutcome::Recovered { credentials: 2 })),
+        "op 1: {:?}",
+        results[1]
+    );
+    // Op 2 overtakes the parked recovery; op 3 rides op 0's session.
+    expect_password(2, "bob", 1, true);
+    expect_password(3, "bob", 0, true);
+    assert!(
+        matches!(results[4], Ok(OpOutcome::SeedRotated)),
+        "op 4: {:?}",
+        results[4]
+    );
+    expect_password(5, "alice", 0, false);
+    assert_eq!(
+        fleet.telemetry().snapshot().counters["fleet.admission.coalesced"],
+        1
+    );
+    // Alice's other account is untouched by the wave.
+    assert_eq!(lookup(&before, "alice", 1), lookup(&after, "alice", 1));
+}
+
 /// The shared-window fleet: 12 users with 2 accounts each on one shard
 /// behind an 8-session window. The shard pushes through rendezvous
 /// instance 0, which forwards to instance 1 for the users homed there. A
