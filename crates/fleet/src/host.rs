@@ -36,7 +36,7 @@ use amnesia_server::{AmnesiaServer, ServerConfig};
 use amnesia_system::session::{FlowSpec, SessionId, SessionOutcome};
 use amnesia_system::{Finished, NetProfile, SessionHost, SystemConfig, SystemError};
 use amnesia_telemetry::{Counter, Registry};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// Fleet-level errors: admission decisions wrap the underlying
@@ -310,12 +310,21 @@ struct UserState {
     phone_generation: u32,
 }
 
+/// A user's hold on `run_ops`' window: how many of its accounts have an
+/// op in flight, and whether a recovery locks the user whole.
+#[derive(Clone, Copy, Default)]
+struct UserHold {
+    accounts: usize,
+    recovering: bool,
+}
+
 /// The sharded deployment. See the module docs.
 pub struct Fleet {
     config: FleetConfig,
     host: SessionHost,
     router: FleetRouter,
-    users: BTreeMap<String, UserState>,
+    /// Hashed: nothing iterates it (`setup_order` keeps the order).
+    users: HashMap<String, UserState>,
     setup_order: Vec<String>,
     admission_rejected: Counter,
     coalesced: Counter,
@@ -412,7 +421,7 @@ impl Fleet {
             config,
             host,
             router,
-            users: BTreeMap::new(),
+            users: HashMap::new(),
             setup_order: Vec::new(),
             admission_rejected: telemetry.counter("fleet.admission.rejected"),
             coalesced: telemetry.counter("fleet.admission.coalesced"),
@@ -674,11 +683,13 @@ impl Fleet {
 
         // In-flight bookkeeping: which op each session serves, plus the
         // coalesced waiters riding on it.
-        let mut open: BTreeMap<SessionId, (usize, Vec<usize>)> = BTreeMap::new();
+        let mut open: HashMap<SessionId, (usize, Vec<usize>)> = HashMap::new();
         // (user, account) → owning session; `true` = coalescible (Generate).
-        let mut busy_accounts: BTreeMap<(String, usize), (SessionId, bool)> = BTreeMap::new();
-        // Users locked whole (recovery replaces the phone).
-        let mut busy_users: BTreeSet<String> = BTreeSet::new();
+        // Names are borrowed from `ops`, so admission allocates nothing.
+        let mut busy_accounts: HashMap<(&str, usize), (SessionId, bool)> = HashMap::new();
+        // Users with an op in flight (a recovery replaces the phone, so it
+        // locks the user whole).
+        let mut busy_users: HashMap<&str, UserHold> = HashMap::new();
 
         let mut settled = Vec::new();
         loop {
@@ -690,16 +701,15 @@ impl Fleet {
                 let Some(i) = queue.pop_front() else { break };
                 scanned += 1;
                 let Some(op) = ops.get(i) else { continue };
-                let user = op.user().to_string();
+                let user = op.user();
+                let hold = busy_users.get(user).copied().unwrap_or_default();
                 match op {
                     FleetOp::Generate { account, .. } => {
-                        if busy_users.contains(&user) {
+                        if hold.recovering {
                             queue.push_back(i);
                             continue;
                         }
-                        if let Some((sid, coalescible)) =
-                            busy_accounts.get(&(user.clone(), *account))
-                        {
+                        if let Some((sid, coalescible)) = busy_accounts.get(&(user, *account)) {
                             if *coalescible {
                                 if let Some((_, waiters)) = open.get_mut(sid) {
                                     waiters.push(i);
@@ -712,20 +722,13 @@ impl Fleet {
                         }
                     }
                     FleetOp::Rotate { account, .. } => {
-                        if busy_users.contains(&user)
-                            || busy_accounts.contains_key(&(user.clone(), *account))
-                        {
+                        if hold.recovering || busy_accounts.contains_key(&(user, *account)) {
                             queue.push_back(i);
                             continue;
                         }
                     }
                     FleetOp::Recover { .. } => {
-                        let user_busy = busy_users.contains(&user)
-                            || busy_accounts
-                                .range((user.clone(), 0)..=(user.clone(), usize::MAX))
-                                .next()
-                                .is_some();
-                        if user_busy {
+                        if hold.recovering || hold.accounts > 0 {
                             queue.push_back(i);
                             continue;
                         }
@@ -735,14 +738,13 @@ impl Fleet {
                 match self.begin_op(op) {
                     Ok(sid) => {
                         match op {
-                            FleetOp::Generate { account, .. } => {
-                                busy_accounts.insert((user, *account), (sid, true));
-                            }
-                            FleetOp::Rotate { account, .. } => {
-                                busy_accounts.insert((user, *account), (sid, false));
+                            FleetOp::Generate { account, .. } | FleetOp::Rotate { account, .. } => {
+                                let coalescible = matches!(op, FleetOp::Generate { .. });
+                                busy_accounts.insert((user, *account), (sid, coalescible));
+                                busy_users.entry(user).or_default().accounts += 1;
                             }
                             FleetOp::Recover { .. } => {
-                                busy_users.insert(user);
+                                busy_users.entry(user).or_default().recovering = true;
                             }
                             FleetOp::Login { .. } => {}
                         }
@@ -780,15 +782,18 @@ impl Fleet {
                 let Some(op) = ops.get(index) else {
                     continue;
                 };
-                let user = op.user().to_string();
+                let user = op.user();
+                let hold = busy_users.entry(user).or_default();
                 match op {
                     FleetOp::Generate { account, .. } | FleetOp::Rotate { account, .. } => {
                         busy_accounts.remove(&(user, *account));
+                        hold.accounts = hold.accounts.saturating_sub(1);
                     }
-                    FleetOp::Recover { .. } => {
-                        busy_users.remove(&user);
-                    }
+                    FleetOp::Recover { .. } => hold.recovering = false,
                     FleetOp::Login { .. } => {}
+                }
+                if hold.accounts == 0 && !hold.recovering {
+                    busy_users.remove(user);
                 }
                 let finished = self.host.finish_session(sid);
                 let outcome = self.finish_op(op, finished);

@@ -6,7 +6,7 @@ use crate::time::{SimClock, SimDuration, SimInstant};
 use amnesia_crypto::SecretRng;
 use amnesia_telemetry::{Counter, Gauge, HistogramHandle, LazyHandle, Registry};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -276,12 +276,14 @@ pub struct SimNet {
     rng: SecretRng,
     /// Endpoint names, indexed by [`EndpointId`].
     names: Vec<String>,
-    /// Name → id, for the name-taking API.
-    ids: BTreeMap<String, EndpointId>,
+    /// Name → id, for the name-taking API and the names frames carry.
+    /// Hashed: nothing iterates it.
+    ids: HashMap<String, EndpointId>,
     /// Every directed link, in creation order.
     links: Vec<LinkState>,
     /// Per sender, indexed by its id: receiver → index into `links`.
-    routes: Vec<BTreeMap<EndpointId, usize>>,
+    /// Hashed: nothing iterates it.
+    routes: Vec<HashMap<EndpointId, usize>>,
     queue: BinaryHeap<Pending>,
     seq: u64,
     dropped: u64,
@@ -309,7 +311,7 @@ impl SimNet {
             clock: SimClock::new(),
             rng: SecretRng::seeded(seed),
             names: Vec::new(),
-            ids: BTreeMap::new(),
+            ids: HashMap::new(),
             links: Vec::new(),
             routes: Vec::new(),
             queue: BinaryHeap::new(),
@@ -358,7 +360,7 @@ impl SimNet {
         let id = EndpointId(index.unwrap_or(u32::MAX));
         self.names.push(name.to_string());
         self.ids.insert(name.to_string(), id);
-        self.routes.push(BTreeMap::new());
+        self.routes.push(HashMap::new());
         id
     }
 

@@ -52,7 +52,7 @@ use amnesia_crypto::{hex, SecretRng};
 use amnesia_net::{Frame, NetError, SimDuration, SimNet};
 use amnesia_store::codec;
 use amnesia_telemetry::{Counter, Gauge, LazyHandle, Registry};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -175,14 +175,25 @@ impl RendezvousMetrics {
 ///
 /// Holds the registration-ID → device-endpoint mapping and forwards pushed
 /// payloads. See the crate-level example for the full flow.
-#[derive(Debug)]
 pub struct RendezvousServer {
     endpoint: String,
-    registry: BTreeMap<RegistrationId, String>,
+    /// Registration ID → device endpoint name. Hashed: nothing iterates it.
+    registry: HashMap<RegistrationId, String>,
     rng: SecretRng,
     forwarded: u64,
     rejected: u64,
     metrics: RendezvousMetrics,
+}
+
+impl fmt::Debug for RendezvousServer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RendezvousServer")
+            .field("endpoint", &self.endpoint)
+            .field("devices", &self.registry.len())
+            .field("forwarded", &self.forwarded)
+            .field("rejected", &self.rejected)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RendezvousServer {
@@ -190,7 +201,7 @@ impl RendezvousServer {
     pub fn new(endpoint: impl Into<String>, seed: u64) -> Self {
         RendezvousServer {
             endpoint: endpoint.into(),
-            registry: BTreeMap::new(),
+            registry: HashMap::new(),
             rng: SecretRng::seeded(seed),
             forwarded: 0,
             rejected: 0,

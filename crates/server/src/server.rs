@@ -15,8 +15,8 @@ use amnesia_crypto::{aead, KdfPolicy, SecretRng};
 use amnesia_net::SimInstant;
 use amnesia_rendezvous::{PushEnvelope, RegistrationId};
 use amnesia_store::{Database, TypedTable};
-use amnesia_telemetry::{Counter, Gauge, HistogramHandle, Registry, WallClock};
-use std::collections::{BTreeMap, HashMap};
+use amnesia_telemetry::{Counter, Gauge, HistogramHandle, LazyHandle, Registry, WallClock};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
@@ -89,13 +89,17 @@ pub enum TokenOutcome {
 }
 
 /// The metric handles a generation records into, resolved once per
-/// registry so steps 2 and 5 never look a name up.
+/// registry so steps 2 and 5 never look a name up. The two failure
+/// counters register at their first event, so a run without failures
+/// snapshots no key for them.
 struct ServerMetrics {
     step2: HistogramHandle,
     step5: HistogramHandle,
     requests_pushed: Counter,
     passwords_generated: Counter,
     pending_requests: Gauge,
+    failed_logins: LazyHandle<Counter>,
+    tokens_rejected: LazyHandle<Counter>,
 }
 
 impl ServerMetrics {
@@ -106,6 +110,8 @@ impl ServerMetrics {
             requests_pushed: registry.counter("server.requests_pushed"),
             passwords_generated: registry.counter("server.passwords_generated"),
             pending_requests: registry.gauge("server.pending_requests"),
+            failed_logins: LazyHandle::new(registry, "server.failed_logins"),
+            tokens_rejected: LazyHandle::new(registry, "server.tokens_rejected"),
         }
     }
 }
@@ -120,8 +126,9 @@ pub struct AmnesiaServer {
     users: TypedTable<String, UserRecord>,
     /// Every acknowledged row of `users`, decoded: filled by one scan when
     /// the server opens a database, and written only by `register_user`
-    /// and `store_user` once the table write has returned `Ok`.
-    records: BTreeMap<String, UserRecord>,
+    /// and `store_user` once the table write has returned `Ok`. Hashed:
+    /// nothing iterates it (the breach model reads `users`).
+    records: HashMap<String, UserRecord>,
     sessions: SessionManager,
     pending: PendingRequests,
     captchas: HashMap<String, String>,
@@ -145,7 +152,7 @@ impl fmt::Debug for AmnesiaServer {
 /// The decoded row of `user_id`. A free function rather than a method, so
 /// a flow can hold the row while it updates the server's other fields.
 fn row<'a>(
-    records: &'a BTreeMap<String, UserRecord>,
+    records: &'a HashMap<String, UserRecord>,
     user_id: &str,
 ) -> Result<&'a UserRecord, ServerError> {
     records
@@ -200,7 +207,7 @@ impl AmnesiaServer {
             config,
             db,
             users,
-            records: BTreeMap::new(),
+            records: HashMap::new(),
             sessions: SessionManager::new(),
             pending: PendingRequests::new(),
             captchas: HashMap::new(),
@@ -371,7 +378,7 @@ impl AmnesiaServer {
             Ok(())
         } else {
             self.stats.failed_logins += 1;
-            self.telemetry.counter("server.failed_logins").inc();
+            self.metrics.failed_logins.get().inc();
             Err(self.sessions.record_failure(user_id))
         }
     }
@@ -589,8 +596,7 @@ impl AmnesiaServer {
     pub fn store_chosen_password(
         &mut self,
         session: &SessionToken,
-        username: &Username,
-        domain: &Domain,
+        account: AccountRef,
         chosen_password: String,
         request_id: u64,
         reply_to: &str,
@@ -601,19 +607,19 @@ impl AmnesiaServer {
             .registration_id
             .clone()
             .ok_or(ServerError::NoPhonePaired)?;
-        if record.find_account(username, domain).is_some() {
+        if record
+            .find_account(&account.username, &account.domain)
+            .is_some()
+        {
             return Err(ServerError::AccountExists);
         }
         let seed = Seed::random(&mut self.rng);
-        let request = PasswordRequest::derive(username, domain, &seed);
+        let request = PasswordRequest::derive(&account.username, &account.domain, &seed);
         self.pending.insert(
             request.clone(),
             PendingRequest {
                 user_id: record.user_id.clone(),
-                account: AccountRef {
-                    username: username.clone(),
-                    domain: domain.clone(),
-                },
+                account,
                 request_id,
                 reply_to: reply_to.to_string(),
                 issued_at: now,
@@ -684,7 +690,7 @@ impl AmnesiaServer {
         let _step5 = self.metrics.step5.span(WallClock::new());
         let pending = self.pending.claim(&response.request).ok_or_else(|| {
             self.stats.tokens_rejected += 1;
-            self.telemetry.counter("server.tokens_rejected").inc();
+            self.metrics.tokens_rejected.get().inc();
             ServerError::UnknownRequest
         })?;
         self.note_pending_depth();
@@ -1089,8 +1095,7 @@ impl AmnesiaServer {
                 reply_to,
             } => match self.store_chosen_password(
                 &session,
-                &username,
-                &domain,
+                AccountRef { username, domain },
                 chosen_password,
                 request_id,
                 &reply_to,

@@ -9,6 +9,7 @@ use amnesia_crypto::{KdfPolicy, SecretRng};
 use amnesia_net::SimInstant;
 use amnesia_rendezvous::{PushEnvelope, RendezvousServer};
 use amnesia_server::protocol::{KpBackup, PhonePush, TokenResponse};
+use amnesia_server::storage::AccountRef;
 use amnesia_server::{AmnesiaServer, ServerConfig, ServerError, SessionToken, TokenOutcome};
 use amnesia_store::{codec, Database};
 use std::collections::BTreeMap;
@@ -203,8 +204,10 @@ fn decoded_rows_track_the_table_through_every_flow_and_reopen() {
     let push = server
         .store_chosen_password(
             &alice,
-            &vault.0,
-            &vault.1,
+            AccountRef {
+                username: vault.0.clone(),
+                domain: vault.1.clone(),
+            },
             "chosen by alice".into(),
             2,
             "browser",

@@ -116,7 +116,7 @@ fn legacy_wal_store_reopens_and_verifies_under_cpu_policy() {
     server.login("alice", MASTER_PASSWORD).unwrap();
     assert!(matches!(
         server.login("alice", "wrong password"),
-        Err(ServerError::BadCredentials { .. })
+        Err(ServerError::BadCredentials)
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }

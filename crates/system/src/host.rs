@@ -22,7 +22,7 @@ use amnesia_rendezvous::{PushEnvelope, RegistrationId, RendezvousServer};
 use amnesia_server::protocol::{FromServer, PhonePush, Reply, ToServer, TokenResponse};
 use amnesia_server::AmnesiaServer;
 use amnesia_telemetry::{Counter, Gauge, HistogramHandle, Registry, Span};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// A session removed from the host's table by
@@ -116,17 +116,19 @@ pub struct SessionHost {
     net: SimNet,
     shards: Vec<Shard>,
     gcms: Vec<GcmInstance>,
-    /// Every endpoint's role, indexed by its id; an endpoint registered on
-    /// the network behind the host's back has none.
-    roles: Vec<Option<Role>>,
+    /// Every endpoint's role; an endpoint registered on the network behind
+    /// the host's back has none.
+    roles: Slots<Role>,
     /// Registration id → owning rendezvous instance (the host performs
-    /// every registration, so it can maintain the directory).
-    registration_home: BTreeMap<String, usize>,
-    phones: BTreeMap<EndpointId, AmnesiaPhone>,
-    browsers: BTreeMap<EndpointId, Browser>,
+    /// every registration, so it can maintain the directory). Hashed:
+    /// nothing iterates it.
+    registration_home: HashMap<String, usize>,
+    phones: Slots<AmnesiaPhone>,
+    browsers: Slots<Browser>,
     cloud: CloudProvider,
     channels: ChannelMap,
     channel_rng: SecretRng,
+    /// Ordered: [`unsettled`](Self::unsettled) walks it in id order.
     sessions: BTreeMap<SessionId, SessionEntry>,
     /// Armed deadlines of unsettled sessions, earliest first. `ArmTimer`
     /// replaces a session's entry; `complete` and `finish_session` remove
@@ -152,22 +154,45 @@ impl fmt::Debug for SessionHost {
         f.debug_struct("SessionHost")
             .field("shards", &self.shards.len())
             .field("rendezvous", &self.gcms.len())
-            .field("phones", &self.phones.len())
-            .field("browsers", &self.browsers.len())
+            .field("phones", &self.phones.count())
+            .field("browsers", &self.browsers.count())
             .field("sessions", &self.sessions.len())
             .field("now", &self.net.now())
             .finish_non_exhaustive()
     }
 }
 
-/// Gives endpoint `id` its role, growing the table as endpoints register.
-fn set_role(roles: &mut Vec<Option<Role>>, id: EndpointId, role: Role) {
-    let index = id.index();
-    if roles.len() <= index {
-        roles.resize(index + 1, None);
+/// A per-endpoint table: slot `i` holds the entry of the endpoint with id
+/// `i`, so a frame's receiver finds its role or agent by one index.
+struct Slots<T>(Vec<Option<T>>);
+
+impl<T> Slots<T> {
+    fn get(&self, id: EndpointId) -> Option<&T> {
+        self.0.get(id.index())?.as_ref()
     }
-    if let Some(slot) = roles.get_mut(index) {
-        *slot = Some(role);
+
+    fn get_mut(&mut self, id: EndpointId) -> Option<&mut T> {
+        self.0.get_mut(id.index())?.as_mut()
+    }
+
+    /// Puts `value` in `id`'s slot, growing the table as endpoints register.
+    fn insert(&mut self, id: EndpointId, value: T) {
+        let index = id.index();
+        if self.0.len() <= index {
+            self.0.resize_with(index + 1, || None);
+        }
+        if let Some(slot) = self.0.get_mut(index) {
+            *slot = Some(value);
+        }
+    }
+
+    fn remove(&mut self, id: EndpointId) -> Option<T> {
+        self.0.get_mut(id.index())?.take()
+    }
+
+    /// The number of endpoints with an entry.
+    fn count(&self) -> usize {
+        self.0.iter().flatten().count()
     }
 }
 
@@ -193,12 +218,12 @@ impl SessionHost {
     ) -> Self {
         let telemetry = net.telemetry().clone();
         let gcm_count = rendezvous.len().max(1);
-        let mut roles = Vec::new();
+        let mut roles = Slots(Vec::new());
         let mut shards = Vec::with_capacity(servers.len());
         for (i, (mut server, seed)) in servers.into_iter().enumerate() {
             server.set_telemetry(telemetry.clone());
             let endpoint = net.register(server.endpoint());
-            set_role(&mut roles, endpoint, Role::Shard(i));
+            roles.insert(endpoint, Role::Shard(i));
             shards.push(Shard {
                 endpoint,
                 server,
@@ -212,7 +237,7 @@ impl SessionHost {
         for (j, mut server) in rendezvous.into_iter().enumerate() {
             server.set_telemetry(telemetry.clone());
             let endpoint = net.register(server.endpoint());
-            set_role(&mut roles, endpoint, Role::Rendezvous(j));
+            roles.insert(endpoint, Role::Rendezvous(j));
             gcms.push(GcmInstance {
                 endpoint,
                 server,
@@ -240,9 +265,9 @@ impl SessionHost {
             shards,
             gcms,
             roles,
-            registration_home: BTreeMap::new(),
-            phones: BTreeMap::new(),
-            browsers: BTreeMap::new(),
+            registration_home: HashMap::new(),
+            phones: Slots(Vec::new()),
+            browsers: Slots(Vec::new()),
             cloud,
             channels: ChannelMap::default(),
             channel_rng,
@@ -280,7 +305,7 @@ impl SessionHost {
 
     /// The role of endpoint `id`, if the host gave it one.
     fn role(&self, id: EndpointId) -> Option<Role> {
-        self.roles.get(id.index()).copied().flatten()
+        self.roles.get(id).copied()
     }
 
     /// The index of the shard listening on endpoint `name`.
@@ -326,7 +351,7 @@ impl SessionHost {
                 .provision_pair(id, s.endpoint, &mut self.channel_rng);
         }
         self.browsers.insert(id, Browser::new(name));
-        set_role(&mut self.roles, id, Role::Browser { shard, home_gcm });
+        self.roles.insert(id, Role::Browser { shard, home_gcm });
         id
     }
 
@@ -360,7 +385,7 @@ impl SessionHost {
             AmnesiaPhone::new(PhoneConfig::new(name, seed).with_table_size(self.config.table_size));
         phone.set_telemetry(self.telemetry.clone());
         self.phones.insert(id, phone);
-        set_role(&mut self.roles, id, Role::Phone { shard });
+        self.roles.insert(id, Role::Phone { shard });
         id
     }
 
@@ -369,7 +394,7 @@ impl SessionHost {
     /// frames.
     pub fn remove_phone(&mut self, name: &str) -> Option<AmnesiaPhone> {
         let id = self.net.endpoint(name)?;
-        self.phones.remove(&id)
+        self.phones.remove(id)
     }
 
     // -- channel plumbing ------------------------------------------------------
@@ -386,16 +411,18 @@ impl SessionHost {
         Ok(self.channels.seal(from, to, bytes)?)
     }
 
-    fn open(
+    /// Opens a delivered frame's payload inside its own buffer and returns
+    /// the plaintext.
+    fn open<'a>(
         &mut self,
         from: EndpointId,
         to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<Vec<u8>, SystemError> {
+        bytes: &'a mut [u8],
+    ) -> Result<&'a [u8], SystemError> {
         if !self.config.secure_channels {
-            return Ok(bytes.to_vec());
+            return Ok(bytes);
         }
-        Ok(self.channels.open(from, to, bytes)?)
+        Ok(self.channels.open_in_place(from, to, bytes)?)
     }
 
     /// The protected channel for traffic from endpoint `from` to `to`.
@@ -429,7 +456,7 @@ impl SessionHost {
             return Err(NetError::DuplicateEndpoint { name: name.clone() }.into());
         }
         let (Some(Role::Browser { shard, home_gcm }), Some(browser_agent)) =
-            (self.role(browser), self.browsers.get(&browser))
+            (self.role(browser), self.browsers.get(browser))
         else {
             return Err(self.unknown(browser));
         };
@@ -617,7 +644,7 @@ impl SessionHost {
             return Ok(());
         };
         let now = self.net.now();
-        let response = match self.phones.get_mut(&phone) {
+        let response = match self.phones.get_mut(phone) {
             Some(agent) => match agent.confirm_request(sid, now) {
                 Ok(response) => response,
                 // The push has not reached the phone yet (or was consumed by
@@ -638,7 +665,7 @@ impl SessionHost {
     fn exec_register_phone(&mut self, sid: SessionId) -> Result<Event, SystemError> {
         let phone = self.session_phone(sid)?;
         let home = self.sessions.get(&sid).map_or(0, |e| e.home_gcm);
-        let Some(agent) = self.phones.get_mut(&phone) else {
+        let Some(agent) = self.phones.get_mut(phone) else {
             return Err(self.unknown(phone));
         };
         let gcm = self
@@ -707,7 +734,7 @@ impl SessionHost {
     /// `Action::MintGrant`: the phone mints the §VIII session grant.
     fn exec_mint_grant(&mut self, sid: SessionId, max_uses: u32) -> Result<Event, SystemError> {
         let phone = self.session_phone(sid)?;
-        let Some(agent) = self.phones.get_mut(&phone) else {
+        let Some(agent) = self.phones.get_mut(phone) else {
             return Err(self.unknown(phone));
         };
         let grant = agent.grant_session(max_uses, &mut self.channel_rng);
@@ -724,7 +751,7 @@ impl SessionHost {
                 expected: "user id",
             })?;
         let phone = self.session_phone(sid)?;
-        let Some(agent) = self.phones.get(&phone) else {
+        let Some(agent) = self.phones.get(phone) else {
             return Err(self.unknown(phone));
         };
         agent.backup_to_cloud(&mut self.cloud, &user_id)?;
@@ -976,10 +1003,10 @@ impl SessionHost {
         finish.duration_since(now)
     }
 
-    fn dispatch_to_shard(&mut self, idx: usize, frame: Frame) -> Result<(), SystemError> {
+    fn dispatch_to_shard(&mut self, idx: usize, mut frame: Frame) -> Result<(), SystemError> {
         let shard = self.shard_endpoint(idx)?;
-        let plaintext = self.open(frame.from, shard, &frame.payload)?;
-        let message = ToServer::from_wire(&plaintext)?;
+        let plaintext = self.open(frame.from, shard, &mut frame.payload)?;
+        let message = ToServer::from_wire(plaintext)?;
         // Per-request server compute (deriving R, assembling the password) is
         // modelled as a delay on this request's *outgoing* frames, not as a
         // global clock advance: one session's compute must not inflate
@@ -1129,7 +1156,7 @@ impl SessionHost {
 
     fn dispatch_to_phone(&mut self, frame: Frame) -> Result<(), SystemError> {
         let now = self.net.now();
-        let Some(phone) = self.phones.get_mut(&frame.to) else {
+        let Some(phone) = self.phones.get_mut(frame.to) else {
             return Err(self.unknown(frame.to));
         };
         // Step 3 of Fig. 1: the rendezvous push arriving at the phone.
@@ -1176,14 +1203,14 @@ impl SessionHost {
         Ok(())
     }
 
-    fn dispatch_to_browser(&mut self, frame: Frame) -> Result<(), SystemError> {
-        let plaintext = self.open(frame.from, frame.to, &frame.payload)?;
-        let reply = Reply::from_wire(&plaintext)?;
+    fn dispatch_to_browser(&mut self, mut frame: Frame) -> Result<(), SystemError> {
+        let plaintext = self.open(frame.from, frame.to, &mut frame.payload)?;
+        let reply = Reply::from_wire(plaintext)?;
         if matches!(reply.message, FromServer::PasswordReady { .. }) {
             // Step 6 of Fig. 1: the assembled password reaching the browser.
             self.metrics.step6.get().record(leg_micros(&frame));
         }
-        match self.browsers.get_mut(&frame.to) {
+        match self.browsers.get_mut(frame.to) {
             Some(browser) => browser.handle_reply(reply.message.clone()),
             None => return Err(self.unknown(frame.to)),
         }
@@ -1278,17 +1305,17 @@ impl SessionHost {
 
     /// A phone agent by endpoint name.
     pub fn phone(&self, name: &str) -> Option<&AmnesiaPhone> {
-        self.phones.get(&self.net.endpoint(name)?)
+        self.phones.get(self.net.endpoint(name)?)
     }
 
     /// Mutable phone access (confirmation policies, compromise models).
     pub fn phone_mut(&mut self, name: &str) -> Option<&mut AmnesiaPhone> {
-        self.phones.get_mut(&self.net.endpoint(name)?)
+        self.phones.get_mut(self.net.endpoint(name)?)
     }
 
     /// A browser by endpoint name.
     pub fn browser(&self, name: &str) -> Option<&Browser> {
-        self.browsers.get(&self.net.endpoint(name)?)
+        self.browsers.get(self.net.endpoint(name)?)
     }
 
     /// Measured generation latencies, in completion order (the Figure 3
