@@ -349,7 +349,7 @@ fn replayed_wire_frames_are_rejected_systemwide() {
 
     // Capture every genuine server→browser frame of a generation off the
     // wire, then re-inject the lot: each duplicate must be refused by the
-    // channel's replay window, and the browser must not autofill twice.
+    // channel's replay window, and no password may reach the browser twice.
     let mut sys = AmnesiaSystem::new(SystemConfig::default().with_seed(21).with_table_size(128));
     sys.add_browser("browser");
     sys.add_phone("phone", 210);
@@ -361,7 +361,12 @@ fn replayed_wire_frames_are_rejected_systemwide() {
     let tap = sys.net_mut().tap(SERVER_ENDPOINT, "browser").unwrap();
     sys.generate_password("browser", "phone", &u, &d).unwrap();
 
-    let autofills_before = sys.browser_ref("browser").unwrap().autofill_history().len();
+    // Step 6 is recorded for every PasswordReady the browser's channel
+    // accepts.
+    let step6 = |sys: &AmnesiaSystem| {
+        sys.telemetry().snapshot().histograms["steps.step6_password_download_us"].count()
+    };
+    let deliveries_before = step6(&sys);
     let records = tap.records();
     assert!(!records.is_empty());
     let faults_before = sys.faults().len();
@@ -379,8 +384,8 @@ fn replayed_wire_frames_are_rejected_systemwide() {
         "{new_faults:?}"
     );
     assert_eq!(
-        sys.browser_ref("browser").unwrap().autofill_history().len(),
-        autofills_before,
-        "a replayed PasswordReady must never autofill again"
+        step6(&sys),
+        deliveries_before,
+        "a replayed PasswordReady must never reach the browser again"
     );
 }
