@@ -197,18 +197,12 @@ impl Wiretap {
 }
 
 struct LinkState {
-    from: EndpointId,
-    to: EndpointId,
     profile: LinkProfile,
     taps: Vec<Wiretap>,
     /// Latest delivery already scheduled on this link — only consulted when
     /// the profile is [`ordered`](LinkProfile::ordered), where it clamps
     /// each new delivery forward to preserve FIFO order.
     last_deliver_at: SimInstant,
-    /// `net.link.<from>-><to>.latency_us`, resolved on the link's first
-    /// delivered frame (so a link that never delivers adds no key) and
-    /// dropped when the registry is replaced.
-    latency: Option<HistogramHandle>,
 }
 
 /// The network-wide metric handles, resolved once per registry; the
@@ -236,8 +230,6 @@ impl NetMetrics {
 struct Pending {
     deliver_at: SimInstant,
     seq: u64,
-    /// The link the frame crossed, so delivery looks nothing up.
-    link: usize,
     frame: Frame,
 }
 
@@ -327,9 +319,6 @@ impl SimNet {
     /// covers every component.
     pub fn set_telemetry(&mut self, registry: Registry) {
         self.metrics = NetMetrics::resolve(&registry);
-        for link in &mut self.links {
-            link.latency = None;
-        }
         self.telemetry = registry;
     }
 
@@ -404,12 +393,9 @@ impl SimNet {
     pub fn connect_ids(&mut self, from: EndpointId, to: EndpointId, profile: LinkProfile) {
         assert!(to.index() < self.names.len(), "unknown endpoint id {to:?}");
         let state = LinkState {
-            from,
-            to,
             profile,
             taps: Vec::new(),
             last_deliver_at: SimInstant::EPOCH,
-            latency: None,
         };
         let next = self.links.len();
         let routes = self.routes.get_mut(from.index());
@@ -529,8 +515,8 @@ impl SimNet {
         payload: Vec<u8>,
         delay: SimDuration,
     ) -> Result<Option<SimInstant>, NetError> {
-        let index = self.route(from, to);
-        let Some((index, link)) = index.and_then(|i| Some((i, self.links.get_mut(i)?))) else {
+        let link = self.route(from, to).and_then(|i| self.links.get_mut(i));
+        let Some(link) = link else {
             return Err(NetError::NoLink {
                 from: self.name(from).into(),
                 to: self.name(to).into(),
@@ -586,7 +572,6 @@ impl SimNet {
         self.queue.push(Pending {
             deliver_at,
             seq: self.seq,
-            link: index,
             frame,
         });
         self.seq += 1;
@@ -609,24 +594,9 @@ impl SimNet {
         let pending = self.queue.pop()?;
         self.clock.advance_to(pending.deliver_at);
         let frame = pending.frame;
-        let latency = (frame.delivered_at - frame.sent_at).as_micros();
-        self.metrics.delivery_latency.record(latency);
-        // Every queued frame crossed a link that still exists (links are
-        // only ever replaced in place), so this always finds it.
-        if let Some(link) = self.links.get_mut(pending.link) {
-            let (names, telemetry) = (&self.names, &self.telemetry);
-            let (from, to) = (link.from, link.to);
-            link.latency
-                .get_or_insert_with(|| {
-                    let name = |id: EndpointId| names.get(id.index()).map_or("", String::as_str);
-                    telemetry.histogram(&format!(
-                        "net.link.{}->{}.latency_us",
-                        name(from),
-                        name(to)
-                    ))
-                })
-                .record(latency);
-        }
+        self.metrics
+            .delivery_latency
+            .record((frame.delivered_at - frame.sent_at).as_micros());
         self.metrics.queue_depth.set_usize(self.queue.len());
         Some(frame)
     }
@@ -838,11 +808,7 @@ mod tests {
         let delivery = &snapshot.histograms["net.delivery_latency_us"];
         assert_eq!(delivery.count(), 1);
         assert_eq!(delivery.min(), Some(10_000));
-        assert_eq!(
-            snapshot.histograms["net.link.a->b.latency_us"].count(),
-            1,
-            "per-link histogram tracks the delivered frame"
-        );
+        assert_eq!(snapshot.histograms.len(), 1, "no per-link histograms");
     }
 
     #[test]
