@@ -1012,11 +1012,6 @@ impl Fleet {
         self.host.faults()
     }
 
-    /// Measured generation latencies in completion order.
-    pub fn generation_latencies(&self) -> &[SimDuration] {
-        self.host.generation_latencies()
-    }
-
     /// The router (ring membership, key movement accounting).
     pub fn router_mut(&mut self) -> &mut FleetRouter {
         &mut self.router
