@@ -1,8 +1,7 @@
 //! The browser agent running on the user's computer.
 
-use amnesia_core::{Domain, GeneratedPassword, PasswordPolicy, Username};
+use amnesia_core::{Domain, PasswordPolicy, Username};
 use amnesia_server::protocol::{FromServer, ToServer};
-use amnesia_server::storage::AccountRef;
 use amnesia_server::SessionToken;
 use std::error::Error;
 use std::fmt;
@@ -25,8 +24,9 @@ impl fmt::Display for BrowserError {
 
 impl Error for BrowserError {}
 
-/// The thin web client of Figure 1: builds requests, tracks the session,
-/// and records passwords as they arrive for autofill.
+/// The thin web client of Figure 1: builds requests and tracks the
+/// session. It keeps no password: one that arrives goes to whoever drives
+/// the browser, to autofill, and is stored nowhere.
 ///
 /// ```
 /// use amnesia_client::Browser;
@@ -38,8 +38,6 @@ impl Error for BrowserError {}
 pub struct Browser {
     endpoint: String,
     session: Option<SessionToken>,
-    inbox: Vec<FromServer>,
-    autofills: Vec<(AccountRef, GeneratedPassword)>,
 }
 
 impl Browser {
@@ -48,8 +46,6 @@ impl Browser {
         Browser {
             endpoint: endpoint.into(),
             session: None,
-            inbox: Vec::new(),
-            autofills: Vec::new(),
         }
     }
 
@@ -197,39 +193,15 @@ impl Browser {
 
     // -- reply handling -------------------------------------------------------
 
-    /// Processes a server reply: captures the session on `LoginOk`, records
-    /// arriving passwords for autofill, and archives everything in the
-    /// inbox.
-    pub fn handle_reply(&mut self, reply: FromServer) {
-        match &reply {
+    /// Processes a server reply: captures the session on `LoginOk` and
+    /// forgets it on `LoggedOut`. Every other reply leaves the browser as
+    /// it was.
+    pub fn handle_reply(&mut self, reply: &FromServer) {
+        match reply {
             FromServer::LoginOk { session } => self.session = Some(session.clone()),
             FromServer::LoggedOut => self.session = None,
-            FromServer::PasswordReady {
-                account, password, ..
-            } => self.autofills.push((account.clone(), password.clone())),
             _ => {}
         }
-        self.inbox.push(reply);
-    }
-
-    /// Drains received replies in arrival order.
-    pub fn take_inbox(&mut self) -> Vec<FromServer> {
-        std::mem::take(&mut self.inbox)
-    }
-
-    /// The most recent password received for `account`, if any — the
-    /// autofill source.
-    pub fn password_for(&self, account: &AccountRef) -> Option<&GeneratedPassword> {
-        self.autofills
-            .iter()
-            .rev()
-            .find(|(a, _)| a == account)
-            .map(|(_, p)| p)
-    }
-
-    /// All `(account, password)` autofill records, oldest first.
-    pub fn autofill_history(&self) -> &[(AccountRef, GeneratedPassword)] {
-        &self.autofills
     }
 }
 
@@ -237,13 +209,6 @@ impl Browser {
 mod tests {
     use super::*;
     use amnesia_core::PasswordPolicy;
-
-    fn account_ref() -> AccountRef {
-        AccountRef {
-            username: Username::new("u").unwrap(),
-            domain: Domain::new("d.com").unwrap(),
-        }
-    }
 
     #[test]
     fn unauthenticated_builders_work() {
@@ -275,7 +240,7 @@ mod tests {
         let mut server = amnesia_server::AmnesiaServer::new(Default::default());
         server.register_user("alice", "mp").unwrap();
         let session = server.login("alice", "mp").unwrap();
-        b.handle_reply(FromServer::LoginOk { session });
+        b.handle_reply(&FromServer::LoginOk { session });
         assert!(b.session().is_some());
         assert!(b.list_accounts_message(3).is_ok());
         assert!(b
@@ -287,43 +252,7 @@ mod tests {
             )
             .is_ok());
 
-        b.handle_reply(FromServer::LoggedOut);
+        b.handle_reply(&FromServer::LoggedOut);
         assert!(b.session().is_none());
-    }
-
-    #[test]
-    fn password_ready_feeds_autofill() {
-        let mut b = Browser::new("browser");
-        let password = PasswordPolicy::default().render(&[7u8; 64]);
-        b.handle_reply(FromServer::PasswordReady {
-            account: account_ref(),
-            password: password.clone(),
-            requested_at: amnesia_server::protocol::TokenResponse {
-                request_id: 0,
-                request: amnesia_core::PasswordRequest::from_bytes([0; 32]),
-                token: amnesia_core::Token::from_bytes([0; 32]),
-                tstart: Default::default(),
-            }
-            .tstart,
-        });
-        assert_eq!(b.password_for(&account_ref()), Some(&password));
-        assert_eq!(b.autofill_history().len(), 1);
-        assert_eq!(b.take_inbox().len(), 1);
-        assert!(b.take_inbox().is_empty());
-    }
-
-    #[test]
-    fn latest_password_wins_autofill() {
-        let mut b = Browser::new("browser");
-        let old = PasswordPolicy::default().render(&[1u8; 64]);
-        let new = PasswordPolicy::default().render(&[2u8; 64]);
-        for p in [&old, &new] {
-            b.handle_reply(FromServer::PasswordReady {
-                account: account_ref(),
-                password: p.clone(),
-                requested_at: Default::default(),
-            });
-        }
-        assert_eq!(b.password_for(&account_ref()), Some(&new));
     }
 }

@@ -4,7 +4,7 @@
 //! particular passwords" (paper §III-A1) — it only authenticates to the
 //! Amnesia server with the master password and receives generated passwords
 //! over HTTPS. [`Browser`] reproduces that thin client: it builds protocol
-//! messages, tracks the session, and "autofills" received passwords.
+//! messages and tracks the session, and keeps no password it receives.
 //!
 //! [`DummyWebsite`] reproduces the site the user study built "so users can
 //! practice adding accounts to Amnesia" (§VII-A): account signup/login with

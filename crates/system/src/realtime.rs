@@ -284,7 +284,7 @@ impl RealtimeDeployment {
                         // A stale reply from an abandoned session.
                         continue;
                     }
-                    self.browser.handle_reply(reply.message.clone());
+                    self.browser.handle_reply(&reply.message);
                     pending = engine.on_event(Event::FrameReceived(reply.message));
                 }
                 Err(RecvTimeoutError::Timeout) => {
