@@ -287,16 +287,18 @@ fn lock_walk(ctx: &RuleCtx<'_>, block: &Block, out: &mut Vec<Finding>) {
             }
         }
         // New guard binding: `let g = ….lock()…;`
-        if let StmtKind::Let { name, init, .. } = &stmt.kind {
-            if let Some((a, b)) = init {
-                // Skip child blocks: a guard taken inside `{ … }` dies at
-                // that block's end and never escapes into this binding.
-                let is_lock = (*a..*b).any(|ci| {
-                    !stmt.in_child(ci) && ctx.text(ci) == "lock" && ctx.text(ci + 1) == "("
-                });
-                if is_lock && !name.is_empty() {
-                    guards.push(name.clone());
-                }
+        if let StmtKind::Let {
+            name,
+            init: Some((a, b)),
+            ..
+        } = &stmt.kind
+        {
+            // Skip child blocks: a guard taken inside `{ … }` dies at
+            // that block's end and never escapes into this binding.
+            let is_lock = (*a..*b)
+                .any(|ci| !stmt.in_child(ci) && ctx.text(ci) == "lock" && ctx.text(ci + 1) == "(");
+            if is_lock && !name.is_empty() {
+                guards.push(name.clone());
             }
         }
         // Children of a guard-free statement still need their own walk

@@ -72,10 +72,14 @@ impl<'a> RuleCtx<'a> {
     }
 }
 
+/// One source-rule pass: reads the file through its context and appends
+/// what it finds.
+type SourcePass = fn(&RuleCtx<'_>, &mut Vec<Finding>);
+
 /// The source-rule passes in execution order, labelled for the CLI's
 /// `--timing` report. Each label names the pass (usually the rule family it
 /// implements), not an individual rule id.
-pub const SOURCE_PASSES: &[(&str, fn(&RuleCtx<'_>, &mut Vec<Finding>))] = &[
+pub const SOURCE_PASSES: &[(&str, SourcePass)] = &[
     ("secret-derives", secret_derives),
     ("secret-display-impl", secret_display_impl),
     ("secret-byte-compare", secret_byte_compare),

@@ -79,7 +79,7 @@ pub fn check(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
 
 fn is_secret_ident(ctx: &RuleCtx<'_>, name: &str) -> bool {
     let lowered = name.to_ascii_lowercase();
-    ctx.cfg.secret_idents.iter().any(|s| *s == lowered)
+    ctx.cfg.secret_idents.contains(&lowered)
 }
 
 fn ty_mentions_secret(ctx: &RuleCtx<'_>, ty: &str) -> bool {

@@ -73,7 +73,7 @@ fn string_contents_are_opaque() {
 #[test]
 fn raw_string_contents_are_opaque() {
     for_all("raw string opaque", 400, |g| {
-        let inner = soup(g, 24).replace('#', "").replace('"', "");
+        let inner = soup(g, 24).replace(['#', '"'], "");
         let src = format!("let s = r#\"{inner}\"#;");
         let tokens = lex(&src);
         let raws: Vec<_> = tokens

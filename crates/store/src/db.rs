@@ -26,6 +26,9 @@ const SNAPSHOT_FILE: &str = "snapshot.adb";
 /// On-disk shape of one table: name plus raw `(key, value)` rows.
 type TableDump = (String, Vec<(Vec<u8>, Vec<u8>)>);
 
+/// Every table as a plain map: name → raw key → raw value.
+type TableMaps = BTreeMap<String, BTreeMap<Vec<u8>, Vec<u8>>>;
+
 /// The durable half of a [`Database`]: the directory, the WAL, and the
 /// compaction latch.
 struct DurableEngine {
@@ -300,7 +303,7 @@ impl Database {
     /// double-buffered shape [`snapshot_bytes`](Database::snapshot_bytes)
     /// used to build internally. Exposed for migration tooling and for the
     /// benchmark that quantifies what stream-encoding saves.
-    pub fn export_tables(&self) -> Vec<(String, Vec<(Vec<u8>, Vec<u8>)>)> {
+    pub fn export_tables(&self) -> Vec<TableDump> {
         let tables = self.read_tables();
         let mut dump: Vec<TableDump> = Vec::new();
         for (name, raw) in tables.iter() {
@@ -473,9 +476,7 @@ fn checked_payload<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], Sto
 }
 
 /// Parses a durable-directory snapshot into plain maps plus the cut LSN.
-fn decode_durable_snapshot(
-    bytes: &[u8],
-) -> Result<(BTreeMap<String, BTreeMap<Vec<u8>, Vec<u8>>>, Lsn), StoreError> {
+fn decode_durable_snapshot(bytes: &[u8]) -> Result<(TableMaps, Lsn), StoreError> {
     let payload = checked_payload(bytes, MAGIC_DURABLE)?;
     let (lsn, dump): (Lsn, Vec<TableDump>) = codec::from_bytes(payload)?;
     let mut tables = BTreeMap::new();

@@ -526,10 +526,9 @@ impl Wal {
 }
 
 fn wal_failed(reason: &str) -> StoreError {
-    StoreError::Io(std::io::Error::new(
-        std::io::ErrorKind::Other,
-        format!("write-ahead log failed: {reason}"),
-    ))
+    StoreError::Io(std::io::Error::other(format!(
+        "write-ahead log failed: {reason}"
+    )))
 }
 
 fn write_bytes(b: &[u8], out: &mut Vec<u8>) {
@@ -743,10 +742,7 @@ mod tests {
             let mut st = self.shared.lock().unwrap();
             if let Some(limit) = st.fail_after_syncs {
                 if st.syncs >= limit {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Other,
-                        "injected sync failure",
-                    ));
+                    return Err(std::io::Error::other("injected sync failure"));
                 }
             }
             st.syncs += 1;

@@ -10,8 +10,7 @@
 //! Only the buckets up to the highest one recorded are stored, in whole
 //! groups of 32 (the unit buckets, then one group per octave). A histogram of
 //! microsecond latencies under a second holds at most 512 of them (4 KiB)
-//! instead of all 1 920 (15 KiB), which matters where a deployment keeps one
-//! histogram per simulated link.
+//! instead of all 1 920 (15 KiB).
 
 /// Number of sub-bucket bits per octave. 32 sub-buckets per power of two
 /// bounds the relative error of any reported quantile by 1/32.
@@ -246,8 +245,14 @@ mod tests {
         let mut h = Histogram::new();
         h.record(u64::MAX);
         assert_eq!(h.max(), Some(u64::MAX));
+        // One sample: the exact min and max tighten the interval to it.
+        assert_eq!(h.quantile_bounds(1.0), Some((u64::MAX, u64::MAX)));
+        // Beside a smaller sample the top quantile reports the top bucket
+        // itself, the last 32nd of the highest octave.
+        h.record(0);
         let (lo, hi) = h.quantile_bounds(1.0).unwrap();
-        assert!(lo <= u64::MAX && hi == u64::MAX);
+        assert_eq!(lo, 63 << 58);
+        assert_eq!(hi, u64::MAX);
     }
 
     #[test]

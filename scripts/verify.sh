@@ -56,6 +56,9 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo clippy (every crate and target, warnings are errors)"
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
+
 echo "==> amnesia-lint (secret-hygiene / dataflow / determinism / no-panic / hermeticity)"
 # Fails on any finding not grandfathered in lint-baseline.txt. To waive one
 # finding add `// lint: allow(<rule>) <reason>`; to accept new debt run
@@ -224,4 +227,4 @@ for workload in interactive burst mixed signup; do
     fi
 done
 
-echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server and rendezvous tests, unsafe budget, formatting, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
+echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server and rendezvous tests, unsafe budget, formatting, clippy, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
