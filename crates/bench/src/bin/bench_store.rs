@@ -8,11 +8,11 @@
 //!
 //! * **snapshot_per_write** — the pre-WAL durable path: every `put` is
 //!   followed by `Database::save_to` (full re-serialize + fsync + rename).
-//! * **wal_per_record** — one writer, group window zero: every commit pays
-//!   its own fsync. The honest lower bound of the WAL path.
-//! * **wal_group_commit** — 8 concurrent writers with a small group window:
-//!   the flush leader batches their records into shared fsyncs. The
-//!   coalescing ratio (records per fsync) is reported alongside.
+//! * **wal_per_record** — one writer: every commit pays its own fsync. The
+//!   honest lower bound of the WAL path.
+//! * **wal_group_commit** — 8 concurrent writers: those that commit while a
+//!   flush leader's fsync is in flight share the next one. The coalescing
+//!   ratio (records per fsync) is reported alongside.
 //!
 //! It also measures **recovery wall-time vs log length** (open_durable
 //! replaying logs of increasing record counts over an N-row snapshot) and
@@ -28,7 +28,7 @@
 use amnesia_store::{Database, DurabilityConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const SEED: u64 = 0x57A6E;
 
@@ -139,10 +139,8 @@ fn durable_with_snapshot(dir: &Path, entries: u64) -> Result<Database, String> {
         let loader = Database::open_durable_with(
             dir,
             DurabilityConfig {
-                group_window: Duration::ZERO,
                 fsync: false,
                 compact_log_bytes: None,
-                ..DurabilityConfig::default()
             },
         )
         .map_err(|e| format!("open_durable (load): {e}"))?;
@@ -152,7 +150,6 @@ fn durable_with_snapshot(dir: &Path, entries: u64) -> Result<Database, String> {
     Database::open_durable_with(
         dir,
         DurabilityConfig {
-            group_window: Duration::from_micros(200),
             compact_log_bytes: None,
             ..DurabilityConfig::default()
         },
@@ -281,10 +278,8 @@ fn bench_recovery(base_entries: u64, log_records: u64) -> Result<RecoveryPoint, 
         let db = Database::open_durable_with(
             &dir,
             DurabilityConfig {
-                group_window: Duration::ZERO,
                 fsync: false,
                 compact_log_bytes: None,
-                ..DurabilityConfig::default()
             },
         )
         .map_err(|e| format!("open_durable (build): {e}"))?;

@@ -29,33 +29,18 @@ pub struct LinkProfile {
     /// exists for experiments that stress payload size (e.g. `KpBackup`
     /// uploads during recovery).
     pub per_kb_ms: f64,
-    /// Delivery-order discipline. `false` (the default) models independent
-    /// datagrams: each frame lands at `sent_at + sampled latency`, so a
-    /// lucky late frame may overtake an unlucky early one. `true` models a
-    /// TCP stream: frames never overtake each other, a sampled latency that
-    /// would land a frame before an earlier one is clamped forward
-    /// (head-of-line blocking, as on a real ordered connection).
-    pub ordered: bool,
 }
 
 impl LinkProfile {
-    /// A lossless, infinite-bandwidth, unordered link with the given
-    /// latency.
+    /// A lossless, infinite-bandwidth link with the given latency. Links
+    /// model independent datagrams: each frame lands at `sent_at + sampled
+    /// latency`, so a lucky late frame may overtake an unlucky early one.
     pub fn new(latency: LatencyModel) -> Self {
         LinkProfile {
             latency,
             drop_probability: 0.0,
             per_kb_ms: 0.0,
-            ordered: false,
         }
-    }
-
-    /// Switches the link to FIFO (TCP-stream) delivery: frames never
-    /// overtake each other. Use for experiments that need stream semantics;
-    /// the secure channels no longer require it (sliding replay window).
-    pub fn with_fifo_order(mut self) -> Self {
-        self.ordered = true;
-        self
     }
 
     /// Sets the frame-drop probability.
@@ -199,10 +184,6 @@ impl Wiretap {
 struct LinkState {
     profile: LinkProfile,
     taps: Vec<Wiretap>,
-    /// Latest delivery already scheduled on this link — only consulted when
-    /// the profile is [`ordered`](LinkProfile::ordered), where it clamps
-    /// each new delivery forward to preserve FIFO order.
-    last_deliver_at: SimInstant,
 }
 
 /// The network-wide metric handles, resolved once per registry; the
@@ -395,7 +376,6 @@ impl SimNet {
         let state = LinkState {
             profile,
             taps: Vec::new(),
-            last_deliver_at: SimInstant::EPOCH,
         };
         let next = self.links.len();
         let routes = self.routes.get_mut(from.index());
@@ -515,7 +495,7 @@ impl SimNet {
         payload: Vec<u8>,
         delay: SimDuration,
     ) -> Result<Option<SimInstant>, NetError> {
-        let link = self.route(from, to).and_then(|i| self.links.get_mut(i));
+        let link = self.route(from, to).and_then(|i| self.links.get(i));
         let Some(link) = link else {
             return Err(NetError::NoLink {
                 from: self.name(from).into(),
@@ -553,15 +533,7 @@ impl SimNet {
             .latency
             .sample(&mut self.rng)
             .saturating_add(link.profile.transmission_delay(payload.len()));
-        // Unordered links deliver each frame at its own sampled time; FIFO
-        // links clamp forward so a frame never overtakes an earlier one.
-        let deliver_at = if link.profile.ordered {
-            let clamped = (sent_at + latency).max(link.last_deliver_at);
-            link.last_deliver_at = clamped;
-            clamped
-        } else {
-            sent_at + latency
-        };
+        let deliver_at = sent_at + latency;
         let frame = Frame {
             from,
             to,
@@ -720,25 +692,6 @@ mod tests {
             vec![2, 1],
             "datagram link must reorder"
         );
-    }
-
-    #[test]
-    fn fifo_mode_clamps_delivery_order() {
-        let jitter = LatencyModel::uniform_ms(1.0, 100.0);
-        let seed = inverting_seed(&jitter);
-        let mut net = SimNet::new(seed);
-        net.register("a");
-        net.register("b");
-        net.connect("a", "b", LinkProfile::new(jitter).with_fifo_order());
-        net.send("a", "b", vec![1]).unwrap();
-        net.send("a", "b", vec![2]).unwrap();
-        let frames = deliver_all(&mut net);
-        assert_eq!(
-            first_bytes(&frames),
-            vec![1, 2],
-            "stream link must stay FIFO"
-        );
-        assert!(frames[0].delivered_at <= frames[1].delivered_at);
     }
 
     #[test]

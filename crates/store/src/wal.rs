@@ -28,12 +28,13 @@
 //! [`Wal::append_put`] and friends stamp the mutation with the next LSN and
 //! buffer the encoded frame in memory — that LSN is the writer's *commit
 //! ticket*. [`Wal::commit`] then parks the writer until `durable_lsn` covers
-//! its ticket: the first writer to arrive becomes the *flush leader*,
-//! optionally lingers for [`DurabilityConfig::group_window`] so more writers
-//! can join the batch, and writes + fsyncs the whole batch with the state
-//! lock released (appenders keep making progress during the fsync). Everyone
-//! else waits on the condvar and is woken when the leader advances
-//! `durable_lsn`.
+//! its ticket: the first writer to arrive becomes the *flush leader* and at
+//! once writes + fsyncs everything pending with the state lock released
+//! (appenders keep making progress during the fsync). Writers that commit
+//! while that fsync is in flight wait on the condvar; when it completes,
+//! the first of them to wake leads one flush of everything they appended
+//! meanwhile. The fsync in flight is the only batching window: the log
+//! never sleeps to wait for writers.
 //!
 //! I/O failures are sticky: once a flush fails, every in-flight and future
 //! commit reports the error rather than silently running non-durably.
@@ -48,7 +49,6 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Log sequence number. LSN 0 means "nothing logged"; the first mutation
 /// gets LSN 1. LSNs are dense: every append increments by exactly one.
@@ -110,13 +110,6 @@ crate::record_enum! {
 /// Tuning knobs for the durable write path.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// How long the flush leader lingers (with the lock released) so more
-    /// writers can join its batch before the fsync. Zero flushes
-    /// immediately; coalescing then comes only from writers that queued
-    /// during the previous flush.
-    pub group_window: Duration,
-    /// Flush as soon as this many records are pending, without lingering.
-    pub max_batch_records: usize,
     /// Whether the leader fsyncs after writing. Disabling this trades crash
     /// durability for throughput (page-cache writes only) — used by the
     /// benchmarks to build long logs quickly, never by the server.
@@ -131,8 +124,6 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
-            group_window: Duration::from_micros(500),
-            max_batch_records: 1024,
             fsync: true,
             compact_log_bytes: Some(64 * 1024 * 1024),
         }
@@ -214,7 +205,6 @@ pub struct WalStats {
 struct WalState {
     /// Encoded frames appended but not yet handed to a flush leader.
     pending: Vec<u8>,
-    pending_records: usize,
     /// Next LSN to assign.
     next_lsn: Lsn,
     /// Highest LSN whose frame has been written and synced.
@@ -244,8 +234,6 @@ pub struct Wal {
     /// (state first) only after draining any in-flight flush, so no cycle.
     file: Mutex<Box<dyn WalFile>>,
     cv: Condvar,
-    group_window: Duration,
-    max_batch_records: usize,
     fsync: bool,
     appended_records: AtomicU64,
     flushes: AtomicU64,
@@ -258,7 +246,7 @@ impl fmt::Debug for Wal {
         f.debug_struct("Wal")
             .field("next_lsn", &st.next_lsn)
             .field("durable_lsn", &st.durable_lsn)
-            .field("pending_records", &st.pending_records)
+            .field("pending_bytes", &st.pending.len())
             .finish()
     }
 }
@@ -272,7 +260,6 @@ impl Wal {
         Wal {
             state: Mutex::new(WalState {
                 pending: Vec::new(),
-                pending_records: 0,
                 next_lsn: last_lsn.saturating_add(1),
                 durable_lsn: last_lsn,
                 flushing: false,
@@ -282,8 +269,6 @@ impl Wal {
             }),
             file: Mutex::new(file),
             cv: Condvar::new(),
-            group_window: config.group_window,
-            max_batch_records: config.max_batch_records.max(1),
             fsync: config.fsync,
             appended_records: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
@@ -351,7 +336,6 @@ impl Wal {
         st.scratch = payload;
         let frame_len = framed?;
         st.next_lsn = lsn.saturating_add(1);
-        st.pending_records += 1;
         st.segment_bytes = st.segment_bytes.saturating_add(frame_len);
         self.appended_records.fetch_add(1, Ordering::Relaxed);
         Ok(lsn)
@@ -365,7 +349,6 @@ impl Wal {
     /// then be in memory but is not guaranteed on disk.
     pub fn commit(&self, lsn: Lsn) -> Result<(), StoreError> {
         let mut st = self.lock_state();
-        let mut lingered = false;
         loop {
             if st.durable_lsn >= lsn {
                 return Ok(());
@@ -383,24 +366,10 @@ impl Wal {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 continue;
             }
-            // We are the flush leader. Linger once so concurrent writers
-            // can join the batch, then write + sync it outside the lock.
-            if !lingered
-                && !self.group_window.is_zero()
-                && st.pending_records < self.max_batch_records
-            {
-                lingered = true;
-                // lint: allow(lock-discipline) group-commit window: the wait releases the guard so writers can append
-                let (guard, _timed_out) = self
-                    .cv
-                    .wait_timeout(st, self.group_window)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                st = guard;
-                continue;
-            }
+            // We are the flush leader: write + sync everything pending
+            // outside the lock, at once.
             st.flushing = true;
             let batch = std::mem::take(&mut st.pending);
-            st.pending_records = 0;
             let target = st.next_lsn.saturating_sub(1);
             drop(st);
 
@@ -499,7 +468,6 @@ impl Wal {
         let mut file = self.lock_file();
         if !st.pending.is_empty() {
             let batch = std::mem::take(&mut st.pending);
-            st.pending_records = 0;
             let res = file
                 .append(&batch)
                 .and_then(|()| if self.fsync { file.sync() } else { Ok(()) });
@@ -695,7 +663,7 @@ pub(crate) fn apply_mutation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex as StdMutex};
+    use std::sync::{mpsc, Arc, Mutex as StdMutex};
 
     /// In-memory [`WalFile`] with an explicit volatile/durable split: bytes
     /// reach `durable` only on `sync`, modelling a kill between write-back
@@ -753,10 +721,25 @@ mod tests {
         }
     }
 
-    fn quick_config() -> DurabilityConfig {
-        DurabilityConfig {
-            group_window: Duration::ZERO,
-            ..DurabilityConfig::default()
+    /// [`MemFile`] whose first `sync` reports that it has started, then
+    /// blocks until the test releases it: a flush leader held inside its
+    /// fsync with the state lock released.
+    struct GatedFile {
+        inner: MemFile,
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    }
+
+    impl WalFile for GatedFile {
+        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.append(bytes)
+        }
+
+        fn sync(&mut self) -> std::io::Result<()> {
+            if let Some((entered, release)) = self.gate.take() {
+                entered.send(()).map_err(std::io::Error::other)?;
+                release.recv().map_err(std::io::Error::other)?;
+            }
+            self.inner.sync()
         }
     }
 
@@ -790,7 +773,7 @@ mod tests {
     #[test]
     fn append_commit_scan_roundtrip() {
         let (file, shared) = MemFile::new();
-        let wal = Wal::with_file(Box::new(file), 0, &quick_config());
+        let wal = Wal::with_file(Box::new(file), 0, &DurabilityConfig::default());
         let l1 = wal.append_put("t", b"k1", b"v1").unwrap();
         let l2 = wal.append_remove("t", b"k1").unwrap();
         assert_eq!((l1, l2), (1, 2));
@@ -813,7 +796,7 @@ mod tests {
     #[test]
     fn commit_is_acked_only_after_sync() {
         let (file, shared) = MemFile::new();
-        let wal = Wal::with_file(Box::new(file), 0, &quick_config());
+        let wal = Wal::with_file(Box::new(file), 0, &DurabilityConfig::default());
         let lsn = wal.append_put("t", b"k", b"v").unwrap();
         // Before commit: the record must not be durable.
         {
@@ -831,7 +814,7 @@ mod tests {
     fn sync_failure_is_sticky_and_commit_errors() {
         let (file, shared) = MemFile::new();
         shared.lock().unwrap().fail_after_syncs = Some(0);
-        let wal = Wal::with_file(Box::new(file), 0, &quick_config());
+        let wal = Wal::with_file(Box::new(file), 0, &DurabilityConfig::default());
         let lsn = wal.append_put("t", b"k", b"v").unwrap();
         assert!(wal.commit(lsn).is_err());
         // Sticky: the next append also reports the failure.
@@ -842,19 +825,56 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_commits_coalesce_into_fewer_syncs() {
-        let (file, _shared) = MemFile::new();
-        let wal = Arc::new(Wal::with_file(
-            Box::new(file),
-            0,
-            &DurabilityConfig {
-                group_window: Duration::from_millis(2),
-                ..DurabilityConfig::default()
-            },
-        ));
+    fn writers_that_append_during_an_fsync_share_the_next_one() {
+        const WRITERS: u64 = 6;
+        let (inner, shared) = MemFile::new();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let file = GatedFile {
+            inner,
+            gate: Some((entered_tx, release_rx)),
+        };
+        let wal = Wal::with_file(Box::new(file), 0, &DurabilityConfig::default());
+        std::thread::scope(|s| {
+            let wal = &wal;
+            s.spawn(move || {
+                let lsn = wal.append_put("t", b"leader", b"v").unwrap();
+                wal.commit(lsn).unwrap();
+            });
+            // The leader has taken its one-record batch and is in its fsync.
+            entered_rx.recv().unwrap();
+            let (appended_tx, appended_rx) = mpsc::channel();
+            for t in 0..WRITERS {
+                let appended = appended_tx.clone();
+                s.spawn(move || {
+                    let lsn = wal.append_put("t", &t.to_le_bytes(), b"v").unwrap();
+                    appended.send(()).unwrap();
+                    wal.commit(lsn).unwrap();
+                });
+            }
+            for _ in 0..WRITERS {
+                appended_rx.recv().unwrap();
+            }
+            release_tx.send(()).unwrap();
+        });
+        assert_eq!(
+            wal.stats().flushes,
+            2,
+            "the leader's fsync, then one shared by every writer that appended during it"
+        );
+        assert_eq!(wal.durable_lsn(), 1 + WRITERS);
+        let outcome = scan_segment(&shared.lock().unwrap().durable).unwrap();
+        let lsns: Vec<Lsn> = outcome.records.iter().map(|r| r.lsn).collect();
+        assert_eq!(lsns, (1..=1 + WRITERS).collect::<Vec<Lsn>>());
+    }
+
+    #[test]
+    fn concurrent_commits_are_all_durable() {
+        let (file, shared) = MemFile::new();
+        let wal = Wal::with_file(Box::new(file), 0, &DurabilityConfig::default());
         std::thread::scope(|s| {
             for t in 0..8u64 {
-                let wal = Arc::clone(&wal);
+                let wal = &wal;
                 s.spawn(move || {
                     for i in 0..50u64 {
                         let key = (t * 1000 + i).to_le_bytes();
@@ -864,20 +884,18 @@ mod tests {
                 });
             }
         });
-        let stats = wal.stats();
-        assert_eq!(stats.appended_records, 400);
-        assert!(
-            stats.flushes < stats.appended_records,
-            "expected coalescing, got {} flushes for {} records",
-            stats.flushes,
-            stats.appended_records
-        );
+        assert_eq!(wal.stats().appended_records, 400);
+        assert_eq!(wal.durable_lsn(), 400);
+        let outcome = scan_segment(&shared.lock().unwrap().durable).unwrap();
+        assert!(outcome.clean);
+        let lsns: Vec<Lsn> = outcome.records.iter().map(|r| r.lsn).collect();
+        assert_eq!(lsns, (1..=400).collect::<Vec<Lsn>>());
     }
 
     #[test]
     fn scan_stops_at_torn_tail_and_bit_flip() {
         let (file, shared) = MemFile::new();
-        let wal = Wal::with_file(Box::new(file), 0, &quick_config());
+        let wal = Wal::with_file(Box::new(file), 0, &DurabilityConfig::default());
         for i in 0..5u8 {
             let lsn = wal.append_put("t", &[i], &[i, i]).unwrap();
             wal.commit(lsn).unwrap();

@@ -18,14 +18,16 @@ echo "==> crypto tests in release mode"
 # too, not only in the debug build above.
 cargo test -q --release --offline -p amnesia-crypto
 
-echo "==> net, system, fleet, server and rendezvous tests in release mode"
+echo "==> net, system, fleet, server, rendezvous and store tests in release mode"
 # Endpoint ids, link indices and role-table lookups are integer arithmetic
 # on the frame path; the release build the benchmark measures runs it with
 # overflow checks off, so the hosts' tests (pinned timelines included) run
 # there as well. The server's decoded rows and the rendezvous registry are
-# per-op tables on the same path, so their crates' tests run there too.
+# per-op tables on the same path, so their crates' tests run there too. So
+# do the store's: the WAL's frame scan computes offsets from lengths read
+# back from disk, and its group commit rests on a lock and a condvar alone.
 cargo test -q --release --offline -p amnesia-net -p amnesia-system -p amnesia-fleet \
-    -p amnesia-server -p amnesia-rendezvous
+    -p amnesia-server -p amnesia-rendezvous -p amnesia-store
 
 echo "==> unsafe budget"
 # Library code may hold exactly one allow(unsafe_code): the SHA-NI dispatch
@@ -122,9 +124,9 @@ for rung in interactive balanced paranoid; do
 done
 
 echo "==> concurrent-session isolation tests"
-# 256 interleaved generations over one network (FIFO and out-of-order
-# profiles) plus the sim-vs-threaded differential check and the
-# late-reply-after-timeout regression.
+# 256 interleaved generations over one network of out-of-order links plus
+# the sim-vs-threaded differential check and the late-reply-after-timeout
+# regression.
 cargo test -q --offline --test concurrency
 
 echo "==> security-property and failure-injection tests"
@@ -227,4 +229,4 @@ for workload in interactive burst mixed signup; do
     fi
 done
 
-echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server and rendezvous tests, unsafe budget, formatting, clippy, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
+echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server, rendezvous and store tests, unsafe budget, formatting, clippy, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"

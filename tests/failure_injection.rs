@@ -221,7 +221,6 @@ mod wal_crash {
     use amnesia::store::{codec, Database};
     use std::path::{Path, PathBuf};
     use std::sync::{Arc, Mutex};
-    use std::time::Duration;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -429,14 +428,7 @@ mod wal_crash {
     }
 
     fn wal_over(file: &CrashFile) -> Wal {
-        Wal::with_file(
-            Box::new(file.clone()),
-            0,
-            &DurabilityConfig {
-                group_window: Duration::ZERO,
-                ..DurabilityConfig::default()
-            },
-        )
+        Wal::with_file(Box::new(file.clone()), 0, &DurabilityConfig::default())
     }
 
     fn enc(s: &str) -> Vec<u8> {
@@ -525,14 +517,7 @@ mod wal_crash {
         }
         drop(wal1);
         let file2 = CrashFile::new();
-        let wal2 = Wal::with_file(
-            Box::new(file2.clone()),
-            4,
-            &DurabilityConfig {
-                group_window: Duration::ZERO,
-                ..DurabilityConfig::default()
-            },
-        );
+        let wal2 = Wal::with_file(Box::new(file2.clone()), 4, &DurabilityConfig::default());
         for i in 4..6 {
             let lsn = wal2
                 .append_put("rows", &enc(&format!("k{i}")), &enc(&format!("v{i}")))
