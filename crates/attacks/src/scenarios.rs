@@ -380,8 +380,7 @@ pub fn phone_compromise(seed: u64) -> AttackReport {
         .system
         .phone(victim.phone)
         .expect("phone present")
-        .notifications()
-        .len();
+        .notifications_raised();
     report.note(format!(
         "attacker observed {observed} request(s) and the computation T = H(e_i0 || ... || e_i15)"
     ));

@@ -3,7 +3,21 @@
 
 use crate::error::CoreError;
 use crate::ids::Seed;
+use amnesia_store::codec::{self, CodecError, Reader, Record};
 use std::fmt;
+use std::sync::Arc;
+
+/// Why `name` cannot be one side of `µ ‖ d`: it is empty or holds the
+/// `\0` separator.
+fn name_fault(name: &str) -> Option<&'static str> {
+    if name.is_empty() {
+        Some("must not be empty")
+    } else if name.contains('\0') {
+        Some("must not contain NUL")
+    } else {
+        None
+    }
+}
 
 /// The account username `µ`.
 ///
@@ -19,9 +33,11 @@ use std::fmt;
 /// assert!(Username::new("").is_err());
 /// # Ok::<(), amnesia_core::CoreError>(())
 /// ```
+///
+/// The text is shared: a clone costs no allocation, so a name can ride
+/// along every message and table that needs it.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Username(String);
-amnesia_store::record_tuple! { Username(name) }
+pub struct Username(Arc<str>);
 
 impl Username {
     /// Validates and wraps a username.
@@ -32,17 +48,12 @@ impl Username {
     /// a NUL byte.
     pub fn new(name: impl Into<String>) -> Result<Self, CoreError> {
         let name = name.into();
-        if name.is_empty() {
-            return Err(CoreError::InvalidUsername {
-                reason: "username must not be empty".into(),
-            });
+        match name_fault(&name) {
+            None => Ok(Username(Arc::from(name))),
+            Some(fault) => Err(CoreError::InvalidUsername {
+                reason: format!("username {fault}"),
+            }),
         }
-        if name.contains('\0') {
-            return Err(CoreError::InvalidUsername {
-                reason: "username must not contain NUL".into(),
-            });
-        }
-        Ok(Username(name))
     }
 
     /// The username as a string slice.
@@ -54,6 +65,21 @@ impl Username {
 impl fmt::Display for Username {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+/// Encoded as a `String`; decoding applies [`Username::new`]'s checks.
+impl Record for Username {
+    fn encode(&self, out: &mut Vec<u8>) {
+        codec::write_str(&self.0, out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let name = r.str()?;
+        match name_fault(name) {
+            None => Ok(Username(Arc::from(name))),
+            Some(_) => Err(CodecError::InvalidValue { what: "username" }),
+        }
     }
 }
 
@@ -69,9 +95,10 @@ impl fmt::Display for Username {
 /// assert_eq!(d.to_string(), "mail.google.com");
 /// # Ok::<(), amnesia_core::CoreError>(())
 /// ```
+///
+/// Like [`Username`], the text is shared.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Domain(String);
-amnesia_store::record_tuple! { Domain(domain) }
+pub struct Domain(Arc<str>);
 
 impl Domain {
     /// Validates and wraps a domain identifier.
@@ -82,17 +109,12 @@ impl Domain {
     /// a NUL byte.
     pub fn new(domain: impl Into<String>) -> Result<Self, CoreError> {
         let domain = domain.into();
-        if domain.is_empty() {
-            return Err(CoreError::InvalidDomain {
-                reason: "domain must not be empty".into(),
-            });
+        match name_fault(&domain) {
+            None => Ok(Domain(Arc::from(domain))),
+            Some(fault) => Err(CoreError::InvalidDomain {
+                reason: format!("domain {fault}"),
+            }),
         }
-        if domain.contains('\0') {
-            return Err(CoreError::InvalidDomain {
-                reason: "domain must not contain NUL".into(),
-            });
-        }
-        Ok(Domain(domain))
     }
 
     /// The domain as a string slice.
@@ -104,6 +126,21 @@ impl Domain {
 impl fmt::Display for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+/// Encoded as a `String`; decoding applies [`Domain::new`]'s checks.
+impl Record for Domain {
+    fn encode(&self, out: &mut Vec<u8>) {
+        codec::write_str(&self.0, out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let domain = r.str()?;
+        match name_fault(domain) {
+            None => Ok(Domain(Arc::from(domain))),
+            Some(_) => Err(CodecError::InvalidValue { what: "domain" }),
+        }
     }
 }
 
@@ -223,6 +260,32 @@ mod tests {
         );
         let target = Seed::random(&mut rng);
         assert_eq!(entry.with_seed(target.clone()).seed(), &target);
+    }
+
+    #[test]
+    fn names_encode_as_strings_and_decode_through_the_checks() {
+        let name = Username::new("alice").unwrap();
+        let bytes = codec::to_bytes(&name).unwrap();
+        assert_eq!(bytes, codec::to_bytes(&String::from("alice")).unwrap());
+        assert_eq!(codec::from_bytes::<Username>(&bytes).unwrap(), name);
+        for bad in ["", "a\0b"] {
+            let bytes = codec::to_bytes(&String::from(bad)).unwrap();
+            assert_eq!(
+                codec::from_bytes::<Username>(&bytes),
+                Err(CodecError::InvalidValue { what: "username" })
+            );
+            assert_eq!(
+                codec::from_bytes::<Domain>(&bytes),
+                Err(CodecError::InvalidValue { what: "domain" })
+            );
+        }
+    }
+
+    #[test]
+    fn clones_share_the_text() {
+        let name = Username::new("alice").unwrap();
+        let copy = name.clone();
+        assert!(std::ptr::eq(name.as_str(), copy.as_str()));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! to various website password policy", e.g. excluding special characters.
 
 use crate::error::CoreError;
+use amnesia_store::codec::{CodecError, Reader, Record};
 use std::fmt;
 
 /// The four character classes the paper's strength analysis counts (§IV-E).
@@ -83,7 +84,41 @@ impl fmt::Display for CharClass {
 pub struct CharacterTable {
     chars: Vec<char>,
 }
-amnesia_store::record_struct! { CharacterTable { chars } }
+
+/// Whether `chars` holds a character twice: one pass over a bitmap for
+/// ASCII tables (every table a policy builds, and what a stored row or an
+/// `AddAccount` frame decodes), a sorted copy when any character lies
+/// outside ASCII.
+fn repeats(chars: &[char]) -> bool {
+    let mut seen = 0u128;
+    for &c in chars {
+        if !c.is_ascii() {
+            let mut sorted = chars.to_vec();
+            sorted.sort_unstable();
+            return sorted.windows(2).any(|pair| pair.first() == pair.last());
+        }
+        let bit = 1u128 << u32::from(c);
+        if seen & bit != 0 {
+            return true;
+        }
+        seen |= bit;
+    }
+    false
+}
+
+/// Encoded as its `Vec<char>`; decoding applies
+/// [`CharacterTable::custom`]'s checks (non-empty, no duplicates).
+impl Record for CharacterTable {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.chars.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        CharacterTable::custom(Vec::<char>::decode(r)?).map_err(|_| CodecError::InvalidValue {
+            what: "character table",
+        })
+    }
+}
 
 impl CharacterTable {
     /// The default full table: 26 lower + 26 upper + 10 digits + 32 special
@@ -137,10 +172,7 @@ impl CharacterTable {
                 reason: "character table must not be empty".into(),
             });
         }
-        let mut sorted = chars.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != chars.len() {
+        if repeats(&chars) {
             return Err(CoreError::InvalidPolicy {
                 reason: "character table must not contain duplicates".into(),
             });
@@ -237,6 +269,12 @@ mod tests {
         assert!(CharacterTable::custom("aba".chars()).is_err());
         assert!(CharacterTable::custom("".chars()).is_err());
         assert!(CharacterTable::custom("abc".chars()).is_ok());
+        // Both ends of the ASCII bitmap, and tables reaching past it.
+        assert!(CharacterTable::custom("\0\x7f".chars()).is_ok());
+        assert!(CharacterTable::custom("\x7fa\x7f".chars()).is_err());
+        assert!(CharacterTable::custom("aäb".chars()).is_ok());
+        assert!(CharacterTable::custom("äaä".chars()).is_err());
+        assert!(CharacterTable::custom("aäa".chars()).is_err());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::charset::{CharClass, CharacterTable};
 use crate::error::CoreError;
+use amnesia_store::codec::{CodecError, Reader, Record};
 use std::fmt;
 
 /// Number of 4-hex-digit segments in the 128-hex-digit intermediate value,
@@ -33,7 +34,23 @@ pub struct PasswordPolicy {
     charset: CharacterTable,
     length: usize,
 }
-amnesia_store::record_struct! { PasswordPolicy { charset, length } }
+
+/// Fields in declaration order; decoding applies [`PasswordPolicy::new`]'s
+/// checks, so a policy off the wire or out of a stored row can render.
+impl Record for PasswordPolicy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.charset.encode(out);
+        self.length.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let charset = CharacterTable::decode(r)?;
+        let length = usize::decode(r)?;
+        PasswordPolicy::new(charset, length).map_err(|_| CodecError::InvalidValue {
+            what: "password policy",
+        })
+    }
+}
 
 impl PasswordPolicy {
     /// Creates a policy with the given table and length.
@@ -205,6 +222,38 @@ impl Composition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amnesia_store::codec;
+
+    #[test]
+    fn decoded_policies_pass_the_constructor_checks() {
+        let policy = PasswordPolicy::default();
+        let bytes = codec::to_bytes(&policy).unwrap();
+        assert_eq!(codec::from_bytes::<PasswordPolicy>(&bytes).unwrap(), policy);
+        // An empty character table would divide by zero in `render`.
+        let mut empty_table = Vec::new();
+        Vec::<char>::new().encode(&mut empty_table);
+        32usize.encode(&mut empty_table);
+        assert_eq!(
+            codec::from_bytes::<PasswordPolicy>(&empty_table),
+            Err(CodecError::InvalidValue {
+                what: "character table"
+            })
+        );
+        let mut duplicate = Vec::new();
+        vec!['a', 'a'].encode(&mut duplicate);
+        assert!(codec::from_bytes::<CharacterTable>(&duplicate).is_err());
+        for length in [0usize, MAX_PASSWORD_LEN + 1] {
+            let mut bytes = Vec::new();
+            CharacterTable::full().encode(&mut bytes);
+            length.encode(&mut bytes);
+            assert_eq!(
+                codec::from_bytes::<PasswordPolicy>(&bytes),
+                Err(CodecError::InvalidValue {
+                    what: "password policy"
+                })
+            );
+        }
+    }
 
     fn p_bytes(fill: u8) -> [u8; 64] {
         [fill; 64]

@@ -390,7 +390,7 @@ impl SecureChannel {
 /// let (browser, server) = (net.register("browser"), net.register("server"));
 /// let mut channels = ChannelMap::default();
 /// channels.provision_pair(browser, server, &mut SecretRng::seeded(2));
-/// let wire = channels.seal(browser, server, b"hello".to_vec()).unwrap();
+/// let wire = channels.seal(browser, server, b"hello").unwrap();
 /// assert_ne!(wire, b"hello");
 /// assert_eq!(channels.open(browser, server, &wire).unwrap(), b"hello");
 /// ```
@@ -425,8 +425,10 @@ impl ChannelMap {
         self.channels.get(&(from, to))
     }
 
-    /// Seals `bytes` on the channel `from → to`, or passes them through
-    /// unchanged when there is none.
+    /// Seals `bytes` on the channel `from → to` into a frame of its own,
+    /// or copies them unchanged when there is none: one allocation of the
+    /// frame's exact size either way, so the caller can encode every
+    /// message into one reused buffer.
     ///
     /// # Errors
     ///
@@ -436,11 +438,11 @@ impl ChannelMap {
         &mut self,
         from: EndpointId,
         to: EndpointId,
-        bytes: Vec<u8>,
+        bytes: &[u8],
     ) -> Result<Vec<u8>, ChannelError> {
         match self.channels.get_mut(&(from, to)) {
-            Some(channel) => channel.seal(&bytes),
-            None => Ok(bytes),
+            Some(channel) => channel.seal(bytes),
+            None => Ok(bytes.to_vec()),
         }
     }
 
@@ -713,13 +715,13 @@ mod tests {
         let (a, b, c) = (net.register("a"), net.register("b"), net.register("c"));
         let mut channels = ChannelMap::default();
         channels.provision_pair(a, b, &mut SecretRng::seeded(3));
-        let up = channels.seal(a, b, b"up".to_vec()).unwrap();
-        let down = channels.seal(b, a, b"down".to_vec()).unwrap();
+        let up = channels.seal(a, b, b"up").unwrap();
+        let down = channels.seal(b, a, b"down").unwrap();
         assert_eq!(channels.open(b, a, &up), Err(ChannelError::BadTag));
         assert_eq!(channels.open(a, b, &up).unwrap(), b"up");
         assert_eq!(channels.open(b, a, &down).unwrap(), b"down");
         assert!(channels.get(a, c).is_none());
-        assert_eq!(channels.seal(a, c, b"clear".to_vec()).unwrap(), b"clear");
+        assert_eq!(channels.seal(a, c, b"clear").unwrap(), b"clear");
         assert_eq!(channels.open(c, a, b"clear").unwrap(), b"clear");
     }
 

@@ -126,6 +126,11 @@ pub enum ConfirmPolicy {
     AutoReject,
 }
 
+/// How many notifications the phone's tray keeps: the most recent ones,
+/// oldest first. [`AmnesiaPhone::notifications_raised`] counts every
+/// notification over the phone's lifetime.
+pub const NOTIFICATION_TRAY: usize = 16;
+
 /// A notification raised for the user, mirroring Fig. 2(b).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Notification {
@@ -140,8 +145,12 @@ pub struct Notification {
 pub enum PushOutcome {
     /// Token computed (auto-confirm policy); send this to the server.
     Respond(TokenResponse),
-    /// Notification raised; awaiting user confirmation.
-    AwaitingConfirmation,
+    /// Notification raised; awaiting user confirmation of the push
+    /// carrying this correlation id.
+    AwaitingConfirmation {
+        /// The push's [`PhonePush::request_id`].
+        request_id: u64,
+    },
     /// The (simulated) user rejected the request.
     Rejected,
 }
@@ -200,7 +209,11 @@ pub struct AmnesiaPhone {
     registration_id: Option<RegistrationId>,
     policy: ConfirmPolicy,
     pending: Vec<PhonePush>,
+    /// The tray: a fixed ring of the last [`NOTIFICATION_TRAY`]
+    /// notifications, oldest first; a new notification overwrites the
+    /// oldest in place, reusing its text buffer, once the ring is full.
     notifications: Vec<Notification>,
+    notifications_raised: u64,
     tokens_computed: u64,
     session_grant: Option<(SessionGrantToken, u32)>,
     metrics: PhoneMetrics,
@@ -236,6 +249,7 @@ impl AmnesiaPhone {
             policy: ConfirmPolicy::default(),
             pending: Vec::new(),
             notifications: Vec::new(),
+            notifications_raised: 0,
             tokens_computed: 0,
             session_grant: None,
             metrics: PhoneMetrics::new(&Registry::new()),
@@ -323,10 +337,7 @@ impl AmnesiaPhone {
         }
         let push = PhonePush::from_wire(payload).map_err(PhoneError::MalformedPush)?;
         self.metrics.pushes_received.get().inc();
-        self.notifications.push(Notification {
-            origin: push.origin.clone(),
-            arrived_at: now,
-        });
+        self.notify(&push.origin, now);
         // Session-mechanism extension (§VIII): a push carrying a grant this
         // phone issued (with uses remaining) auto-confirms, sparing the user
         // one interaction. The phone's count is authoritative.
@@ -355,10 +366,30 @@ impl AmnesiaPhone {
             }
             ConfirmPolicy::AutoReject => Ok(PushOutcome::Rejected),
             ConfirmPolicy::Manual => {
+                let request_id = push.request_id;
                 self.pending.push(push);
-                Ok(PushOutcome::AwaitingConfirmation)
+                Ok(PushOutcome::AwaitingConfirmation { request_id })
             }
         }
+    }
+
+    /// Puts a notification for a push from `origin` in the tray, evicting
+    /// the oldest once the tray is full.
+    fn notify(&mut self, origin: &str, now: SimInstant) {
+        self.notifications_raised += 1;
+        if self.notifications.len() < NOTIFICATION_TRAY {
+            self.notifications.push(Notification {
+                origin: origin.to_string(),
+                arrived_at: now,
+            });
+            return;
+        }
+        if let Some(oldest) = self.notifications.first_mut() {
+            oldest.origin.clear();
+            oldest.origin.push_str(origin);
+            oldest.arrived_at = now;
+        }
+        self.notifications.rotate_left(1);
     }
 
     /// Pending confirmations, oldest first.
@@ -436,10 +467,16 @@ impl AmnesiaPhone {
         Ok(())
     }
 
-    /// Notification history (most recent last), mirroring the Android
-    /// notification tray.
+    /// The notification tray, mirroring Android's: the last
+    /// [`NOTIFICATION_TRAY`] notifications, most recent last.
     pub fn notifications(&self) -> &[Notification] {
         &self.notifications
+    }
+
+    /// Notifications raised over the phone's lifetime, including those the
+    /// tray has since evicted.
+    pub fn notifications_raised(&self) -> u64 {
+        self.notifications_raised
     }
 
     /// Tokens computed over the phone's lifetime.
@@ -570,6 +607,7 @@ impl AmnesiaPhone {
             policy: ConfirmPolicy::default(),
             pending: Vec::new(),
             notifications: Vec::new(),
+            notifications_raised: 0,
             tokens_computed: 0,
             session_grant: None,
             metrics: PhoneMetrics::new(&Registry::new()),
@@ -603,6 +641,7 @@ impl AmnesiaPhone {
 mod tests {
     use super::*;
     use amnesia_core::{Domain, Seed, Username};
+    use amnesia_net::SimDuration;
 
     fn push_bytes(seed: u64) -> (PhonePush, Vec<u8>) {
         let mut rng = SecretRng::seeded(seed);
@@ -658,7 +697,12 @@ mod tests {
         let mut phone = registered_phone(5);
         let (push, bytes) = push_bytes(11);
         let outcome = phone.handle_push(&bytes, SimInstant::EPOCH).unwrap();
-        assert_eq!(outcome, PushOutcome::AwaitingConfirmation);
+        assert_eq!(
+            outcome,
+            PushOutcome::AwaitingConfirmation {
+                request_id: push.request_id
+            }
+        );
         assert_eq!(phone.pending_requests().len(), 1);
         assert_eq!(phone.notifications().len(), 1);
         assert_eq!(phone.notifications()[0].origin, "198.51.100.7");
@@ -698,6 +742,28 @@ mod tests {
         assert_eq!(phone.tokens_computed(), 0);
         // The user still saw the suspicious notification (§IV-C).
         assert_eq!(phone.notifications().len(), 1);
+    }
+
+    #[test]
+    fn the_tray_keeps_the_latest_notifications_and_counts_them_all() {
+        let mut phone = registered_phone(8);
+        phone.set_confirm_policy(ConfirmPolicy::AutoReject);
+        let (_, bytes) = push_bytes(14);
+        let pushes = NOTIFICATION_TRAY as u64 + 5;
+        for at in 0..pushes {
+            phone
+                .handle_push(&bytes, SimInstant::EPOCH + SimDuration::from_millis(at))
+                .unwrap();
+        }
+        assert_eq!(phone.notifications_raised(), pushes);
+        let tray = phone.notifications();
+        assert_eq!(tray.len(), NOTIFICATION_TRAY);
+        let arrivals: Vec<u64> = tray.iter().map(|n| n.arrived_at.as_micros()).collect();
+        let expected: Vec<u64> = (pushes - NOTIFICATION_TRAY as u64..pushes)
+            .map(|ms| ms * 1_000)
+            .collect();
+        assert_eq!(arrivals, expected, "the most recent, oldest first");
+        assert!(tray.iter().all(|n| n.origin == "198.51.100.7"));
     }
 
     #[test]

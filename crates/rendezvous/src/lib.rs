@@ -39,7 +39,7 @@
 //!
 //! // Orchestrator loop: deliver to GCM, let it forward, deliver to phone.
 //! let frame = net.step().unwrap();
-//! gcm.handle_frame(&frame, &mut net).unwrap();
+//! gcm.handle_frame(frame, &mut net).unwrap();
 //! let delivered = net.step().unwrap();
 //! assert_eq!(net.name(delivered.to), "phone");
 //! assert_eq!(delivered.payload, b"request R");
@@ -49,22 +49,35 @@
 #![warn(missing_docs)]
 
 use amnesia_crypto::{hex, SecretRng};
-use amnesia_net::{Frame, NetError, SimDuration, SimNet};
-use amnesia_store::codec;
+use amnesia_net::{EndpointId, Frame, NetError, SimDuration, SimNet};
+use amnesia_store::codec::{self, Reader, Record};
 use amnesia_telemetry::{Counter, Gauge, LazyHandle, Registry};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
+use std::sync::Arc;
 
 /// An opaque device address issued by the rendezvous service
 /// (the paper's Table I stores it in plaintext on the Amnesia server).
+/// The text is shared, so the copy each push carries costs no allocation;
+/// it encodes as a `String`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RegistrationId(String);
+pub struct RegistrationId(Arc<str>);
 amnesia_store::record_tuple! { RegistrationId(token) }
 
 impl RegistrationId {
     /// The token text.
     pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Tables keyed by registration id are looked up by the text an envelope
+/// carries, without decoding it into an owned id.
+impl Borrow<str> for RegistrationId {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }
@@ -110,6 +123,37 @@ impl PushEnvelope {
     /// Returns a codec error for malformed bytes.
     pub fn from_wire(bytes: &[u8]) -> Result<Self, codec::CodecError> {
         codec::from_bytes(bytes)
+    }
+
+    /// Appends the wire bytes of the envelope that carries, for
+    /// `registration_id`, the data `write_data` appends: what
+    /// [`to_wire`](Self::to_wire) gives for that envelope, with the data
+    /// encoded once, in place, rather than into a `Vec` of its own.
+    pub fn write_wire(
+        registration_id: &RegistrationId,
+        out: &mut Vec<u8>,
+        write_data: impl FnOnce(&mut Vec<u8>),
+    ) {
+        registration_id.encode(out);
+        codec::write_nested(out, write_data);
+    }
+
+    /// Reads an encoded envelope's header without copying anything: the
+    /// registration id it names, and the offset in `bytes` at which its
+    /// data starts (the data runs to the end). Accepts exactly the bytes
+    /// [`from_wire`](Self::from_wire) accepts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a codec error for malformed bytes.
+    pub fn header(bytes: &[u8]) -> Result<(&str, usize), codec::CodecError> {
+        let mut r = Reader::new(bytes);
+        let registration_id = r.str()?;
+        let len = r.length()?;
+        match r.remaining() - len {
+            0 => Ok((registration_id, bytes.len() - len)),
+            remaining => Err(codec::CodecError::TrailingBytes { remaining }),
+        }
     }
 }
 
@@ -225,7 +269,7 @@ impl RendezvousServer {
     /// new ID, matching GCM behaviour).
     pub fn register_device(&mut self, device_endpoint: &str) -> RegistrationId {
         let token = self.rng.bytes::<24>();
-        let id = RegistrationId(format!("reg:{}", hex::encode(&token)));
+        let id = RegistrationId(Arc::from(format!("reg:{}", hex::encode(&token))));
         self.registry
             .insert(id.clone(), device_endpoint.to_string());
         self.metrics.devices.get().set_usize(self.registry.len());
@@ -239,8 +283,13 @@ impl RendezvousServer {
         existed
     }
 
-    /// Whether the ID is currently registered.
-    pub fn is_registered(&self, id: &RegistrationId) -> bool {
+    /// Whether the ID is currently registered; `id` may be the id or its
+    /// text, as an envelope carries it.
+    pub fn is_registered<Q>(&self, id: &Q) -> bool
+    where
+        RegistrationId: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.registry.contains_key(id)
     }
 
@@ -249,9 +298,10 @@ impl RendezvousServer {
         self.registry.len()
     }
 
-    /// Processes one frame addressed to the rendezvous service: decodes the
-    /// [`PushEnvelope`] and forwards `data` to the registered device, from
-    /// the endpoint the frame was delivered to.
+    /// Processes one frame addressed to the rendezvous service: reads the
+    /// [`PushEnvelope`] header and forwards the data to the registered
+    /// device, from the endpoint the frame was delivered to. The data
+    /// leaves in the frame's own buffer, with the header cut off.
     ///
     /// Returns the device endpoint the payload was forwarded to.
     ///
@@ -262,30 +312,35 @@ impl RendezvousServer {
     /// IDs, and network errors from the forward hop.
     pub fn handle_frame(
         &mut self,
-        frame: &Frame,
+        frame: Frame,
         net: &mut SimNet,
-    ) -> Result<String, RendezvousError> {
-        let envelope = PushEnvelope::from_wire(&frame.payload).map_err(|e| {
-            self.rejected += 1;
-            self.metrics.rejected.get().inc();
-            RendezvousError::MalformedEnvelope(e)
-        })?;
-        let Some(device) = self.registry.get(&envelope.registration_id) else {
-            self.rejected += 1;
-            self.metrics.rejected.get().inc();
-            return Err(RendezvousError::UnknownRegistration(
-                envelope.registration_id,
-            ));
+    ) -> Result<EndpointId, RendezvousError> {
+        let (registration_id, data_start) = match PushEnvelope::header(&frame.payload) {
+            Ok(header) => header,
+            Err(e) => return Err(self.reject(RendezvousError::MalformedEnvelope(e))),
+        };
+        let Some(device) = self.registry.get(registration_id) else {
+            let id = RegistrationId(Arc::from(registration_id));
+            return Err(self.reject(RendezvousError::UnknownRegistration(id)));
         };
         let to = net
             .endpoint(device)
             .ok_or_else(|| NetError::UnknownEndpoint {
                 name: device.clone(),
             })?;
-        net.transmit(frame.to, to, envelope.data, SimDuration::ZERO)?;
+        let mut data = frame.payload;
+        data.drain(..data_start);
+        net.transmit(frame.to, to, data, SimDuration::ZERO)?;
         self.forwarded += 1;
         self.metrics.forwarded.get().inc();
-        Ok(device.clone())
+        Ok(to)
+    }
+
+    /// Counts a rejected frame and hands its error back.
+    fn reject(&mut self, error: RendezvousError) -> RendezvousError {
+        self.rejected += 1;
+        self.metrics.rejected.get().inc();
+        error
     }
 
     /// Total payloads forwarded so far.
@@ -327,14 +382,14 @@ mod tests {
         gcm: &mut RendezvousServer,
         id: &RegistrationId,
         data: &[u8],
-    ) -> Result<String, RendezvousError> {
+    ) -> Result<EndpointId, RendezvousError> {
         let env = PushEnvelope {
             registration_id: id.clone(),
             data: data.to_vec(),
         };
         net.send("server", "gcm", env.to_wire().unwrap()).unwrap();
         let frame = net.step().unwrap();
-        gcm.handle_frame(&frame, net)
+        gcm.handle_frame(frame, net)
     }
 
     #[test]
@@ -342,7 +397,7 @@ mod tests {
         let (mut net, mut gcm) = harness();
         let id = gcm.register_device("phone");
         let device = push(&mut net, &mut gcm, &id, b"R-bytes").unwrap();
-        assert_eq!(device, "phone");
+        assert_eq!(net.name(device), "phone");
         let frames: Vec<Frame> = std::iter::from_fn(|| net.step()).collect();
         assert_eq!(frames.len(), 1);
         assert_eq!(net.name(frames[0].to), "phone");
@@ -368,8 +423,39 @@ mod tests {
         let (mut net, mut gcm) = harness();
         net.send("server", "gcm", vec![0xff, 0xff, 0xff]).unwrap();
         let frame = net.step().unwrap();
-        let err = gcm.handle_frame(&frame, &mut net).unwrap_err();
+        let err = gcm.handle_frame(frame, &mut net).unwrap_err();
         assert!(matches!(err, RendezvousError::MalformedEnvelope(_)));
+        assert_eq!(gcm.rejected_count(), 1);
+    }
+
+    #[test]
+    fn header_reads_what_from_wire_decodes() {
+        let (_, mut gcm) = harness();
+        let registration_id = gcm.register_device("phone");
+        for data in [vec![], vec![7; 3], vec![9; 200]] {
+            let env = PushEnvelope {
+                registration_id: registration_id.clone(),
+                data: data.clone(),
+            };
+            let wire = env.to_wire().unwrap();
+            let mut written = Vec::new();
+            PushEnvelope::write_wire(&registration_id, &mut written, |out| {
+                out.extend_from_slice(&data)
+            });
+            assert_eq!(written, wire);
+            let (id, start) = PushEnvelope::header(&wire).unwrap();
+            assert_eq!(id, registration_id.as_str());
+            assert_eq!(&wire[start..], data.as_slice());
+            // Every prefix and any trailing byte fail in both readers.
+            for cut in 0..wire.len() {
+                assert!(PushEnvelope::header(&wire[..cut]).is_err());
+                assert!(PushEnvelope::from_wire(&wire[..cut]).is_err());
+            }
+            let mut long = wire.clone();
+            long.push(0);
+            assert!(PushEnvelope::header(&long).is_err());
+            assert!(PushEnvelope::from_wire(&long).is_err());
+        }
     }
 
     #[test]
@@ -379,7 +465,7 @@ mod tests {
         let second = gcm.register_device("phone");
         assert_ne!(first, second);
         assert!(gcm.is_registered(&first));
-        assert!(gcm.is_registered(&second));
+        assert!(gcm.is_registered(second.as_str()));
         assert_eq!(gcm.device_count(), 2);
     }
 

@@ -6,6 +6,7 @@ use amnesia_crypto::{ct_eq, hex, kdf, CryptoError, KdfPolicy, SecretRng};
 use amnesia_store::codec::{CodecError, Reader, Record};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Number of consecutive failures after which an account locks.
 pub const LOCKOUT_THRESHOLD: u32 = 10;
@@ -172,14 +173,16 @@ impl Verifier {
     }
 }
 
-/// An opaque session token issued after a successful login.
+/// An opaque session token issued after a successful login. The text is
+/// shared, so the copy every authenticated message carries costs no
+/// allocation; it encodes as a `String`.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Session(String);
+pub struct Session(Arc<str>);
 amnesia_store::record_tuple! { Session(token) }
 
 impl Session {
     fn random(rng: &mut SecretRng) -> Self {
-        Session(hex::encode(&rng.bytes::<16>()))
+        Session(Arc::from(hex::encode(&rng.bytes::<16>())))
     }
 
     /// The token text.

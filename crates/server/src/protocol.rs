@@ -11,8 +11,8 @@ use amnesia_core::{
     Username,
 };
 use amnesia_net::SimInstant;
-use amnesia_rendezvous::RegistrationId;
-use amnesia_store::codec::{self, CodecError};
+use amnesia_rendezvous::{PushEnvelope, RegistrationId};
+use amnesia_store::codec::{self, CodecError, Record};
 
 /// The phone-side secret `Kp` as stored in the one-time cloud backup
 /// (§III-C1) and as uploaded back to the server during phone recovery.
@@ -81,6 +81,37 @@ pub struct PhonePush {
     pub session_grant: Option<SessionGrantToken>,
 }
 amnesia_store::record_struct! { PhonePush { request_id, request, origin, tstart, session_grant } }
+
+/// A push on its way to the rendezvous service, kept typed until the
+/// deployment encodes it: the registration id the service forwards by and
+/// the [`PhonePush`] the phone receives.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Push {
+    /// The phone's rendezvous registration.
+    pub registration_id: RegistrationId,
+    /// The payload forwarded to the phone.
+    pub message: PhonePush,
+}
+
+impl Push {
+    /// Appends the push's [`PushEnvelope`] wire bytes to `out`, with the
+    /// [`PhonePush`] encoded once, straight into its envelope: the bytes
+    /// of `self.to_envelope().to_wire()`.
+    pub fn write_wire(&self, out: &mut Vec<u8>) {
+        PushEnvelope::write_wire(&self.registration_id, out, |out| self.message.encode(out));
+    }
+
+    /// The push as a [`PushEnvelope`] whose data is the encoded
+    /// [`PhonePush`].
+    pub fn to_envelope(&self) -> PushEnvelope {
+        let mut data = Vec::new();
+        self.message.encode(&mut data);
+        PushEnvelope {
+            registration_id: self.registration_id.clone(),
+            data,
+        }
+    }
+}
 
 /// An opaque token the phone mints when the user enables a generation
 /// session (§VIII's "session mechanism ... in a fully fledged Amnesia
@@ -295,6 +326,13 @@ macro_rules! wire_impls {
                 codec::to_bytes(self)
             }
 
+            /// Appends the encoding to `out`: the bytes
+            /// [`to_wire`](Self::to_wire) returns, without a buffer of
+            /// their own.
+            pub fn write_wire(&self, out: &mut Vec<u8>) {
+                self.encode(out);
+            }
+
             /// Decodes from received bytes.
             ///
             /// # Errors
@@ -380,6 +418,31 @@ mod tests {
             PhonePush::from_wire(&with_grant.to_wire().unwrap()).unwrap(),
             with_grant
         );
+    }
+
+    #[test]
+    fn push_is_written_as_its_envelope() {
+        let mut rng = SecretRng::seeded(3);
+        let push = Push {
+            registration_id: amnesia_rendezvous::RendezvousServer::new("gcm", 1)
+                .register_device("phone"),
+            message: PhonePush {
+                request_id: 7,
+                request: PasswordRequest::derive(
+                    &Username::new("u").unwrap(),
+                    &Domain::new("d").unwrap(),
+                    &Seed::random(&mut rng),
+                ),
+                origin: "browser".into(),
+                tstart: SimInstant::EPOCH,
+                session_grant: Some(SessionGrantToken(vec![4; 40])),
+            },
+        };
+        let mut out = vec![0xaa];
+        push.write_wire(&mut out);
+        let envelope = push.to_envelope();
+        assert_eq!(out[1..], envelope.to_wire().unwrap()[..]);
+        assert_eq!(PhonePush::from_wire(&envelope.data).unwrap(), push.message);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::auth::{Session, SessionManager, Verifier};
 use crate::error::ServerError;
 use crate::pending::{PendingRequest, PendingRequests, RequestPurpose};
 use crate::protocol::{
-    FromServer, KpBackup, PhonePush, Reply, SessionGrantToken, ToServer, TokenResponse,
+    FromServer, KpBackup, PhonePush, Push, Reply, SessionGrantToken, ToServer, TokenResponse,
 };
 use crate::storage::{AccountKind, AccountRef, RecoveredCredential, StoredAccount, UserRecord};
 use amnesia_core::{
@@ -13,7 +13,7 @@ use amnesia_core::{
 };
 use amnesia_crypto::{aead, KdfPolicy, SecretRng};
 use amnesia_net::SimInstant;
-use amnesia_rendezvous::{PushEnvelope, RegistrationId};
+use amnesia_rendezvous::RegistrationId;
 use amnesia_store::{Database, TypedTable};
 use amnesia_telemetry::{Counter, Gauge, HistogramHandle, LazyHandle, Registry, WallClock};
 use std::collections::HashMap;
@@ -60,14 +60,16 @@ pub struct ServerStats {
     pub failed_logins: u64,
 }
 
-/// What the server wants transmitted after handling one message.
+/// What the server wants transmitted after handling one message: at most
+/// one reply and at most one push.
 #[derive(Debug, Default)]
 pub struct ServerReaction {
-    /// Replies to deliver to browser endpoints, each tagged with the
-    /// request id of the session it answers.
-    pub replies: Vec<(String, Reply)>,
+    /// The reply to deliver, with the browser endpoint it goes to, tagged
+    /// with the request id of the session it answers. An unmatched token
+    /// gets none.
+    pub reply: Option<(String, Reply)>,
     /// A push to forward to the rendezvous service, if any.
-    pub push: Option<PushEnvelope>,
+    pub push: Option<Push>,
 }
 
 /// What a returned token produced (see
@@ -529,8 +531,8 @@ impl AmnesiaServer {
     // -- password generation -------------------------------------------------
 
     /// Step 2–3 of Figure 1: derives `R = H(µ‖d‖σ)`, records the pending
-    /// request, and returns the [`PushEnvelope`] to forward to the
-    /// rendezvous service.
+    /// request, and returns the [`Push`] to forward to the rendezvous
+    /// service.
     ///
     /// # Errors
     ///
@@ -544,7 +546,7 @@ impl AmnesiaServer {
         request_id: u64,
         reply_to: &str,
         now: SimInstant,
-    ) -> Result<PushEnvelope, ServerError> {
+    ) -> Result<Push, ServerError> {
         let _step2 = self.metrics.step2.span(WallClock::new());
         let record = row(&self.records, self.sessions.resolve(session)?)?;
         let registration_id = record
@@ -577,11 +579,9 @@ impl AmnesiaServer {
         self.stats.requests_pushed += 1;
         self.metrics.requests_pushed.inc();
         self.note_pending_depth();
-        Ok(PushEnvelope {
+        Ok(Push {
             registration_id,
-            data: push
-                .to_wire()
-                .map_err(|e| ServerError::Store(e.to_string()))?,
+            message: push,
         })
     }
 
@@ -601,7 +601,7 @@ impl AmnesiaServer {
         request_id: u64,
         reply_to: &str,
         now: SimInstant,
-    ) -> Result<PushEnvelope, ServerError> {
+    ) -> Result<Push, ServerError> {
         let record = row(&self.records, self.sessions.resolve(session)?)?;
         let registration_id = record
             .registration_id
@@ -639,12 +639,9 @@ impl AmnesiaServer {
         self.stats.requests_pushed += 1;
         self.metrics.requests_pushed.inc();
         self.note_pending_depth();
-        Ok(PushEnvelope {
+        Ok(Push {
             registration_id,
-            data: push
-                // lint: allow(secret-encode) envelope bytes are sealed by SecureChannel before transmission
-                .to_wire()
-                .map_err(|e| ServerError::Store(e.to_string()))?,
+            message: push,
         })
     }
 
@@ -915,9 +912,7 @@ impl AmnesiaServer {
                         message: e.to_string(),
                     },
                 };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
             ToServer::Login {
                 user_id,
@@ -931,9 +926,7 @@ impl AmnesiaServer {
                         message: e.to_string(),
                     },
                 };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
             ToServer::Logout {
                 session,
@@ -941,9 +934,7 @@ impl AmnesiaServer {
                 reply_to,
             } => {
                 self.logout(&session);
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, FromServer::LoggedOut)));
+                reaction.reply = Some((reply_to, envelope(request_id, FromServer::LoggedOut)));
             }
             ToServer::BeginPhonePairing {
                 session,
@@ -956,9 +947,7 @@ impl AmnesiaServer {
                         message: e.to_string(),
                     },
                 };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
             ToServer::CompletePhonePairing {
                 user_id,
@@ -975,9 +964,7 @@ impl AmnesiaServer {
                             message: e.to_string(),
                         },
                     };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
             ToServer::AddAccount {
                 session,
@@ -993,9 +980,7 @@ impl AmnesiaServer {
                         message: e.to_string(),
                     },
                 };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
             ToServer::ListAccounts {
                 session,
@@ -1008,9 +993,7 @@ impl AmnesiaServer {
                         message: e.to_string(),
                     },
                 };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
             ToServer::RotateSeed {
                 session,
@@ -1025,9 +1008,7 @@ impl AmnesiaServer {
                         message: e.to_string(),
                     },
                 };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
             ToServer::RequestPassword {
                 session,
@@ -1041,25 +1022,26 @@ impl AmnesiaServer {
                 {
                     Ok(push) => {
                         reaction.push = Some(push);
-                        reaction
-                            .replies
-                            .push((reply_to, envelope(request_id, FromServer::RequestPushed)));
+                        reaction.reply =
+                            Some((reply_to, envelope(request_id, FromServer::RequestPushed)));
                     }
-                    Err(e) => reaction.replies.push((
-                        reply_to,
-                        envelope(
-                            request_id,
-                            FromServer::Error {
-                                message: e.to_string(),
-                            },
-                        ),
-                    )),
+                    Err(e) => {
+                        reaction.reply = Some((
+                            reply_to,
+                            envelope(
+                                request_id,
+                                FromServer::Error {
+                                    message: e.to_string(),
+                                },
+                            ),
+                        ))
+                    }
                 }
             }
             ToServer::Token(response) => match self.receive_token(&response) {
                 Ok(TokenOutcome::PasswordReady { pending, password }) => {
-                    reaction.replies.push((
-                        pending.reply_to.clone(),
+                    reaction.reply = Some((
+                        pending.reply_to,
                         envelope(
                             pending.request_id,
                             FromServer::PasswordReady {
@@ -1071,8 +1053,8 @@ impl AmnesiaServer {
                     ));
                 }
                 Ok(TokenOutcome::VaultStored { pending }) => {
-                    reaction.replies.push((
-                        pending.reply_to.clone(),
+                    reaction.reply = Some((
+                        pending.reply_to,
                         envelope(
                             pending.request_id,
                             FromServer::ChosenPasswordStored {
@@ -1103,19 +1085,20 @@ impl AmnesiaServer {
             ) {
                 Ok(push) => {
                     reaction.push = Some(push);
-                    reaction
-                        .replies
-                        .push((reply_to, envelope(request_id, FromServer::RequestPushed)));
+                    reaction.reply =
+                        Some((reply_to, envelope(request_id, FromServer::RequestPushed)));
                 }
-                Err(e) => reaction.replies.push((
-                    reply_to,
-                    envelope(
-                        request_id,
-                        FromServer::Error {
-                            message: e.to_string(),
-                        },
-                    ),
-                )),
+                Err(e) => {
+                    reaction.reply = Some((
+                        reply_to,
+                        envelope(
+                            request_id,
+                            FromServer::Error {
+                                message: e.to_string(),
+                            },
+                        ),
+                    ))
+                }
             },
             ToServer::SessionGrant {
                 user_id,
@@ -1130,9 +1113,7 @@ impl AmnesiaServer {
                         message: e.to_string(),
                     },
                 };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
             ToServer::RecoverPhone {
                 user_id,
@@ -1147,9 +1128,7 @@ impl AmnesiaServer {
                         message: e.to_string(),
                     },
                 };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
             ToServer::ChangeMasterPassword {
                 user_id,
@@ -1170,9 +1149,7 @@ impl AmnesiaServer {
                         message: e.to_string(),
                     },
                 };
-                reaction
-                    .replies
-                    .push((reply_to, envelope(request_id, reply)));
+                reaction.reply = Some((reply_to, envelope(request_id, reply)));
             }
         }
         reaction
@@ -1320,7 +1297,7 @@ mod tests {
         let push = s
             .request_password(&session, &u, &d, 9001, "browser-1", SimInstant::EPOCH)
             .unwrap();
-        let phone_push = PhonePush::from_wire(&push.data).unwrap();
+        let phone_push = push.message;
         assert_eq!(phone_push.request_id, 9001);
 
         // Simulate the phone: compute the token over its entry table.
@@ -1384,14 +1361,11 @@ mod tests {
             .unwrap();
         }
         let table = EntryTable::random(&mut SecretRng::seeded(56), 100);
-        let answer = |push: &PushEnvelope| {
-            let push = PhonePush::from_wire(&push.data).unwrap();
-            TokenResponse {
-                request_id: push.request_id,
-                token: table.token(&push.request).unwrap(),
-                request: push.request,
-                tstart: push.tstart,
-            }
+        let answer = |push: &Push| TokenResponse {
+            request_id: push.message.request_id,
+            token: table.token(&push.message.request).unwrap(),
+            request: push.message.request.clone(),
+            tstart: push.message.tstart,
         };
 
         let stale = s
@@ -1538,14 +1512,14 @@ mod tests {
             SimInstant::EPOCH,
         );
         assert_eq!(
-            r.replies,
-            vec![(
+            r.reply,
+            Some((
                 "browser".into(),
                 Reply {
                     request_id: 11,
                     message: FromServer::Registered
                 }
-            )]
+            ))
         );
 
         let r = s.handle_message(
@@ -1557,8 +1531,9 @@ mod tests {
             },
             SimInstant::EPOCH,
         );
-        assert_eq!(r.replies[0].1.request_id, 12);
-        assert!(matches!(r.replies[0].1.message, FromServer::Error { .. }));
+        let (_, reply) = r.reply.unwrap();
+        assert_eq!(reply.request_id, 12);
+        assert!(matches!(reply.message, FromServer::Error { .. }));
     }
 
     #[test]

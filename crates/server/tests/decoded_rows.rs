@@ -7,8 +7,8 @@
 use amnesia_core::{Domain, EntryTable, EntryValue, PasswordPolicy, PhoneId, Username};
 use amnesia_crypto::{KdfPolicy, SecretRng};
 use amnesia_net::SimInstant;
-use amnesia_rendezvous::{PushEnvelope, RendezvousServer};
-use amnesia_server::protocol::{KpBackup, PhonePush, TokenResponse};
+use amnesia_rendezvous::RendezvousServer;
+use amnesia_server::protocol::{KpBackup, Push, TokenResponse};
 use amnesia_server::storage::AccountRef;
 use amnesia_server::{AmnesiaServer, ServerConfig, ServerError, SessionToken, TokenOutcome};
 use amnesia_store::{codec, Database};
@@ -81,12 +81,12 @@ impl Phone {
             .unwrap();
     }
 
-    fn answer(&self, push: &PushEnvelope) -> TokenResponse {
-        let push = PhonePush::from_wire(&push.data).unwrap();
+    fn answer(&self, push: &Push) -> TokenResponse {
+        let push = &push.message;
         TokenResponse {
             request_id: push.request_id,
             token: self.table.token(&push.request).unwrap(),
-            request: push.request,
+            request: push.request.clone(),
             tstart: push.tstart,
         }
     }

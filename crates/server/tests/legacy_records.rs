@@ -167,3 +167,60 @@ fn memory_hard_record_round_trips_through_durable_store() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A stored account whose policy is written as raw fields, so a test can
+/// put a policy no constructor would build at rest.
+struct RawStoredAccount {
+    entry: amnesia_core::AccountEntry,
+    policy: (Vec<char>, usize),
+    kind: amnesia_server::storage::AccountKind,
+}
+amnesia_store::record_struct! { RawStoredAccount { entry, policy, kind } }
+
+/// [`LegacyUserRecord`] over raw accounts, with today's verifier layout.
+struct RawUserRecord {
+    user_id: String,
+    oid: OnlineId,
+    mp_verifier: Verifier,
+    pid_verifier: Option<Verifier>,
+    registration_id: Option<amnesia_rendezvous::RegistrationId>,
+    accounts: Vec<RawStoredAccount>,
+}
+amnesia_store::record_struct! {
+    RawUserRecord { user_id, oid, mp_verifier, pid_verifier, registration_id, accounts }
+}
+
+#[test]
+fn a_stored_policy_with_no_characters_fails_at_open() {
+    let mut rng = SecretRng::seeded(0xB0B);
+    let policy = KdfPolicy::Cpu { iterations: 1 };
+    let account = |charset: Vec<char>, rng: &mut SecretRng| RawStoredAccount {
+        entry: amnesia_core::AccountEntry::new(
+            amnesia_core::Username::new("bob").unwrap(),
+            amnesia_core::Domain::new("d.example.com").unwrap(),
+            amnesia_core::Seed::random(rng),
+        ),
+        policy: (charset, 32),
+        kind: amnesia_server::storage::AccountKind::Generated,
+    };
+    for (charset, opens) in [(vec!['a', 'b'], true), (Vec::new(), false)] {
+        let record = RawUserRecord {
+            user_id: "bob".into(),
+            oid: OnlineId::random(&mut rng),
+            mp_verifier: Verifier::derive(b"mp", &policy, &mut rng).unwrap(),
+            pid_verifier: None,
+            registration_id: None,
+            accounts: vec![account(charset, &mut rng)],
+        };
+        let db = Database::in_memory();
+        db.table::<String, RawUserRecord>("users")
+            .put(&"bob".to_string(), &record)
+            .unwrap();
+        let opened = AmnesiaServer::with_database(ServerConfig::default(), db);
+        assert_eq!(opened.is_ok(), opens, "{:?}", opened.err());
+        if let Err(e) = opened {
+            assert!(matches!(e, ServerError::Store(_)), "{e:?}");
+            assert!(e.to_string().contains("character table"), "{e}");
+        }
+    }
+}

@@ -37,6 +37,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors produced while encoding or decoding the binary format.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,6 +67,12 @@ pub enum CodecError {
     },
     /// An enum variant index had no corresponding variant.
     InvalidVariant(u64),
+    /// The bytes decode to a value its type's constructor rejects (an
+    /// empty username, a password policy with no characters).
+    InvalidValue {
+        /// What the value was meant to be.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -87,6 +94,7 @@ impl fmt::Display for CodecError {
                 "declared length {declared} exceeds remaining input {remaining}"
             ),
             CodecError::InvalidVariant(idx) => write!(f, "unknown enum variant index {idx}"),
+            CodecError::InvalidValue { what } => write!(f, "decoded {what} fails validation"),
         }
     }
 }
@@ -136,6 +144,25 @@ pub fn from_bytes<T: Record>(bytes: &[u8]) -> Result<T, CodecError> {
         });
     }
     Ok(value)
+}
+
+/// Appends `s` to `out` as a `str`: varint length, then the UTF-8 bytes.
+pub fn write_str(s: &str, out: &mut Vec<u8>) {
+    write_varint(s.len() as u64, out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Appends a length-prefixed byte string — the encoding of a `Vec<u8>` —
+/// whose bytes `write` appends to `out`, so a nested value is encoded in
+/// place rather than into a buffer of its own first. The varint prefix
+/// is written after the bytes it counts and moved in front of them.
+pub fn write_nested(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    write(out);
+    let len = out.len() - start;
+    write_varint(len as u64, out);
+    let width = out.len() - start - len;
+    out[start..].rotate_right(width);
 }
 
 /// Appends `v` to `out` as a LEB128 varint.
@@ -211,6 +238,17 @@ impl<'a> Reader<'a> {
             }
             shift += 7;
         }
+    }
+
+    /// Reads a `str` (varint length, then UTF-8 bytes) without copying it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::InvalidUtf8`] for bytes that are not UTF-8,
+    /// or the [`length`](Self::length) errors.
+    pub fn str(&mut self) -> Result<&'a str, CodecError> {
+        let len = self.length()?;
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::InvalidUtf8)
     }
 
     /// Reads a varint length prefix and sanity-checks it against the
@@ -308,15 +346,20 @@ impl Record for () {
 
 impl Record for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(self.len() as u64, out);
-        out.extend_from_slice(self.as_bytes());
+        write_str(self, out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let len = r.length()?;
-        let bytes = r.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| CodecError::InvalidUtf8)
+        r.str().map(str::to_owned)
+    }
+}
+
+// Shared text: the same bytes as `String`, and a clone costs no allocation.
+impl Record for Arc<str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        write_str(self, out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.str().map(Arc::from)
     }
 }
 
@@ -732,6 +775,32 @@ mod tests {
         assert_eq!(bytes.len(), 3);
         let bytes = to_bytes(&String::from("abc")).unwrap();
         assert_eq!(bytes.len(), 4); // 1 length byte + 3 payload
+    }
+
+    #[test]
+    fn shared_text_encodes_like_a_string() {
+        let shared: Arc<str> = Arc::from("héllo");
+        assert_eq!(
+            to_bytes(&shared).unwrap(),
+            to_bytes(&String::from("héllo")).unwrap()
+        );
+        roundtrip(shared);
+        let mut r = Reader::new(&[3, b'a', b'b', b'c', 9]);
+        assert_eq!(r.str(), Ok("abc"));
+        assert_eq!(r.remaining(), 1);
+    }
+
+    #[test]
+    fn nested_writes_equal_an_encoded_byte_vector() {
+        // Lengths on both sides of a varint width step (127 | 128 bytes).
+        for len in [0usize, 1, 127, 128, 300] {
+            let inner: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut out = vec![0xee];
+            write_nested(&mut out, |out| out.extend_from_slice(&inner));
+            let mut expected = vec![0xee];
+            inner.encode(&mut expected);
+            assert_eq!(out, expected, "len {len}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use amnesia_net::{
 };
 use amnesia_phone::{AmnesiaPhone, PhoneConfig, PhoneError, PushOutcome};
 use amnesia_rendezvous::{PushEnvelope, RegistrationId, RendezvousServer};
-use amnesia_server::protocol::{FromServer, PhonePush, Reply, ToServer, TokenResponse};
+use amnesia_server::protocol::{FromServer, Reply, ToServer, TokenResponse};
 use amnesia_server::AmnesiaServer;
 use amnesia_telemetry::{Counter, Gauge, HistogramHandle, Registry, Span};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -128,6 +128,10 @@ pub struct SessionHost {
     cloud: CloudProvider,
     channels: ChannelMap,
     channel_rng: SecretRng,
+    /// The one buffer every outgoing message is encoded into, cleared
+    /// before each; a frame takes its own copy only when it is sealed (or
+    /// copied, on a leg with no channel), so a frame costs one allocation.
+    wire: Vec<u8>,
     /// Ordered: [`unsettled`](Self::unsettled) walks it in id order.
     sessions: BTreeMap<SessionId, SessionEntry>,
     /// Armed deadlines of unsettled sessions, earliest first. `ArmTimer`
@@ -270,6 +274,7 @@ impl SessionHost {
             cloud,
             channels: ChannelMap::default(),
             channel_rng,
+            wire: Vec::new(),
             sessions: BTreeMap::new(),
             deadlines: BTreeSet::new(),
             settled: Vec::new(),
@@ -397,16 +402,21 @@ impl SessionHost {
 
     // -- channel plumbing ------------------------------------------------------
 
-    fn seal(
+    /// Encodes one message with `write` into the host's reused buffer and
+    /// returns the frame for `from → to`: sealed on a protected channel, a
+    /// copy of the buffer on any other leg.
+    fn frame(
         &mut self,
         from: EndpointId,
         to: EndpointId,
-        bytes: Vec<u8>,
+        write: impl FnOnce(&mut Vec<u8>),
     ) -> Result<Vec<u8>, SystemError> {
+        self.wire.clear();
+        write(&mut self.wire);
         if !self.config.secure_channels {
-            return Ok(bytes);
+            return Ok(self.wire.to_vec());
         }
-        Ok(self.channels.seal(from, to, bytes)?)
+        Ok(self.channels.seal(from, to, &self.wire)?)
     }
 
     /// Opens a delivered frame's payload inside its own buffer and returns
@@ -592,9 +602,8 @@ impl SessionHost {
                 endpoint: "phone".into(),
             })?,
         };
-        let bytes = message.to_wire()?;
-        let sealed = self.seal(from, shard, bytes)?;
-        self.net.transmit(from, shard, sealed, SimDuration::ZERO)?;
+        let frame = self.frame(from, shard, |out| message.write_wire(out))?;
+        self.net.transmit(from, shard, frame, SimDuration::ZERO)?;
         Ok(())
     }
 
@@ -1052,9 +1061,10 @@ impl SessionHost {
                 .get(local_gcm)
                 .ok_or(SystemError::MissingReply { expected: "gcm" })?
                 .endpoint;
-            self.net.transmit(shard, gcm, push.to_wire()?, delay)?;
+            let frame = self.frame(shard, gcm, |out| push.write_wire(out))?;
+            self.net.transmit(shard, gcm, frame, delay)?;
         }
-        for (dest, reply) in reaction.replies {
+        if let Some((dest, reply)) = reaction.reply {
             if let FromServer::PasswordReady { requested_at, .. } = &reply.message {
                 let latency = now.duration_since(*requested_at);
                 self.metrics.window.get().record(latency.as_micros());
@@ -1068,9 +1078,8 @@ impl SessionHost {
                 .net
                 .endpoint(&dest)
                 .ok_or(NetError::UnknownEndpoint { name: dest })?;
-            let bytes = reply.to_wire()?;
-            let sealed = self.seal(shard, to, bytes)?;
-            self.net.transmit(shard, to, sealed, delay)?;
+            let frame = self.frame(shard, to, |out| reply.write_wire(out))?;
+            self.net.transmit(shard, to, frame, delay)?;
         }
         Ok(())
     }
@@ -1102,7 +1111,7 @@ impl SessionHost {
             return Err(self.unknown(frame.to));
         };
         gcm.server
-            .handle_frame(&frame, &mut self.net)
+            .handle_frame(frame, &mut self.net)
             .map(|_| ())
             .map_err(|e| SystemError::ServerRejected {
                 message: format!("rendezvous: {e}"),
@@ -1112,22 +1121,18 @@ impl SessionHost {
     /// The instance a push reaching instance `idx` must be forwarded to:
     /// its registration is not here, and the directory places it on
     /// another instance. With one instance nothing is ever forwarded, so
-    /// the envelope is not decoded.
+    /// the envelope header is not read; with more, the registration id is
+    /// read in place.
     fn forward_owner(&self, idx: usize, frame: &Frame) -> Option<usize> {
         if self.gcms.len() < 2 {
             return None;
         }
-        let envelope = PushEnvelope::from_wire(&frame.payload).ok()?;
-        if self
-            .gcms
-            .get(idx)?
-            .server
-            .is_registered(&envelope.registration_id)
-        {
+        let (registration_id, _) = PushEnvelope::header(&frame.payload).ok()?;
+        if self.gcms.get(idx)?.server.is_registered(registration_id) {
             return None;
         }
         self.registration_home
-            .get(envelope.registration_id.as_str())
+            .get(registration_id)
             .copied()
             .filter(|&owner| owner != idx)
     }
@@ -1162,10 +1167,9 @@ impl SessionHost {
             PushOutcome::Respond(response) => {
                 self.send_token_from_phone(frame.to, response)?;
             }
-            PushOutcome::AwaitingConfirmation => {
+            PushOutcome::AwaitingConfirmation { request_id: sid } => {
                 // If the owning session's user already approved (the
                 // RequestPushed ack beat the push here), confirm now.
-                let sid = PhonePush::from_wire(&frame.payload)?.request_id;
                 let approved = self
                     .sessions
                     .get(&sid)
@@ -1193,10 +1197,10 @@ impl SessionHost {
             _ => 0,
         };
         let shard = self.shard_endpoint(shard)?;
-        let bytes = ToServer::Token(response).to_wire()?;
-        let sealed = self.seal(phone, shard, bytes)?;
+        let message = ToServer::Token(response);
+        let frame = self.frame(phone, shard, |out| message.write_wire(out))?;
         self.net
-            .transmit(phone, shard, sealed, self.config.profile.token_compute)?;
+            .transmit(phone, shard, frame, self.config.profile.token_compute)?;
         Ok(())
     }
 

@@ -162,9 +162,9 @@ impl RealtimeDeployment {
                 // numbers from this mode are compute-only.
                 let reaction = server.handle_message(message, SimInstant::EPOCH);
                 if let Some(push) = reaction.push {
-                    let _ = server_to_gcm.send(GcmInbound::Push(push));
+                    let _ = server_to_gcm.send(GcmInbound::Push(push.to_envelope()));
                 }
-                for (_dest, reply) in reaction.replies {
+                if let Some((_dest, reply)) = reaction.reply {
                     // Single-browser deployment: every reply goes to the
                     // caller, which routes by the echoed request_id.
                     let _ = server_browser_tx.send(reply);

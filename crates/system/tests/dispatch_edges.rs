@@ -1,7 +1,9 @@
 //! Edge cases of the deployment's dispatch and configuration layer.
 
-use amnesia_core::{Domain, PasswordPolicy, Username};
+use amnesia_core::{CharacterTable, Domain, PasswordPolicy, Username};
 use amnesia_rendezvous::{PushEnvelope, RendezvousServer};
+use amnesia_server::protocol::ToServer;
+use amnesia_store::codec::{self, Record};
 use amnesia_system::{AmnesiaSystem, NetProfile, SystemConfig, GCM_ENDPOINT, SERVER_ENDPOINT};
 
 fn base(seed: u64) -> AmnesiaSystem {
@@ -167,4 +169,106 @@ fn a_push_for_an_unknown_registration_is_rejected_by_the_rendezvous() {
     );
     let snapshot = sys.telemetry().snapshot();
     assert_eq!(snapshot.counters["rendezvous.push_rejected"], 1);
+}
+
+/// A deployment with plaintext channels, so a test can put its own bytes on
+/// the browser's link to the server.
+fn unsealed(seed: u64) -> AmnesiaSystem {
+    let config = SystemConfig::default()
+        .with_seed(seed)
+        .with_table_size(64)
+        .with_secure_channels(false);
+    let mut sys = AmnesiaSystem::new(config);
+    sys.add_browser("browser");
+    sys.add_phone("phone", seed + 1);
+    sys.setup_user("alice", "mp", "browser", "phone").unwrap();
+    sys
+}
+
+/// An `AddAccount` frame from the logged-in browser whose bytes at the
+/// encoding of `valid` are replaced by `patch`: a value no constructor
+/// would build, in the place the wire puts it.
+fn patched_add_account(
+    sys: &AmnesiaSystem,
+    username: &Username,
+    domain: &Domain,
+    valid: &[u8],
+    patch: &[u8],
+) -> Vec<u8> {
+    let message = ToServer::AddAccount {
+        session: sys
+            .browser_ref("browser")
+            .unwrap()
+            .session()
+            .unwrap()
+            .clone(),
+        username: username.clone(),
+        domain: domain.clone(),
+        policy: PasswordPolicy::default(),
+        request_id: 900,
+        reply_to: "browser".into(),
+    };
+    let wire = message.to_wire().unwrap();
+    let at = wire
+        .windows(valid.len())
+        .position(|w| w == valid)
+        .expect("the valid encoding is in the frame");
+    [&wire[..at], patch, &wire[at + valid.len()..]].concat()
+}
+
+/// A policy whose character table is empty would divide by zero in
+/// `PasswordPolicy::render` at the account's first generation; decoding
+/// runs the constructor's checks, so such a frame is a dispatch fault and
+/// the account never exists.
+#[test]
+fn a_policy_with_no_characters_off_the_wire_is_a_fault_not_an_account() {
+    let mut sys = unsealed(12);
+    let u = Username::new("alice").unwrap();
+    let d = Domain::new("empty-table.example.com").unwrap();
+    let valid = codec::to_bytes(&CharacterTable::full()).unwrap();
+    let mut empty = Vec::new();
+    Vec::<char>::new().encode(&mut empty);
+    let frame = patched_add_account(&sys, &u, &d, &valid, &empty);
+    sys.net_mut()
+        .send("browser", SERVER_ENDPOINT, frame)
+        .unwrap();
+    sys.pump();
+
+    let err = sys
+        .generate_password("browser", "phone", &u, &d)
+        .unwrap_err();
+    assert!(err.to_string().contains("no such managed account"), "{err}");
+    assert!(
+        sys.faults()
+            .iter()
+            .any(|f| f.contains("character table fails validation")),
+        "{:?}",
+        sys.faults()
+    );
+    let record = sys.server().user_record("alice").unwrap();
+    assert!(record.find_account(&u, &d).is_none());
+}
+
+/// `R = H(µ ‖ \0 ‖ d ‖ \0 ‖ σ)` is injective only if neither name holds
+/// the separator; a username carrying one off the wire is a fault.
+#[test]
+fn a_username_with_nul_off_the_wire_is_a_fault_not_an_account() {
+    let mut sys = unsealed(13);
+    let u = Username::new("al?ce").unwrap();
+    let d = Domain::new("nul.example.com").unwrap();
+    let frame = patched_add_account(&sys, &u, &d, b"al?ce", b"al\0ce");
+    sys.net_mut()
+        .send("browser", SERVER_ENDPOINT, frame)
+        .unwrap();
+    sys.pump();
+
+    assert!(
+        sys.faults()
+            .iter()
+            .any(|f| f.contains("username fails validation")),
+        "{:?}",
+        sys.faults()
+    );
+    let record = sys.server().user_record("alice").unwrap();
+    assert!(record.accounts.is_empty(), "{:?}", record.accounts);
 }

@@ -153,9 +153,9 @@ fn session_grant_skips_phone_interaction_for_exactly_n_uses() {
 
     // The fourth generation falls back to manual confirmation — and still
     // succeeds because the flow confirms the pending request.
-    let before = sys.phone("phone").unwrap().notifications().len();
+    let before = sys.phone("phone").unwrap().notifications_raised();
     sys.generate_password("browser", "phone", &u, &d).unwrap();
-    let after = sys.phone("phone").unwrap().notifications().len();
+    let after = sys.phone("phone").unwrap().notifications_raised();
     assert_eq!(after, before + 1, "fourth push renotifies the user");
 }
 

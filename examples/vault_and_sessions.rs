@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "session exhausted; the next generation will notify the phone again \
          (notifications so far: {})",
-        system.phone("phone").unwrap().notifications().len()
+        system.phone("phone").unwrap().notifications_raised()
     );
     Ok(())
 }

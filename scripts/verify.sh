@@ -29,6 +29,12 @@ echo "==> net, system, fleet, server, rendezvous and store tests in release mode
 cargo test -q --release --offline -p amnesia-net -p amnesia-system -p amnesia-fleet \
     -p amnesia-server -p amnesia-rendezvous -p amnesia-store
 
+echo "==> allocation budget in release mode"
+# tests/alloc_budget.rs pins the allocator calls and bytes of a steady-state
+# generation on the single host and of a fleet wave (DESIGN.md §12); the
+# release build the benchmark measures must make exactly the same calls.
+cargo test -q --release --offline --test alloc_budget
+
 echo "==> unsafe budget"
 # Library code may hold exactly one allow(unsafe_code): the SHA-NI dispatch
 # fn in crates/crypto/src/sha256.rs (DESIGN.md §9), and it must be there. Its
@@ -44,6 +50,29 @@ if [ "$unsafe_allow_file" != "crates/crypto/src/sha256.rs" ]; then
     echo "error: allow(unsafe_code) is in ${unsafe_allow_file}, not crates/crypto/src/sha256.rs" >&2
     exit 1
 fi
+# Test files may use `unsafe` only where the test needs raw memory: the
+# zeroize read-backs of the core and crypto crates, and the counting global
+# allocator of tests/alloc_budget.rs, the one `unsafe impl` in any test.
+unsafe_code='unsafe[[:space:]]*([{]|impl[[:space:]]|fn[[:space:]])'
+unsafe_tests=$(grep -rlE "$unsafe_code" tests crates/*/tests | sort | tr '\n' ' ')
+unsafe_tests_allowed='crates/core/tests/zeroize_drop.rs crates/crypto/tests/zeroize_drop.rs tests/alloc_budget.rs '
+if [ "$unsafe_tests" != "$unsafe_tests_allowed" ]; then
+    echo "error: test files using unsafe are '${unsafe_tests}', allowed: '${unsafe_tests_allowed}'" >&2
+    exit 1
+fi
+unsafe_impls=$(grep -rnE '^[[:space:]]*unsafe[[:space:]]+impl' tests crates/*/tests || true)
+case "$unsafe_impls" in
+    "tests/alloc_budget.rs:"*"unsafe impl GlobalAlloc for "*)
+        if [ "$(printf '%s\n' "$unsafe_impls" | wc -l)" -ne 1 ]; then
+            echo "error: more than one unsafe impl in test files: ${unsafe_impls}" >&2
+            exit 1
+        fi
+        ;;
+    *)
+        echo "error: the one unsafe impl in test files must be tests/alloc_budget.rs's GlobalAlloc, found '${unsafe_impls}'" >&2
+        exit 1
+        ;;
+esac
 for root in src/lib.rs crates/*/src/lib.rs; do
     case "$root" in
         crates/crypto/src/lib.rs) attr='#![deny(unsafe_code)]' ;;
@@ -229,4 +258,4 @@ for workload in interactive burst mixed signup; do
     fi
 done
 
-echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server, rendezvous and store tests, unsafe budget, formatting, clippy, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
+echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server, rendezvous and store tests, release-mode allocation budget, unsafe budget, formatting, clippy, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
