@@ -353,7 +353,7 @@ impl SessionHost {
             self.channels
                 .provision_pair(id, s.endpoint, &mut self.channel_rng);
         }
-        self.browsers.insert(id, Browser::new(name));
+        self.browsers.insert(id, Browser::default());
         self.roles.insert(id, Role::Browser { shard, home_gcm });
         id
     }

@@ -210,7 +210,7 @@ impl RealtimeDeployment {
             to_server,
             to_gcm,
             browser_rx,
-            browser: Browser::new("browser"),
+            browser: Browser::default(),
             phone_identity,
             next_request_id: 1,
             handles: vec![gcm_handle, server_handle, phone_handle],

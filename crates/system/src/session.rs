@@ -1054,16 +1054,49 @@ mod tests {
     }
 
     #[test]
-    fn generate_without_auth_fails_immediately() {
+    fn authenticated_flows_fail_before_sending_without_auth() {
         let (username, domain) = account();
-        let mut s = Session::new(4, "browser", FlowSpec::Generate { username, domain });
-        let actions = s.start();
-        assert!(matches!(
-            &actions[..],
-            [Action::Fail(SystemError::Browser(
-                BrowserError::NotLoggedIn
-            ))]
-        ));
+        let flows = [
+            (
+                "Generate",
+                FlowSpec::Generate {
+                    username: username.clone(),
+                    domain: domain.clone(),
+                },
+            ),
+            (
+                "StoreChosen",
+                FlowSpec::StoreChosen {
+                    username: username.clone(),
+                    domain: domain.clone(),
+                    chosen_password: "chosen-password".into(),
+                },
+            ),
+            (
+                "AddAccount",
+                FlowSpec::AddAccount {
+                    username: username.clone(),
+                    domain: domain.clone(),
+                    policy: PasswordPolicy::default(),
+                },
+            ),
+            ("ListAccounts", FlowSpec::ListAccounts),
+            ("RotateSeed", FlowSpec::RotateSeed { username, domain }),
+        ];
+        for (flow, spec) in flows {
+            let mut s = Session::new(4, "browser", spec);
+            let actions = s.start();
+            assert!(
+                matches!(
+                    &actions[..],
+                    [Action::Fail(SystemError::Browser(
+                        BrowserError::NotLoggedIn
+                    ))]
+                ),
+                "{flow}: {actions:?}"
+            );
+            assert!(s.is_terminal(), "{flow}");
+        }
     }
 
     #[test]
@@ -1090,7 +1123,7 @@ mod tests {
             &s.start()[..],
             [
                 Action::Send {
-                    message: ToServer::Register { .. },
+                    message: ToServer::Register { request_id: 9, .. },
                     ..
                 },
                 Action::ArmTimer(_)
@@ -1100,7 +1133,7 @@ mod tests {
             &s.on_event(Event::FrameReceived(FromServer::Registered))[..],
             [
                 Action::Send {
-                    message: ToServer::Login { .. },
+                    message: ToServer::Login { request_id: 9, .. },
                     ..
                 },
                 Action::ArmTimer(_)
