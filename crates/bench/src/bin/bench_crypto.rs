@@ -163,8 +163,8 @@ fn run(opts: &Options) -> Result<(), String> {
         tag
     });
 
-    // One DRBG draw: SimNet samples each normal or log-normal frame latency
-    // from two of them.
+    // One DRBG draw: SimNet samples each normal frame latency from two of
+    // them.
     let mut rng = SecretRng::seeded(SEED);
     h.bench("drbg_next_u64", || rng.next_u64());
 

@@ -27,13 +27,6 @@ pub enum LatencyModel {
         /// Latency in milliseconds.
         millis: f64,
     },
-    /// Uniform between `min_ms` and `max_ms`.
-    Uniform {
-        /// Lower bound in milliseconds.
-        min_ms: f64,
-        /// Upper bound in milliseconds.
-        max_ms: f64,
-    },
     /// Normal with mean `mean_ms` and standard deviation `std_ms`, truncated
     /// below at `min_ms` (re-sampled, not clamped, to avoid a point mass).
     Normal {
@@ -44,39 +37,12 @@ pub enum LatencyModel {
         /// Truncation floor in milliseconds.
         min_ms: f64,
     },
-    /// Log-normal: `exp(N(mu, sigma))` milliseconds — a common fit for
-    /// Internet round-trip tails.
-    LogNormal {
-        /// Mean of the underlying normal (of ln-milliseconds).
-        mu: f64,
-        /// Standard deviation of the underlying normal.
-        sigma: f64,
-    },
 }
-amnesia_store::record_enum! { LatencyModel {
-    0 => Constant { millis },
-    1 => Uniform { min_ms, max_ms },
-    2 => Normal { mean_ms, std_ms, min_ms },
-    3 => LogNormal { mu, sigma },
-} }
 
 impl LatencyModel {
     /// A fixed latency of `millis` milliseconds.
     pub fn constant_ms(millis: f64) -> Self {
         LatencyModel::Constant { millis }
-    }
-
-    /// Uniform latency in `[min_ms, max_ms]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_ms > max_ms` or either bound is negative.
-    pub fn uniform_ms(min_ms: f64, max_ms: f64) -> Self {
-        assert!(
-            (0.0..=max_ms).contains(&min_ms),
-            "uniform bounds must satisfy 0 ≤ min ≤ max"
-        );
-        LatencyModel::Uniform { min_ms, max_ms }
     }
 
     /// Truncated-normal latency.
@@ -94,21 +60,10 @@ impl LatencyModel {
         }
     }
 
-    /// Log-normal latency with underlying parameters `mu`, `sigma`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative.
-    pub fn log_normal(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "sigma must be non-negative");
-        LatencyModel::LogNormal { mu, sigma }
-    }
-
     /// Draws one latency sample.
     pub fn sample(&self, rng: &mut SecretRng) -> SimDuration {
         let ms = match *self {
             LatencyModel::Constant { millis } => millis,
-            LatencyModel::Uniform { min_ms, max_ms } => min_ms + unit_f64(rng) * (max_ms - min_ms),
             LatencyModel::Normal {
                 mean_ms,
                 std_ms,
@@ -128,7 +83,6 @@ impl LatencyModel {
                 }
                 value
             }
-            LatencyModel::LogNormal { mu, sigma } => (mu + sigma * standard_normal(rng)).exp(),
         };
         SimDuration::from_millis_f64(ms)
     }
@@ -138,9 +92,7 @@ impl LatencyModel {
     pub fn mean_ms(&self) -> f64 {
         match *self {
             LatencyModel::Constant { millis } => millis,
-            LatencyModel::Uniform { min_ms, max_ms } => (min_ms + max_ms) / 2.0,
             LatencyModel::Normal { mean_ms, .. } => mean_ms,
-            LatencyModel::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
         }
     }
 }
@@ -182,18 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_within_bounds_and_centered() {
-        let m = LatencyModel::uniform_ms(10.0, 20.0);
-        let mut rng = SecretRng::seeded(2);
-        for _ in 0..1000 {
-            let s = m.sample(&mut rng).as_millis_f64();
-            assert!((10.0..=20.0).contains(&s));
-        }
-        let (mean, _) = stats(&m, 20_000, 3);
-        assert!((mean - 15.0).abs() < 0.2, "mean {mean}");
-    }
-
-    #[test]
     fn normal_matches_parameters() {
         let m = LatencyModel::normal_ms(100.0, 15.0, 0.0);
         let (mean, std) = stats(&m, 50_000, 4);
@@ -219,24 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn log_normal_is_positive_and_skewed() {
-        let m = LatencyModel::log_normal(3.0, 0.5);
-        let mut rng = SecretRng::seeded(7);
-        let samples: Vec<f64> = (0..20_000)
-            .map(|_| m.sample(&mut rng).as_millis_f64())
-            .collect();
-        assert!(samples.iter().all(|&s| s > 0.0));
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = sorted[samples.len() / 2];
-        assert!(mean > median, "log-normal should be right-skewed");
-    }
-
-    #[test]
     fn mean_ms_reports_distribution_mean() {
         assert_eq!(LatencyModel::constant_ms(7.0).mean_ms(), 7.0);
-        assert_eq!(LatencyModel::uniform_ms(0.0, 10.0).mean_ms(), 5.0);
         assert_eq!(LatencyModel::normal_ms(42.0, 5.0, 0.0).mean_ms(), 42.0);
     }
 
@@ -248,11 +172,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(m.sample(&mut a), m.sample(&mut b));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds")]
-    fn uniform_rejects_inverted_bounds() {
-        let _ = LatencyModel::uniform_ms(10.0, 5.0);
     }
 }

@@ -8,16 +8,17 @@
 //! * [`SimClock`] / [`SimInstant`] / [`SimDuration`] — simulated time.
 //!   Nothing in the workspace's experiment path reads the wall clock, so
 //!   every latency figure regenerates bit-for-bit from a seed.
-//! * [`LatencyModel`] — stochastic per-hop latency (constant, uniform,
-//!   truncated normal via Box–Muller, log-normal). The Figure 3 experiment
-//!   calibrates normal models so the end-to-end distribution matches the
-//!   paper's measured Wifi/4G means and standard deviations.
+//! * [`LatencyModel`] — per-hop latency, constant or truncated normal via
+//!   Box–Muller. The Figure 3 experiment calibrates normal models so the
+//!   end-to-end distribution matches the paper's measured Wifi/4G means and
+//!   standard deviations.
 //! * [`SimNet`] — named endpoints addressed by dense [`EndpointId`]s,
-//!   directed links with [`LinkProfile`]s, an
-//!   event queue ordered by delivery time whose [`step`](SimNet::step)
-//!   hands each frame to the orchestrator (the network keeps nothing it
-//!   delivered), and [`Wiretap`]s that record every frame crossing a link
-//!   (the §IV eavesdropping attacks attach here).
+//!   directed links with [`LinkProfile`]s, one send path
+//!   ([`transmit`](SimNet::transmit)), an event queue ordered by delivery
+//!   time whose [`step`](SimNet::step) hands each frame to the orchestrator
+//!   (the network keeps nothing it delivered), and [`Wiretap`]s that record
+//!   every frame crossing a link (the §IV eavesdropping attacks attach
+//!   here).
 //! * [`SecureChannel`] — a toy authenticated-encryption channel standing in
 //!   for HTTPS: SHA-256 in counter mode for confidentiality plus
 //!   HMAC-SHA-256 for integrity, with a DTLS/QUIC-style sliding anti-replay

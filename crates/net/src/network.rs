@@ -23,23 +23,16 @@ pub struct LinkProfile {
     pub latency: LatencyModel,
     /// Independent probability that a frame is silently dropped.
     pub drop_probability: f64,
-    /// Transmission delay per kilobyte of payload, in milliseconds
-    /// (0 = infinite bandwidth). Amnesia frames are tiny — tens to a few
-    /// hundred bytes — so the calibrated profiles leave this at 0; it
-    /// exists for experiments that stress payload size (e.g. `KpBackup`
-    /// uploads during recovery).
-    pub per_kb_ms: f64,
 }
 
 impl LinkProfile {
-    /// A lossless, infinite-bandwidth link with the given latency. Links
-    /// model independent datagrams: each frame lands at `sent_at + sampled
-    /// latency`, so a lucky late frame may overtake an unlucky early one.
+    /// A lossless link with the given latency. Links model independent
+    /// datagrams: each frame lands at `sent_at + sampled latency`, so a
+    /// lucky late frame may overtake an unlucky early one.
     pub fn new(latency: LatencyModel) -> Self {
         LinkProfile {
             latency,
             drop_probability: 0.0,
-            per_kb_ms: 0.0,
         }
     }
 
@@ -52,22 +45,6 @@ impl LinkProfile {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
         self.drop_probability = p;
         self
-    }
-
-    /// Sets the per-kilobyte transmission delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is negative or non-finite.
-    pub fn with_per_kb_ms(mut self, ms: f64) -> Self {
-        assert!(ms.is_finite() && ms >= 0.0, "per-KB delay must be >= 0");
-        self.per_kb_ms = ms;
-        self
-    }
-
-    /// The transmission delay for a payload of `bytes` bytes.
-    pub fn transmission_delay(&self, bytes: usize) -> crate::time::SimDuration {
-        crate::time::SimDuration::from_millis_f64(self.per_kb_ms * bytes as f64 / 1024.0)
     }
 }
 
@@ -240,10 +217,11 @@ impl Ord for Pending {
 /// advances. See the crate-level example.
 ///
 /// Every frame takes one path, [`transmit`](Self::transmit), which works
-/// on ids. The name-taking [`send`](Self::send),
-/// [`send_after`](Self::send_after), [`connect`](Self::connect) and
+/// on ids and delays the frame by the sender's compute time. The
+/// name-taking [`send`](Self::send), [`connect`](Self::connect) and
 /// [`tap`](Self::tap) are the setup and test API: they resolve the names
-/// and call the id path.
+/// and call the id path (`send` with no delay). The caller delivers frames
+/// one at a time with [`step`](Self::step) and dispatches each itself.
 pub struct SimNet {
     clock: SimClock,
     rng: SecretRng,
@@ -389,12 +367,6 @@ impl SimNet {
         }
     }
 
-    /// Creates links in both directions with the same profile.
-    pub fn connect_bidirectional(&mut self, a: &str, b: &str, profile: LinkProfile) {
-        self.connect(a, b, profile.clone());
-        self.connect(b, a, profile);
-    }
-
     /// The index into `links` of the link `from → to`.
     fn route(&self, from: EndpointId, to: EndpointId) -> Option<usize> {
         self.routes.get(from.index())?.get(&to).copied()
@@ -450,40 +422,21 @@ impl SimNet {
         to: &str,
         payload: Vec<u8>,
     ) -> Result<Option<SimInstant>, NetError> {
-        self.send_after(from, to, payload, SimDuration::ZERO)
-    }
-
-    /// [`send`](Self::send), with the frame entering the link only after a
-    /// sender-local compute delay: `sent_at = now + delay`.
-    ///
-    /// This models per-request work (deriving `R`, computing a token,
-    /// assembling a password) as something that delays *this* frame without
-    /// stalling the rest of the simulation — a concurrent server's worker
-    /// thread, not a global pause. [`advance`](Self::advance) remains the
-    /// right tool when the whole world genuinely waits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::UnknownEndpoint`] or [`NetError::NoLink`] if the
-    /// route does not exist.
-    pub fn send_after(
-        &mut self,
-        from: &str,
-        to: &str,
-        payload: Vec<u8>,
-        delay: SimDuration,
-    ) -> Result<Option<SimInstant>, NetError> {
         let resolve = |name: &str| {
             self.endpoint(name)
                 .ok_or_else(|| NetError::UnknownEndpoint { name: name.into() })
         };
         let (from, to) = (resolve(from)?, resolve(to)?);
-        self.transmit(from, to, payload, delay)
+        self.transmit(from, to, payload, SimDuration::ZERO)
     }
 
-    /// Sends `payload` over the link `from → to` after a sender-local
-    /// compute delay — the one path every frame takes (see
-    /// [`send_after`](Self::send_after)).
+    /// Sends `payload` over the link `from → to`, the one path every frame
+    /// takes. The frame enters the link after a sender-local compute
+    /// `delay` (`sent_at = now + delay`), so per-request work (deriving `R`,
+    /// computing a token, assembling a password) delays *this* frame without
+    /// stalling the rest of the simulation — a concurrent server's worker
+    /// thread, not a global pause. [`advance`](Self::advance) remains the
+    /// right tool when the whole world genuinely waits.
     ///
     /// # Errors
     ///
@@ -528,12 +481,7 @@ impl SimNet {
             return Ok(None);
         }
 
-        let latency = link
-            .profile
-            .latency
-            .sample(&mut self.rng)
-            .saturating_add(link.profile.transmission_delay(payload.len()));
-        let deliver_at = sent_at + latency;
+        let deliver_at = sent_at + link.profile.latency.sample(&mut self.rng);
         let frame = Frame {
             from,
             to,
@@ -573,19 +521,6 @@ impl SimNet {
         Some(frame)
     }
 
-    /// Delivers every pending frame, discarding them; returns how many
-    /// were delivered.
-    ///
-    /// Note: frames sent *in response to* deliveries are the orchestrator's
-    /// job — `amnesia-system` interleaves `step` with component dispatch.
-    pub fn run_until_idle(&mut self) -> usize {
-        let mut delivered = 0;
-        while self.step().is_some() {
-            delivered += 1;
-        }
-        delivered
-    }
-
     /// Frames dropped by lossy links so far.
     pub fn dropped_count(&self) -> u64 {
         self.dropped
@@ -605,7 +540,8 @@ mod tests {
         let mut net = SimNet::new(1);
         net.register("a");
         net.register("b");
-        net.connect_bidirectional("a", "b", LinkProfile::new(latency));
+        net.connect("a", "b", LinkProfile::new(latency.clone()));
+        net.connect("b", "a", LinkProfile::new(latency));
         net
     }
 
@@ -679,7 +615,7 @@ mod tests {
 
     #[test]
     fn unordered_links_let_late_frames_overtake() {
-        let jitter = LatencyModel::uniform_ms(1.0, 100.0);
+        let jitter = LatencyModel::normal_ms(50.0, 20.0, 1.0);
         let seed = inverting_seed(&jitter);
         let mut net = SimNet::new(seed);
         net.register("a");
@@ -751,7 +687,7 @@ mod tests {
 
         net.send("a", "b", vec![1]).unwrap();
         net.send("b", "a", vec![2]).unwrap(); // dropped, but tapped links only a→b
-        net.run_until_idle();
+        deliver_all(&mut net);
 
         let snapshot = net.telemetry().snapshot();
         assert_eq!(snapshot.counters["net.frames_sent"], 2);
@@ -771,7 +707,7 @@ mod tests {
         let registry = Registry::new();
         let span = registry.span("roundtrip_us", net.clock());
         net.send("a", "b", vec![]).unwrap();
-        net.run_until_idle();
+        deliver_all(&mut net);
         assert_eq!(span.finish(), 25_000);
     }
 
@@ -824,40 +760,12 @@ mod tests {
     }
 
     #[test]
-    fn per_kb_delay_scales_with_payload_size() {
-        let mut net = SimNet::new(9);
-        net.register("a");
-        net.register("b");
-        net.connect(
-            "a",
-            "b",
-            LinkProfile::new(LatencyModel::constant_ms(10.0)).with_per_kb_ms(4.0),
-        );
-        // 1 KiB payload: 10ms propagation + 4ms transmission.
-        let t_large = net.send("a", "b", vec![0u8; 1024]).unwrap().unwrap();
-        assert!((t_large.as_millis_f64() - 14.0).abs() < 1e-6);
-        // Empty payload: propagation only (relative to current clock).
-        net.run_until_idle();
-        let now = net.now().as_millis_f64();
-        let t_small = net.send("a", "b", vec![]).unwrap().unwrap();
-        assert!((t_small.as_millis_f64() - now - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn transmission_delay_helper() {
-        let p = LinkProfile::new(LatencyModel::constant_ms(0.0)).with_per_kb_ms(8.0);
-        assert_eq!(p.transmission_delay(2048).as_millis_f64(), 16.0);
-        assert_eq!(p.transmission_delay(0).as_millis_f64(), 0.0);
-        let free = LinkProfile::new(LatencyModel::constant_ms(0.0));
-        assert_eq!(free.transmission_delay(1 << 20).as_millis_f64(), 0.0);
-    }
-
-    #[test]
-    fn send_after_delays_one_frame_without_stalling_the_clock() {
+    fn transmit_delays_one_frame_without_stalling_the_clock() {
         let mut net = two_node_net(LatencyModel::constant_ms(10.0));
+        let (a, b) = (net.endpoint("a").unwrap(), net.endpoint("b").unwrap());
         // Sender-local compute of 3 ms: the frame enters the link late...
         let at = net
-            .send_after("a", "b", vec![1], SimDuration::from_millis(3))
+            .transmit(a, b, vec![1], SimDuration::from_millis(3))
             .unwrap()
             .unwrap();
         assert_eq!(at.as_millis_f64(), 13.0);
@@ -873,7 +781,7 @@ mod tests {
         let mut net = two_node_net(LatencyModel::constant_ms(10.0));
         net.advance(SimDuration::from_millis(3));
         net.send("a", "b", vec![]).unwrap();
-        net.run_until_idle();
+        deliver_all(&mut net);
         assert_eq!(net.now().as_millis_f64(), 13.0);
     }
 }

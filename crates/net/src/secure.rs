@@ -390,9 +390,10 @@ impl SecureChannel {
 /// let (browser, server) = (net.register("browser"), net.register("server"));
 /// let mut channels = ChannelMap::default();
 /// channels.provision_pair(browser, server, &mut SecretRng::seeded(2));
-/// let wire = channels.seal(browser, server, b"hello").unwrap();
+/// let mut wire = channels.seal(browser, server, b"hello").unwrap();
 /// assert_ne!(wire, b"hello");
-/// assert_eq!(channels.open(browser, server, &wire).unwrap(), b"hello");
+/// let plaintext = channels.open_in_place(browser, server, &mut wire).unwrap();
+/// assert_eq!(plaintext, b"hello");
 /// ```
 #[derive(Default)]
 pub struct ChannelMap {
@@ -442,24 +443,6 @@ impl ChannelMap {
     ) -> Result<Vec<u8>, ChannelError> {
         match self.channels.get_mut(&(from, to)) {
             Some(channel) => channel.seal(bytes),
-            None => Ok(bytes.to_vec()),
-        }
-    }
-
-    /// Opens `bytes` received on the channel `from → to`, or copies them
-    /// when there is none.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SecureChannel::open`] errors.
-    pub fn open(
-        &mut self,
-        from: EndpointId,
-        to: EndpointId,
-        bytes: &[u8],
-    ) -> Result<Vec<u8>, ChannelError> {
-        match self.channels.get_mut(&(from, to)) {
-            Some(channel) => channel.open(bytes),
             None => Ok(bytes.to_vec()),
         }
     }
@@ -716,13 +699,24 @@ mod tests {
         let mut channels = ChannelMap::default();
         channels.provision_pair(a, b, &mut SecretRng::seeded(3));
         let up = channels.seal(a, b, b"up").unwrap();
-        let down = channels.seal(b, a, b"down").unwrap();
-        assert_eq!(channels.open(b, a, &up), Err(ChannelError::BadTag));
-        assert_eq!(channels.open(a, b, &up).unwrap(), b"up");
-        assert_eq!(channels.open(b, a, &down).unwrap(), b"down");
+        let mut down = channels.seal(b, a, b"down").unwrap();
+        assert_eq!(
+            channels.open_in_place(b, a, &mut up.clone()),
+            Err(ChannelError::BadTag)
+        );
+        assert_eq!(
+            channels.open_in_place(a, b, &mut up.clone()).unwrap(),
+            b"up"
+        );
+        assert_eq!(channels.open_in_place(b, a, &mut down).unwrap(), b"down");
         assert!(channels.get(a, c).is_none());
         assert_eq!(channels.seal(a, c, b"clear").unwrap(), b"clear");
-        assert_eq!(channels.open(c, a, b"clear").unwrap(), b"clear");
+        assert_eq!(
+            channels
+                .open_in_place(c, a, &mut b"clear".to_vec())
+                .unwrap(),
+            b"clear"
+        );
     }
 
     #[test]

@@ -59,13 +59,6 @@ impl SimDuration {
     pub fn as_millis_f64(&self) -> f64 {
         self.micros as f64 / 1000.0
     }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
-        SimDuration {
-            micros: self.micros.saturating_add(other.micros),
-        }
-    }
 }
 
 impl Add for SimDuration {

@@ -36,7 +36,7 @@ fn frames_conserved() {
         let n = g.usize_in(2, 4);
         let send_count = g.usize_in(1, 39);
         let drop = g.f64_in(0.0, 0.5);
-        let (mut net, names) = clique(n, seed, LatencyModel::uniform_ms(1.0, 50.0), drop);
+        let (mut net, names) = clique(n, seed, LatencyModel::normal_ms(25.0, 12.0, 1.0), drop);
         let mut sent = 0u64;
         for _ in 0..send_count {
             let a = g.next_u8() as usize % n;
@@ -123,7 +123,7 @@ fn schedules_deterministic() {
         let seed = g.next_u64();
         let count = g.usize_in(1, 19);
         let run = |seed: u64| {
-            let (mut net, names) = clique(2, seed, LatencyModel::log_normal(2.0, 0.7), 0.2);
+            let (mut net, names) = clique(2, seed, LatencyModel::normal_ms(8.0, 6.0, 0.5), 0.2);
             let mut times = Vec::new();
             for i in 0..count {
                 let r = net
@@ -141,8 +141,8 @@ fn schedules_deterministic() {
 
 /// The name-taking API and the id path are one path: for a random topology
 /// (sparse links, lossy and jittered, some tapped) the same sends made by
-/// name (`send_after`) and by id (`transmit`), interleaved with the same
-/// deliveries, produce the same results, the same delivered frames
+/// name (`send`) and by id (`transmit` with no delay), interleaved with the
+/// same deliveries, produce the same results, the same delivered frames
 /// (endpoints, payloads, send and delivery times), the same wiretap
 /// records and the same drop count.
 #[test]
@@ -165,14 +165,13 @@ fn name_and_id_sends_agree() {
                 }
             }
         }
-        let sends: Vec<(usize, usize, Vec<u8>, u64, bool)> = (0..g.usize_in(1, 40))
+        let sends: Vec<(usize, usize, Vec<u8>, bool)> = (0..g.usize_in(1, 40))
             .map(|_| {
                 let len = g.usize_in(0, 9);
                 (
                     g.usize_in(0, n - 1),
                     g.usize_in(0, n - 1),
                     g.bytes(len),
-                    g.u64_in(0, 3_000),
                     g.next_u8().is_multiple_of(2),
                 )
             })
@@ -186,7 +185,7 @@ fn name_and_id_sends_agree() {
             let ids: Vec<_> = names.iter().map(|name| net.register(name)).collect();
             let mut taps = Vec::new();
             for &(a, b, tapped) in &links {
-                let profile = LinkProfile::new(LatencyModel::uniform_ms(1.0, 40.0))
+                let profile = LinkProfile::new(LatencyModel::normal_ms(20.0, 10.0, 1.0))
                     .with_drop_probability(drop);
                 net.connect(&names[a], &names[b], profile);
                 if tapped {
@@ -206,12 +205,11 @@ fn name_and_id_sends_agree() {
                     )
                 })
             };
-            for (a, b, payload, delay_us, step) in &sends {
-                let delay = SimDuration::from_micros(*delay_us);
+            for (a, b, payload, step) in &sends {
                 results.push(if by_id {
-                    net.transmit(ids[*a], ids[*b], payload.clone(), delay)
+                    net.transmit(ids[*a], ids[*b], payload.clone(), SimDuration::ZERO)
                 } else {
-                    net.send_after(&names[*a], &names[*b], payload.clone(), delay)
+                    net.send(&names[*a], &names[*b], payload.clone())
                 });
                 if *step {
                     delivered.extend(observe(&mut net));
