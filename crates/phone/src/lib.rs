@@ -114,8 +114,8 @@ impl From<CloudError> for PhoneError {
 /// How the simulated user responds to password-request notifications.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ConfirmPolicy {
-    /// Queue each push and wait for [`AmnesiaPhone::confirm`] — the normal
-    /// interactive behaviour (Fig. 2b).
+    /// Queue each push and wait for [`AmnesiaPhone::confirm_request`] —
+    /// the normal interactive behaviour (Fig. 2b).
     #[default]
     Manual,
     /// Compute and return the token immediately — the paper's instrumented
@@ -397,45 +397,12 @@ impl AmnesiaPhone {
         &self.pending
     }
 
-    /// The user taps "accept" on the pending request at `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhoneError::NoSuchPending`] for an out-of-range index.
-    pub fn confirm(&mut self, index: usize) -> Result<TokenResponse, PhoneError> {
-        if index >= self.pending.len() {
-            return Err(PhoneError::NoSuchPending);
-        }
-        let push = self.pending.remove(index);
-        let token = self.compute_token(&push.request)?;
-        Ok(TokenResponse {
-            request_id: push.request_id,
-            request: push.request,
-            token,
-            tstart: push.tstart,
-        })
-    }
-
-    /// [`confirm`](Self::confirm), additionally recording the push-to-confirm
-    /// latency (`now - tstart`) in the phone's telemetry — the simulated
-    /// analogue of how long the notification sat in the tray.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhoneError::NoSuchPending`] for an out-of-range index.
-    pub fn confirm_at(
-        &mut self,
-        index: usize,
-        now: SimInstant,
-    ) -> Result<TokenResponse, PhoneError> {
-        let response = self.confirm(index)?;
-        self.note_confirm_latency(response.tstart, now);
-        Ok(response)
-    }
-
-    /// Confirms the pending push carrying `request_id`, if any — how a host
-    /// with many sessions in flight approves the one push belonging to a
-    /// particular session without guessing queue positions.
+    /// The user taps "accept" on the pending push carrying `request_id` —
+    /// how a host with many sessions in flight approves the one push
+    /// belonging to a particular session without guessing queue positions.
+    /// Records the push-to-confirm latency (`now - tstart`) in the phone's
+    /// telemetry, the simulated analogue of how long the notification sat
+    /// in the tray.
     ///
     /// # Errors
     ///
@@ -451,20 +418,15 @@ impl AmnesiaPhone {
             .iter()
             .position(|push| push.request_id == request_id)
             .ok_or(PhoneError::NoSuchPending)?;
-        self.confirm_at(index, now)
-    }
-
-    /// The user dismisses the pending request at `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhoneError::NoSuchPending`] for an out-of-range index.
-    pub fn reject(&mut self, index: usize) -> Result<(), PhoneError> {
-        if index >= self.pending.len() {
-            return Err(PhoneError::NoSuchPending);
-        }
-        self.pending.remove(index);
-        Ok(())
+        let push = self.pending.remove(index);
+        let token = self.compute_token(&push.request)?;
+        self.note_confirm_latency(push.tstart, now);
+        Ok(TokenResponse {
+            request_id: push.request_id,
+            request: push.request,
+            token,
+            tstart: push.tstart,
+        })
     }
 
     /// The notification tray, mirroring Android's: the last
@@ -707,7 +669,9 @@ mod tests {
         assert_eq!(phone.notifications().len(), 1);
         assert_eq!(phone.notifications()[0].origin, "198.51.100.7");
 
-        let response = phone.confirm(0).unwrap();
+        let response = phone
+            .confirm_request(push.request_id, SimInstant::EPOCH)
+            .unwrap();
         assert_eq!(response.request, push.request);
         assert!(phone.pending_requests().is_empty());
         assert_eq!(phone.tokens_computed(), 1);
@@ -790,13 +754,22 @@ mod tests {
     }
 
     #[test]
-    fn reject_and_out_of_range() {
+    fn unknown_and_consumed_requests_are_not_pending() {
         let mut phone = registered_phone(8);
-        let (_, bytes) = push_bytes(14);
+        let (push, bytes) = push_bytes(14);
         phone.handle_push(&bytes, SimInstant::EPOCH).unwrap();
-        assert!(matches!(phone.confirm(5), Err(PhoneError::NoSuchPending)));
-        phone.reject(0).unwrap();
-        assert!(matches!(phone.reject(0), Err(PhoneError::NoSuchPending)));
+        assert!(matches!(
+            phone.confirm_request(push.request_id + 1, SimInstant::EPOCH),
+            Err(PhoneError::NoSuchPending)
+        ));
+        assert_eq!(phone.pending_requests().len(), 1);
+        phone
+            .confirm_request(push.request_id, SimInstant::EPOCH)
+            .unwrap();
+        assert!(matches!(
+            phone.confirm_request(push.request_id, SimInstant::EPOCH),
+            Err(PhoneError::NoSuchPending)
+        ));
     }
 
     #[test]
