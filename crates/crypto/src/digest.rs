@@ -1,6 +1,5 @@
-//! A minimal digest abstraction so [`Hmac`](crate::Hmac), [`HmacKey`]
-//! and PBKDF2 can be generic over the two hash functions this crate
-//! provides.
+//! A minimal digest abstraction so [`HmacKey`] and PBKDF2 can be generic
+//! over the two hash functions this crate provides.
 //!
 //! [`HmacKey`]: crate::HmacKey
 

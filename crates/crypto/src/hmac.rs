@@ -156,7 +156,8 @@ impl<D: Digest> fmt::Debug for HmacKey<D> {
     }
 }
 
-/// An in-progress MAC stamped out from an [`HmacKey`].
+/// An in-progress MAC stamped out from an [`HmacKey`]: the streaming
+/// path.
 ///
 /// Created by [`HmacKey::begin`]; absorb message bytes with
 /// [`update`](HmacMac::update) and close with
@@ -177,80 +178,6 @@ impl<D: Digest> HmacMac<'_, D> {
     /// intermediate inner digest is zeroized.
     pub fn finalize_into(self, out: &mut [u8]) {
         self.inner.finish_mac(&self.key.outer, out);
-    }
-}
-
-/// Streaming HMAC over any [`Digest`], owning its key.
-///
-/// Retained as the allocation-owning convenience API; it is now a thin
-/// wrapper over [`HmacKey`], so even the one-shot path benefits from the
-/// midstate cache. Prefer `HmacKey` directly when MACing many messages
-/// under one key.
-///
-/// ```
-/// use amnesia_crypto::{Hmac, Sha256};
-///
-/// let mut mac = Hmac::<Sha256>::new(b"key");
-/// mac.update(b"The quick brown fox ");
-/// mac.update(b"jumps over the lazy dog");
-/// let tag = mac.finalize();
-/// assert_eq!(
-///     amnesia_crypto::hex::encode(&tag),
-///     "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8",
-/// );
-/// ```
-pub struct Hmac<D: Digest> {
-    key: HmacKey<D>,
-    inner: D,
-}
-
-impl<D: Digest> Hmac<D> {
-    /// Creates an HMAC instance keyed with `key`.
-    ///
-    /// Keys longer than the digest block length are first hashed, per
-    /// RFC 2104.
-    pub fn new(key: &[u8]) -> Self {
-        let key = HmacKey::new(key);
-        let inner = D::restore(&key.inner);
-        Hmac { key, inner }
-    }
-
-    /// Absorbs message bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        self.inner.absorb(data);
-    }
-
-    /// Completes the MAC and returns the tag (digest-length bytes).
-    pub fn finalize(self) -> Vec<u8> {
-        let mut out = vec![0u8; D::OUTPUT_LEN];
-        HmacMac {
-            inner: self.inner,
-            key: &self.key,
-        }
-        .finalize_into(&mut out);
-        out
-    }
-
-    /// One-shot MAC computation.
-    pub fn mac(key: &[u8], message: &[u8]) -> Vec<u8> {
-        let mut m = Self::new(key);
-        m.update(message);
-        m.finalize()
-    }
-}
-
-impl<D: Digest> Clone for Hmac<D> {
-    fn clone(&self) -> Self {
-        Hmac {
-            key: self.key.clone(),
-            inner: self.inner.clone(),
-        }
-    }
-}
-
-impl<D: Digest> fmt::Debug for Hmac<D> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Hmac").finish_non_exhaustive()
     }
 }
 
@@ -341,11 +268,24 @@ daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
     fn streaming_equals_oneshot() {
         let key = b"some-key";
         let msg = b"split across several updates";
-        let mut m = Hmac::<Sha256>::new(key);
+        let hmac_key = HmacKey::<Sha256>::new(key);
+        let mut m = hmac_key.begin();
         for chunk in msg.chunks(5) {
             m.update(chunk);
         }
-        assert_eq!(m.finalize(), Hmac::<Sha256>::mac(key, msg));
+        let mut streamed = [0u8; 32];
+        m.finalize_into(&mut streamed);
+        assert_eq!(streamed, hmac_sha256(key, msg));
+
+        let hmac_key = HmacKey::<Sha256>::new(b"key");
+        let mut m = hmac_key.begin();
+        m.update(b"The quick brown fox ");
+        m.update(b"jumps over the lazy dog");
+        m.finalize_into(&mut streamed);
+        assert_eq!(
+            hex::encode(&streamed),
+            "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"
+        );
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //!   otherwise, with identical output. One-block hashes whose last block is
 //!   known in advance (the DRBG, every HMAC's outer hash, the counter-mode
 //!   keystream) are built and compressed as words, with no hasher.
-//! * [`Hmac`] and [`HmacKey`] — RFC 2104 keyed-hash message authentication
-//!   code, generic over any [`Digest`] implementation. `HmacKey` caches the
-//!   ipad/opad compression midstates so repeated MACs under one key (the
-//!   secure channel in `amnesia-net`, the PBKDF2 inner loop, the DRBG
-//!   ratchet) cost two state restores instead of two extra compressions.
+//! * [`HmacKey`] — RFC 2104 keyed-hash message authentication code,
+//!   generic over any [`Digest`] implementation. It caches the ipad/opad
+//!   compression midstates so repeated MACs under one key (the secure
+//!   channel in `amnesia-net`, the PBKDF2 inner loop, the DRBG ratchet)
+//!   cost two state restores instead of two extra compressions. MACs
+//!   stream through [`HmacKey::begin`] or are one-shot through
+//!   [`HmacKey::mac_into`], [`hmac_sha256`] and [`hmac_sha512`].
 //! * [`pbkdf2_hmac_sha256`] — RFC 8018 password-based key derivation, used to
 //!   harden the stored master-password verifier beyond the single salted hash
 //!   the paper describes (configurable; a single-iteration mode reproduces
@@ -73,7 +75,7 @@ mod zeroize;
 pub use ct::ct_eq;
 pub use digest::{Digest, MAX_BLOCK_LEN, MAX_OUTPUT_LEN};
 pub use error::CryptoError;
-pub use hmac::{hmac_sha256, hmac_sha512, Hmac, HmacKey, HmacMac};
+pub use hmac::{hmac_sha256, hmac_sha512, HmacKey, HmacMac};
 pub use kdf::{KdfClass, KdfPolicy};
 pub use pbkdf2::{
     pbkdf2_hmac_sha256, pbkdf2_hmac_sha256_with_fanout, pbkdf2_hmac_sha512, PARALLEL_MIN_ITERATIONS,
