@@ -194,18 +194,9 @@ impl AccountEntry {
         &self.seed
     }
 
-    /// Returns a copy of this entry with a freshly rotated seed — the
-    /// paper's password-change mechanism (§III-A2).
-    pub fn with_rotated_seed(&self, rng: &mut amnesia_crypto::SecretRng) -> Self {
-        AccountEntry {
-            username: self.username.clone(),
-            domain: self.domain.clone(),
-            seed: Seed::random(rng),
-        }
-    }
-
-    /// Replaces the seed with a specific value (used by phone recovery,
-    /// where regenerated credentials must be installable deterministically).
+    /// Replaces the seed with a specific value: a fresh `Seed::random` is
+    /// the paper's password-change mechanism (§III-A2), and phone recovery
+    /// installs regenerated credentials deterministically.
     pub fn with_seed(&self, seed: Seed) -> Self {
         AccountEntry {
             username: self.username.clone(),
@@ -244,7 +235,7 @@ mod tests {
             Domain::new("www.yahoo.com").unwrap(),
             Seed::random(&mut rng),
         );
-        let rotated = entry.with_rotated_seed(&mut rng);
+        let rotated = entry.with_seed(Seed::random(&mut rng));
         assert_eq!(entry.username(), rotated.username());
         assert_eq!(entry.domain(), rotated.domain());
         assert_ne!(entry.seed(), rotated.seed());
