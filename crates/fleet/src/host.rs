@@ -509,7 +509,6 @@ impl Fleet {
         let sid = self.host.begin(
             browser,
             Some(phone),
-            Some(user_id),
             FlowSpec::Setup {
                 user_id: user_id.into(),
                 master_password: master_password.into(),
@@ -541,7 +540,6 @@ impl Fleet {
         let sid = self.host.begin(
             browser,
             None,
-            Some(user_id),
             FlowSpec::AddAccount {
                 username: username.clone(),
                 domain: domain.clone(),
@@ -870,9 +868,7 @@ impl Fleet {
                 )
             }
         };
-        Ok(self
-            .host
-            .begin(browser, phone, Some(op.user()), spec, attempts, install)?)
+        Ok(self.host.begin(browser, phone, spec, attempts, install)?)
     }
 
     fn finish_op(&mut self, op: &FleetOp, finished: Finished) -> Result<OpOutcome, FleetError> {

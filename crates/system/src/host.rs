@@ -43,7 +43,6 @@ struct SessionEntry {
     engine: Session,
     browser: EndpointId,
     phone: Option<EndpointId>,
-    user_id: Option<String>,
     /// The shard the session's browser is linked to.
     shard: usize,
     /// The rendezvous instance the session's phones register on.
@@ -455,7 +454,6 @@ impl SessionHost {
         &mut self,
         browser: EndpointId,
         phone: Option<EndpointId>,
-        user_id: Option<&str>,
         spec: FlowSpec,
         attempts: u32,
         install: Option<(String, u64)>,
@@ -486,7 +484,6 @@ impl SessionHost {
                 engine,
                 browser,
                 phone,
-                user_id: user_id.map(str::to_string),
                 shard,
                 home_gcm,
                 deadline: None,
@@ -694,17 +691,17 @@ impl SessionHost {
         let entry = self.sessions.get(&sid);
         let shard = entry.map_or(0, |e| e.shard);
         let user_id = entry
-            .and_then(|e| e.user_id.clone())
+            .and_then(|e| e.engine.user_id())
             .ok_or(SystemError::MissingReply {
                 expected: "user id",
             })?;
-        let backup = AmnesiaPhone::download_backup_from_cloud(&mut self.cloud, &user_id)?;
+        let backup = AmnesiaPhone::download_backup_from_cloud(&mut self.cloud, user_id)?;
         let server = &self
             .shards
             .get(shard)
             .ok_or(SystemError::MissingReply { expected: "shard" })?
             .server;
-        let old_registration = server.user_record(&user_id)?.registration_id.clone();
+        let old_registration = server.user_record(user_id)?.registration_id.clone();
         if let Some(entry) = self.sessions.get_mut(&sid) {
             entry.purge_registration = old_registration;
         }
@@ -753,7 +750,7 @@ impl SessionHost {
         let user_id = self
             .sessions
             .get(&sid)
-            .and_then(|e| e.user_id.clone())
+            .and_then(|e| e.engine.user_id())
             .ok_or(SystemError::MissingReply {
                 expected: "user id",
             })?;
@@ -761,7 +758,7 @@ impl SessionHost {
         let Some(agent) = self.phones.get(phone) else {
             return Err(self.unknown(phone));
         };
-        agent.backup_to_cloud(&mut self.cloud, &user_id)?;
+        agent.backup_to_cloud(&mut self.cloud, user_id)?;
         Ok(())
     }
 

@@ -376,6 +376,19 @@ impl Session {
         self.id
     }
 
+    /// The Amnesia user id the flow's spec names, if it names one (setup,
+    /// login, grant, recovery and master-password change).
+    pub fn user_id(&self) -> Option<&str> {
+        match &self.spec {
+            FlowSpec::Setup { user_id, .. }
+            | FlowSpec::Login { user_id, .. }
+            | FlowSpec::GrantSession { user_id, .. }
+            | FlowSpec::Recover { user_id, .. }
+            | FlowSpec::ChangeMasterPassword { user_id, .. } => Some(user_id),
+            _ => None,
+        }
+    }
+
     /// The login token, once captured from `LoginOk` (or supplied).
     pub fn auth(&self) -> Option<&SessionToken> {
         self.auth.as_ref()
@@ -781,19 +794,15 @@ impl Session {
         if self.state != State::AwaitPaired {
             return Vec::new();
         }
-        let user_id = match &self.spec {
-            FlowSpec::Setup { user_id, .. } | FlowSpec::Recover { user_id, .. } => user_id.clone(),
-            _ => return Vec::new(),
-        };
-        let Some(captcha) = self.captcha.clone() else {
+        let (Some(user_id), Some(captcha)) = (self.user_id(), &self.captcha) else {
             return Vec::new();
         };
         vec![
             Action::Send {
                 origin: Origin::Phone,
                 message: ToServer::CompletePhonePairing {
-                    user_id,
-                    captcha,
+                    user_id: user_id.to_string(),
+                    captcha: captcha.clone(),
                     pid,
                     registration_id,
                     request_id: self.id,

@@ -172,12 +172,11 @@ impl AmnesiaSystem {
         &mut self,
         browser: &str,
         phone: Option<&str>,
-        user_id: Option<&str>,
         spec: FlowSpec,
         install: Option<(String, u64)>,
     ) -> Result<SessionOutcome, SystemError> {
         let (browser, phone) = self.endpoints(browser, phone)?;
-        let sid = self.host.begin(browser, phone, user_id, spec, 1, install)?;
+        let sid = self.host.begin(browser, phone, spec, 1, install)?;
         self.host.run(sid).result
     }
 
@@ -212,7 +211,7 @@ impl AmnesiaSystem {
             username: username.clone(),
             domain: domain.clone(),
         };
-        self.host.begin(browser, phone, None, spec, attempts, None)
+        self.host.begin(browser, phone, spec, attempts, None)
     }
 
     /// The generation outcome of a finished session, with its measured
@@ -254,7 +253,6 @@ impl AmnesiaSystem {
         match self.run_flow(
             browser,
             Some(phone),
-            Some(user_id),
             FlowSpec::Setup {
                 user_id: user_id.into(),
                 master_password: master_password.into(),
@@ -282,7 +280,6 @@ impl AmnesiaSystem {
         match self.run_flow(
             browser,
             None,
-            Some(user_id),
             FlowSpec::Login {
                 user_id: user_id.into(),
                 master_password: master_password.into(),
@@ -311,7 +308,6 @@ impl AmnesiaSystem {
         match self.run_flow(
             browser,
             None,
-            None,
             FlowSpec::AddAccount {
                 username,
                 domain,
@@ -332,7 +328,7 @@ impl AmnesiaSystem {
     ///
     /// Propagates server rejections.
     pub fn list_accounts(&mut self, browser: &str) -> Result<Vec<AccountRef>, SystemError> {
-        match self.run_flow(browser, None, None, FlowSpec::ListAccounts, None)? {
+        match self.run_flow(browser, None, FlowSpec::ListAccounts, None)? {
             SessionOutcome::Accounts(accounts) => Ok(accounts),
             _ => Err(SystemError::MissingReply {
                 expected: "Accounts",
@@ -353,7 +349,6 @@ impl AmnesiaSystem {
     ) -> Result<(), SystemError> {
         match self.run_flow(
             browser,
-            None,
             None,
             FlowSpec::RotateSeed { username, domain },
             None,
@@ -471,7 +466,6 @@ impl AmnesiaSystem {
         match self.run_flow(
             browser,
             Some(phone),
-            None,
             FlowSpec::StoreChosen {
                 username,
                 domain,
@@ -503,7 +497,6 @@ impl AmnesiaSystem {
         match self.run_flow(
             browser,
             Some(phone),
-            Some(user_id),
             FlowSpec::GrantSession {
                 user_id: user_id.into(),
                 max_uses,
@@ -537,7 +530,6 @@ impl AmnesiaSystem {
         match self.run_flow(
             browser,
             None,
-            Some(user_id),
             FlowSpec::Recover {
                 user_id: user_id.into(),
                 master_password: master_password.into(),
@@ -575,7 +567,6 @@ impl AmnesiaSystem {
         match self.run_flow(
             browser,
             Some(phone),
-            Some(user_id),
             FlowSpec::ChangeMasterPassword {
                 user_id: user_id.into(),
                 old_master_password: old_master_password.into(),
