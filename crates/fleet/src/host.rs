@@ -203,12 +203,22 @@ impl FleetConfig {
     }
 
     /// Overrides the admission backlog bound.
+    ///
+    /// A test fixture: no deployment sets it, so no op is ever shed.
+    /// `tests/fleet_e2e.rs`'s `admission_rejects_beyond_window_plus_queue`
+    /// needs a finite bound to see ops shed.
     pub fn with_admission_queue(mut self, backlog: usize) -> Self {
         self.admission_queue = backlog;
         self
     }
 
     /// Overrides the generation retry budget.
+    ///
+    /// A test fixture: no deployment sets it, so a generation is sent
+    /// once. `tests/fleet_e2e.rs` needs retries to hold a one-shard fleet
+    /// to the single host on a lossy profile
+    /// (`single_host_is_a_one_shard_fleet`) and to see lost pushes retried
+    /// in a shared window (`push_drops_retry_within_a_shared_window`).
     pub fn with_generate_attempts(mut self, attempts: u32) -> Self {
         self.generate_attempts = attempts.max(1);
         self

@@ -148,8 +148,8 @@ pub struct SystemConfig {
     /// (the default) keeps the historical open-everything behaviour.
     pub max_inflight: usize,
     /// Overrides the server's DRBG seed (normally drawn from the `seed`
-    /// stream). Sharded deployments use this to build a byte-identical
-    /// single-host ground truth for one shard.
+    /// stream), so a single host can be the byte-identical ground truth
+    /// for one fleet shard.
     pub server_seed: Option<u64>,
 }
 
@@ -194,6 +194,13 @@ impl SystemConfig {
     }
 
     /// Enables or disables channel encryption.
+    ///
+    /// A test fixture: every deployment seals its channels. The §IV-A
+    /// ablation `insecure_channels_expose_plaintext` (`system.rs`) turns
+    /// them off to show what a wiretap sees without HTTPS, and
+    /// `crates/system/tests/dispatch_edges.rs` does so to put its own bytes
+    /// on the browser's link (`a_policy_with_no_characters_off_the_wire_is_a_fault_not_an_account`,
+    /// `a_username_with_nul_off_the_wire_is_a_fault_not_an_account`).
     pub fn with_secure_channels(mut self, on: bool) -> Self {
         self.secure_channels = on;
         self
@@ -206,6 +213,14 @@ impl SystemConfig {
     }
 
     /// Caps how many sessions batch drivers keep open at once.
+    ///
+    /// A test fixture: no deployment sets it, so a batch opens every
+    /// session at once. `tests/concurrency.rs` needs a cap to show the
+    /// window slides without losing a request
+    /// (`bounded_inflight_cap_slides_without_losing_requests`) and to pin a
+    /// windowed timeline (`single_host_timeline_is_pinned`), and
+    /// `crates/fleet/tests/fleet_e2e.rs` gives the single host the fleet's
+    /// window (`single_host_is_a_one_shard_fleet`).
     pub fn with_max_inflight(mut self, cap: usize) -> Self {
         self.max_inflight = cap.max(1);
         self
@@ -213,6 +228,11 @@ impl SystemConfig {
 
     /// Pins the server's DRBG seed instead of drawing it from the system
     /// seed stream.
+    ///
+    /// A test fixture: no deployment sets it.
+    /// `crates/fleet/tests/fleet_e2e.rs`'s
+    /// `fleet_passwords_match_single_host_ground_truth` builds each shard's
+    /// single-host twin from that shard's server seed.
     pub fn with_server_seed(mut self, server_seed: u64) -> Self {
         self.server_seed = Some(server_seed);
         self
