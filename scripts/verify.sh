@@ -10,6 +10,19 @@ echo "==> cargo build --release --offline --locked"
 cargo build --release --offline --locked --workspace
 
 echo "==> cargo test --offline"
+# Every debug test target runs here once; among them:
+# - tests/concurrency.rs: 256 interleaved generations over one network of
+#   out-of-order links, the sim-vs-threaded differential check and the
+#   late-reply-after-timeout regression.
+# - tests/security_properties.rs and tests/failure_injection.rs:
+#   replay-window invariants (permuted/duplicated streams decrypt exactly
+#   once, system-wide replay rejection), drop+retry convergence under
+#   out-of-order links, and the WAL's crash-recovery invariants (torn tail
+#   at every byte offset, bit flips, ack/fsync ordering).
+# - crates/fleet/tests/fleet_e2e.rs and ring_props.rs: sharding
+#   transparency (byte-identity vs a single-host ground truth),
+#   cross-instance rendezvous forwarding, admission control, per-shard
+#   telemetry, and the ring balance/minimal-movement properties.
 cargo test -q --offline --workspace
 
 echo "==> crypto tests in release mode"
@@ -152,26 +165,6 @@ for rung in interactive balanced paranoid; do
     fi
 done
 
-echo "==> concurrent-session isolation tests"
-# 256 interleaved generations over one network of out-of-order links plus
-# the sim-vs-threaded differential check and the late-reply-after-timeout
-# regression.
-cargo test -q --offline --test concurrency
-
-echo "==> security-property and failure-injection tests"
-# Replay-window invariants (permuted/duplicated streams decrypt exactly
-# once, system-wide replay rejection) and drop+retry convergence under
-# out-of-order links.
-cargo test -q --offline --test security_properties
-cargo test -q --offline --test failure_injection
-
-echo "==> fleet e2e and consistent-hash ring tests"
-# Sharding transparency (byte-identity vs a single-host ground truth),
-# cross-instance rendezvous forwarding, admission control, per-shard
-# telemetry, and the ring balance/minimal-movement properties.
-cargo test -q --offline -p amnesia-fleet --test fleet_e2e
-cargo test -q --offline -p amnesia-fleet --test ring_props
-
 echo "==> fleet scaling smoke run"
 # Quick-mode sharded-fleet bench (6k users, shards {1,4}): population-
 # sampled generation burst per shard count; fails unless the 4-shard
@@ -192,7 +185,8 @@ echo "==> durable store write-path smoke run"
 # unless group commit reaches 10x the snapshot-per-write rate. The
 # committed baseline (BENCH_STORE.json) is regenerated with a full run.
 # Crash-recovery invariants (torn tail at every byte offset, bit flips,
-# ack/fsync ordering) run as part of the failure_injection suite above.
+# ack/fsync ordering) run in the failure_injection suite of the workspace
+# tests above.
 cargo run -q --release --offline --locked -p amnesia-bench \
     --bin bench_store -- --quick --out target/BENCH_STORE.quick.json
 for metric in wal_group_commit_wps snapshot_per_write_wps recover_ms; do
@@ -258,4 +252,4 @@ for workload in interactive burst mixed signup; do
     fi
 done
 
-echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server, rendezvous and store tests, release-mode allocation budget, unsafe budget, formatting, clippy, lint, zero-dependency check, telemetry, crypto-bench, concurrency, security-property, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
+echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server, rendezvous and store tests, release-mode allocation budget, unsafe budget, formatting, clippy, lint, zero-dependency check, telemetry, crypto-bench, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
