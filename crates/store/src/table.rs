@@ -132,25 +132,26 @@ where
         self.commit(lsn)
     }
 
-    /// Inserts or replaces a row, returning the previous row if any.
+    /// Inserts or replaces a row. The replaced row is dropped undecoded:
+    /// read it with [`get`](Self::get) first if it is needed.
     ///
     /// # Errors
     ///
-    /// Returns a codec error if encoding or decoding fails.
-    pub fn put(&self, key: &K, value: &V) -> Result<Option<V>, StoreError> {
+    /// Returns an I/O error if the table is WAL-backed and the log write
+    /// fails.
+    pub fn put(&self, key: &K, value: &V) -> Result<(), StoreError> {
         let k = codec::to_bytes(key)?;
         let v = codec::to_bytes(value)?;
-        let (old, lsn) = {
+        let lsn = {
             let mut raw = write_lock(&self.raw);
             let lsn = match &self.wal {
                 Some(wal) => Some(wal.append_put(&self.name, &k, &v)?),
                 None => None,
             };
-            (raw.insert(k, v), lsn)
+            raw.insert(k, v);
+            lsn
         };
-        self.commit(lsn)?;
-        old.map(|bytes| codec::from_bytes(&bytes).map_err(StoreError::from))
-            .transpose()
+        self.commit(lsn)
     }
 
     /// Fetches the row for `key`.
@@ -316,8 +317,8 @@ mod tests {
         let t = db.table::<u32, Row>("t");
         t.insert(&1, &row(1)).unwrap();
         assert!(t.insert(&1, &row(2)).is_err());
-        let old = t.put(&1, &row(2)).unwrap();
-        assert_eq!(old, Some(row(1)));
+        assert_eq!(t.get(&1).unwrap(), Some(row(1)));
+        t.put(&1, &row(2)).unwrap();
         assert_eq!(t.get(&1).unwrap(), Some(row(2)));
     }
 
