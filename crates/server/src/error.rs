@@ -60,6 +60,26 @@ pub enum ServerError {
         /// Parameter summary of the weaker policy the deployment requested.
         requested: String,
     },
+    /// A user already holds `u32::MAX` accounts, the most a position in
+    /// the `accounts` table can number.
+    TooManyAccounts,
+    /// An account row at rest names a user that has no row.
+    OrphanAccount {
+        /// The user the row names.
+        user_id: String,
+        /// The row's position.
+        position: u32,
+    },
+    /// A user's account rows at rest skip or repeat a position, so the
+    /// accounts' creation order cannot be rebuilt.
+    AccountPositionGap {
+        /// The user whose rows are out of place.
+        user_id: String,
+        /// The position the next row should hold.
+        expected: u32,
+        /// The position it holds.
+        found: u32,
+    },
     /// A storage error.
     Store(String),
 }
@@ -91,6 +111,20 @@ impl fmt::Display for ServerError {
                 f,
                 "refusing KDF policy downgrade: record stored under {stored}, \
                  deployment requested {requested}"
+            ),
+            ServerError::TooManyAccounts => write!(f, "no account position left for this user"),
+            ServerError::OrphanAccount { user_id, position } => write!(
+                f,
+                "account row {position} names user {user_id:?}, who has no row"
+            ),
+            ServerError::AccountPositionGap {
+                user_id,
+                expected,
+                found,
+            } => write!(
+                f,
+                "account rows of user {user_id:?} skip or repeat a position: \
+                 expected {expected}, found {found}"
             ),
             ServerError::Store(msg) => write!(f, "storage error: {msg}"),
         }

@@ -23,6 +23,10 @@ use std::path::Path;
 /// A logged-in session handle (alias of the auth-layer token).
 pub type SessionToken = Session;
 
+/// The key of an account row: the user id and the account's position in
+/// the user's creation order.
+type AccountKey = (String, u32);
+
 /// Server deployment parameters.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -123,13 +127,18 @@ pub struct AmnesiaServer {
     config: ServerConfig,
     rng: SecretRng,
     db: Database,
-    /// The durable copy of Table I (write-ahead-logged when `db` is
-    /// durable). The breach model reads it; no other flow does.
+    /// The durable copy of Table I is two tables, write-ahead-logged when
+    /// `db` is durable. This one holds each user's own fields, with
+    /// `accounts` empty.
     users: TypedTable<String, UserRecord>,
-    /// Every acknowledged row of `users`, decoded: filled by one scan when
-    /// the server opens a database, and written only by `register_user`
-    /// and `store_user` once the table write has returned `Ok`. Hashed:
-    /// nothing iterates it (the breach model reads `users`).
+    /// One row per account, keyed by user id and position in creation
+    /// order. The breach model reads both tables; no other flow does.
+    accounts: TypedTable<AccountKey, StoredAccount>,
+    /// Every acknowledged user, decoded, with its accounts in creation
+    /// order: filled by one scan of each table when the server opens a
+    /// database. A write changes one row, then, once the table write has
+    /// returned `Ok`, changes the decoded user in place. Hashed: nothing
+    /// iterates it (the breach model reads the tables).
     records: HashMap<String, UserRecord>,
     sessions: SessionManager,
     pending: PendingRequests,
@@ -164,6 +173,56 @@ fn row<'a>(
         })
 }
 
+/// Mutable variant of [`row`].
+fn row_mut<'a>(
+    records: &'a mut HashMap<String, UserRecord>,
+    user_id: &str,
+) -> Result<&'a mut UserRecord, ServerError> {
+    records
+        .get_mut(user_id)
+        .ok_or_else(|| ServerError::UnknownUser {
+            user_id: user_id.into(),
+        })
+}
+
+/// The row key of `user_id`'s account at `index` in creation order.
+fn account_key(user_id: &str, index: usize) -> Result<AccountKey, ServerError> {
+    let position = u32::try_from(index).map_err(|_| ServerError::TooManyAccounts)?;
+    Ok((user_id.to_string(), position))
+}
+
+/// Appends each account row to its user's record, in position order.
+///
+/// # Errors
+///
+/// Returns [`ServerError::OrphanAccount`] for a row whose user has no
+/// record and [`ServerError::AccountPositionGap`] when a user's positions
+/// do not run 0, 1, 2, … after the accounts the record already holds.
+fn attach_accounts(
+    records: &mut HashMap<String, UserRecord>,
+    mut rows: Vec<(AccountKey, StoredAccount)>,
+) -> Result<(), ServerError> {
+    // The table orders rows by encoded key, and a position encodes
+    // little-endian, so past 255 accounts scan order is not creation order.
+    rows.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+    for ((user_id, position), account) in rows {
+        let Some(record) = records.get_mut(&user_id) else {
+            return Err(ServerError::OrphanAccount { user_id, position });
+        };
+        let expected =
+            u32::try_from(record.accounts.len()).map_err(|_| ServerError::TooManyAccounts)?;
+        if position != expected {
+            return Err(ServerError::AccountPositionGap {
+                user_id,
+                expected,
+                found: position,
+            });
+        }
+        record.accounts.push(account);
+    }
+    Ok(())
+}
+
 /// Pops one use of `user_id`'s active session grant, if any.
 fn consume_session_grant(
     grants: &mut HashMap<String, (SessionGrantToken, u32)>,
@@ -189,26 +248,53 @@ impl AmnesiaServer {
     }
 
     /// Creates a server over an existing database (e.g. one reloaded from a
-    /// snapshot), decoding every row of its `users` table once.
+    /// snapshot), decoding every row of its `users` and `accounts` tables
+    /// once.
+    ///
+    /// A user row written by an earlier build holds the user's accounts.
+    /// Opening moves them into account rows: it writes the account rows
+    /// first, then rewrites the user row empty. A store cut partway still
+    /// holds every account in the user row, and the next open writes the
+    /// same rows again; a migrated store opens without a write.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Store`] if a stored row fails to decode.
+    /// Returns [`ServerError::Store`] if a stored row fails to decode or a
+    /// migration write fails, [`ServerError::OrphanAccount`] for an account
+    /// row whose user has no row, and [`ServerError::AccountPositionGap`]
+    /// when a user's account positions skip or repeat one.
     pub fn with_database(config: ServerConfig, db: Database) -> Result<Self, ServerError> {
         let mut server = Self::unloaded(config, db);
-        server.records = server.users.scan()?.into_iter().collect();
+        let mut users = server.users.scan()?;
+        for (user_id, record) in &mut users {
+            if record.accounts.is_empty() {
+                continue;
+            }
+            for (index, account) in record.accounts.iter().enumerate() {
+                server
+                    .accounts
+                    .put(&account_key(user_id, index)?, account)?;
+            }
+            record.accounts.clear();
+            server.users.put(user_id, record)?;
+        }
+        let mut records = users.into_iter().collect();
+        attach_accounts(&mut records, server.accounts.scan()?)?;
+        server.records = records;
         Ok(server)
     }
 
     /// A server over `db` that has not decoded any of its rows yet.
     fn unloaded(config: ServerConfig, db: Database) -> Self {
         let users = db.table("users");
+        let accounts = db.table("accounts");
         let telemetry = Registry::new();
         AmnesiaServer {
             rng: SecretRng::seeded(config.seed),
             config,
             db,
             users,
+            accounts,
             records: HashMap::new(),
             sessions: SessionManager::new(),
             pending: PendingRequests::new(),
@@ -278,8 +364,9 @@ impl AmnesiaServer {
     }
 
     /// The server's backing database (durable deployments use this to drive
-    /// compaction policy). Write users only through the server: it keeps
-    /// its own decoded copy of the `users` table.
+    /// compaction policy). Write users and accounts only through the
+    /// server: it keeps its own decoded copy of the `users` and `accounts`
+    /// tables.
     pub fn database(&self) -> &Database {
         &self.db
     }
@@ -338,11 +425,26 @@ impl AmnesiaServer {
         }
     }
 
-    /// Writes `record` to the table, then, once the write is acknowledged,
-    /// replaces the decoded row.
-    fn store_user(&mut self, record: UserRecord) -> Result<(), ServerError> {
-        self.users.put(&record.user_id, &record)?;
-        self.records.insert(record.user_id.clone(), record);
+    /// Writes `user`, a record with no accounts, to the user's row, then,
+    /// once the write is acknowledged, replaces the decoded user's own
+    /// fields, keeping its accounts.
+    fn store_user_fields(&mut self, user: UserRecord) -> Result<(), ServerError> {
+        self.users.put(&user.user_id, &user)?;
+        let record = row_mut(&mut self.records, &user.user_id)?;
+        let accounts = std::mem::take(&mut record.accounts);
+        *record = UserRecord { accounts, ..user };
+        Ok(())
+    }
+
+    /// Inserts `account` as the row at `key`, then, once the write is
+    /// acknowledged, appends it to the decoded user's accounts.
+    fn insert_account(
+        &mut self,
+        key: AccountKey,
+        account: StoredAccount,
+    ) -> Result<(), ServerError> {
+        self.accounts.insert(&key, &account)?;
+        row_mut(&mut self.records, &key.0)?.accounts.push(account);
         Ok(())
     }
 
@@ -439,8 +541,8 @@ impl AmnesiaServer {
         pid: &PhoneId,
         registration_id: RegistrationId,
     ) -> Result<(), ServerError> {
-        let mut record = row(&self.records, user_id)?.clone();
-        if record.phone_paired() {
+        let mut user = row(&self.records, user_id)?.without_accounts();
+        if user.phone_paired() {
             return Err(ServerError::PhoneAlreadyPaired);
         }
         match self.captchas.get(user_id) {
@@ -448,9 +550,9 @@ impl AmnesiaServer {
             _ => return Err(ServerError::BadCaptcha),
         }
         self.captchas.remove(user_id);
-        record.pid_verifier = Some(self.derive_verifier(pid.as_bytes())?);
-        record.registration_id = Some(registration_id);
-        self.store_user(record)
+        user.pid_verifier = Some(self.derive_verifier(pid.as_bytes())?);
+        user.registration_id = Some(registration_id);
+        self.store_user_fields(user)
     }
 
     // -- account management --------------------------------------------------
@@ -467,17 +569,19 @@ impl AmnesiaServer {
         domain: Domain,
         policy: PasswordPolicy,
     ) -> Result<(), ServerError> {
-        let mut record = self.session_user(session)?.clone();
+        let user_id = self.sessions.resolve(session)?;
+        let record = row(&self.records, user_id)?;
         if record.find_account(&username, &domain).is_some() {
             return Err(ServerError::AccountExists);
         }
+        let key = account_key(user_id, record.accounts.len())?;
         let seed = Seed::random(&mut self.rng);
-        record.accounts.push(StoredAccount {
+        let account = StoredAccount {
             entry: AccountEntry::new(username, domain, seed),
             policy,
             kind: AccountKind::Generated,
-        });
-        self.store_user(record)
+        };
+        self.insert_account(key, account)
     }
 
     /// Lists the session user's managed accounts.
@@ -509,21 +613,29 @@ impl AmnesiaServer {
         username: &Username,
         domain: &Domain,
     ) -> Result<(), ServerError> {
-        let mut record = self.session_user(session)?.clone();
+        let user_id = self.sessions.resolve(session)?;
+        let record = row(&self.records, user_id)?;
         let seed = Seed::random(&mut self.rng);
-        let account = record
-            .find_account_mut(username, domain)
+        let (index, account) = record
+            .find_account_at(username, domain)
             .ok_or(ServerError::UnknownAccount)?;
         if !matches!(account.kind, AccountKind::Generated) {
             // The seed keys the vault ciphertext; rotating it would orphan
             // the stored password.
             return Err(ServerError::VaultedSeedRotation);
         }
-        account.entry = account.entry.with_seed(seed);
-        let account = account.account_ref();
-        let user_id = record.user_id.clone();
-        self.store_user(record)?;
-        self.pending.purge_account(&user_id, &account);
+        let rotated = StoredAccount {
+            entry: account.entry.with_seed(seed),
+            policy: account.policy.clone(),
+            kind: AccountKind::Generated,
+        };
+        let key = account_key(user_id, index)?;
+        self.accounts.put(&key, &rotated)?;
+        let account = rotated.account_ref();
+        if let Some(slot) = row_mut(&mut self.records, &key.0)?.accounts.get_mut(index) {
+            *slot = rotated;
+        }
+        self.pending.purge_account(&key.0, &account);
         self.note_pending_depth();
         Ok(())
     }
@@ -735,8 +847,8 @@ impl AmnesiaServer {
                     aad.as_bytes(),
                     &mut self.rng,
                 );
-                let mut record = record.clone();
-                record.accounts.push(StoredAccount {
+                let row_key = account_key(&pending.user_id, record.accounts.len())?;
+                let account = StoredAccount {
                     entry: AccountEntry::new(
                         pending.account.username.clone(),
                         pending.account.domain.clone(),
@@ -744,8 +856,8 @@ impl AmnesiaServer {
                     ),
                     policy: PasswordPolicy::default(),
                     kind: AccountKind::Vaulted { ciphertext },
-                });
-                self.store_user(record)?;
+                };
+                self.insert_account(row_key, account)?;
                 Ok(TokenOutcome::VaultStored { pending })
             }
         }
@@ -781,7 +893,7 @@ impl AmnesiaServer {
         backup: &KpBackup,
     ) -> Result<(Vec<RecoveredCredential>, Option<RegistrationId>), ServerError> {
         self.verify_master_password(user_id, master_password)?;
-        let mut record = row(&self.records, user_id)?.clone();
+        let record = row(&self.records, user_id)?;
         let pid_verifier = record
             .pid_verifier
             .as_ref()
@@ -806,7 +918,7 @@ impl AmnesiaServer {
                         account.entry.seed(),
                     );
                     let token = table.token(&request)?;
-                    let key = Self::vault_key(&token, &record, account.entry.seed());
+                    let key = Self::vault_key(&token, record, account.entry.seed());
                     let aad = account.account_ref().to_string();
                     let plaintext = aead::open(&key, ciphertext, aad.as_bytes())
                         .map_err(|_| ServerError::VaultCorrupt)?;
@@ -822,11 +934,12 @@ impl AmnesiaServer {
             });
         }
 
-        let old_registration = record.registration_id.take();
-        record.pid_verifier = None;
+        let mut user = record.without_accounts();
+        let old_registration = user.registration_id.take();
+        user.pid_verifier = None;
         self.pending.purge_user(user_id);
         self.note_pending_depth();
-        self.store_user(record)?;
+        self.store_user_fields(user)?;
         Ok((credentials, old_registration))
     }
 
@@ -847,8 +960,8 @@ impl AmnesiaServer {
         new_master_password: &str,
     ) -> Result<(), ServerError> {
         self.verify_master_password(user_id, old_master_password)?;
-        let mut record = row(&self.records, user_id)?.clone();
-        let pid_verifier = record
+        let mut user = row(&self.records, user_id)?.without_accounts();
+        let pid_verifier = user
             .pid_verifier
             .as_ref()
             .ok_or(ServerError::NoPhonePaired)?;
@@ -857,8 +970,8 @@ impl AmnesiaServer {
         }
         // Re-deriving here is the upgrade path: a legacy CPU record becomes
         // a record at the deployment's current rung on password change.
-        record.mp_verifier = self.derive_verifier(new_master_password.as_bytes())?;
-        self.store_user(record)?;
+        user.mp_verifier = self.derive_verifier(new_master_password.as_bytes())?;
+        self.store_user_fields(user)?;
         self.sessions.revoke_all_for(user_id);
         Ok(())
     }
@@ -877,12 +990,24 @@ impl AmnesiaServer {
     /// Everything at rest on the server — **the §IV-C server-breach attack
     /// surface**. The attack harness calls this to model an attacker with
     /// full access to data at rest (and nothing else), so it decodes the
-    /// `users` table rather than copying the server's decoded rows.
+    /// `users` and `accounts` tables and joins them rather than copying the
+    /// server's decoded rows. Users come in the `users` table's order, each
+    /// with its accounts in creation order.
     pub fn export_data_at_rest_for_attack_model(&self) -> Vec<UserRecord> {
-        self.users
-            .scan()
-            .map(|rows| rows.into_iter().map(|(_, r)| r).collect())
-            .unwrap_or_default()
+        self.rows_at_rest().unwrap_or_default()
+    }
+
+    /// The join behind
+    /// [`export_data_at_rest_for_attack_model`](Self::export_data_at_rest_for_attack_model).
+    fn rows_at_rest(&self) -> Result<Vec<UserRecord>, ServerError> {
+        let users = self.users.scan()?;
+        let order: Vec<String> = users.iter().map(|(user_id, _)| user_id.clone()).collect();
+        let mut records = users.into_iter().collect();
+        attach_accounts(&mut records, self.accounts.scan()?)?;
+        Ok(order
+            .iter()
+            .filter_map(|user_id| records.remove(user_id))
+            .collect())
     }
 
     // -- wire adapter --------------------------------------------------------

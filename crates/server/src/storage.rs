@@ -65,6 +65,14 @@ impl StoredAccount {
 }
 
 /// Everything the Amnesia server stores about one user (paper Table I).
+///
+/// At rest the server keeps Table I in two tables: the `users` row holds
+/// this record with `accounts` empty, and each account is a row of its own
+/// in the `accounts` table, keyed by the user id and the account's position
+/// in creation order. The user row keeps this encoding, an empty list
+/// included, so rows written by earlier builds, which held every account in
+/// the user row, decode with the same codec; the server moves their
+/// accounts into account rows when it opens the store.
 #[derive(Clone, Debug)]
 pub struct UserRecord {
     /// Login name for the Amnesia web account.
@@ -78,7 +86,7 @@ pub struct UserRecord {
     pub pid_verifier: Option<Verifier>,
     /// The rendezvous registration ID, stored in plaintext per Table I.
     pub registration_id: Option<RegistrationId>,
-    /// Managed website accounts `{(µ, d, σ)}`.
+    /// Managed website accounts `{(µ, d, σ)}`, in creation order.
     pub accounts: Vec<StoredAccount>,
 }
 amnesia_store::record_struct! {
@@ -88,20 +96,34 @@ amnesia_store::record_struct! {
 impl UserRecord {
     /// Finds a managed account by `(username, domain)`.
     pub fn find_account(&self, username: &Username, domain: &Domain) -> Option<&StoredAccount> {
-        self.accounts
-            .iter()
-            .find(|a| a.entry.username() == username && a.entry.domain() == domain)
+        self.find_account_at(username, domain)
+            .map(|(_, account)| account)
     }
 
-    /// Mutable variant of [`find_account`](Self::find_account).
-    pub fn find_account_mut(
-        &mut self,
+    /// [`find_account`](Self::find_account) with the account's position in
+    /// creation order.
+    pub fn find_account_at(
+        &self,
         username: &Username,
         domain: &Domain,
-    ) -> Option<&mut StoredAccount> {
+    ) -> Option<(usize, &StoredAccount)> {
         self.accounts
-            .iter_mut()
-            .find(|a| a.entry.username() == username && a.entry.domain() == domain)
+            .iter()
+            .enumerate()
+            .find(|(_, a)| a.entry.username() == username && a.entry.domain() == domain)
+    }
+
+    /// A copy of the user's own fields with no accounts: the user's row in
+    /// the `users` table.
+    pub(crate) fn without_accounts(&self) -> UserRecord {
+        UserRecord {
+            user_id: self.user_id.clone(),
+            oid: self.oid.clone(),
+            mp_verifier: self.mp_verifier.clone(),
+            pid_verifier: self.pid_verifier.clone(),
+            registration_id: self.registration_id.clone(),
+            accounts: Vec::new(),
+        }
     }
 
     /// Whether a phone is currently paired.
