@@ -102,7 +102,7 @@ impl UserRecord {
 
     /// [`find_account`](Self::find_account) with the account's position in
     /// creation order.
-    pub fn find_account_at(
+    pub(crate) fn find_account_at(
         &self,
         username: &Username,
         domain: &Domain,
