@@ -114,7 +114,9 @@ impl Database {
     /// # Errors
     ///
     /// Returns I/O errors, [`StoreError::Corrupt`] if the snapshot or a
-    /// *sealed* (non-tail) WAL segment fails validation.
+    /// *sealed* (non-tail) WAL segment fails validation, or if any segment
+    /// holds a frame whose checksum holds but whose payload does not decode
+    /// (nothing is truncated then).
     pub fn open_durable(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_durable_with(dir, DurabilityConfig::default())
     }

@@ -18,10 +18,12 @@
 //! └──────────┴─────────────┴───────────────────┴──────────────────────┘
 //! ```
 //!
-//! LSNs are assigned densely and monotonically; [`scan_segment`] rejects any
-//! frame that breaks the sequence, fails its checksum, or is truncated, and
-//! reports the byte length of the well-formed prefix so recovery can cut a
-//! torn tail without ever losing an *acked* (committed) record.
+//! LSNs are assigned densely and monotonically; [`scan_segment`] stops at
+//! any frame that breaks the sequence, fails its checksum, or is truncated,
+//! and reports the byte length of the well-formed prefix so recovery can cut
+//! a torn tail without ever losing an *acked* (committed) record. A frame
+//! whose checksum holds but whose payload does not decode is no torn write:
+//! the scan refuses it with an error instead.
 //!
 //! # Group commit
 //!
@@ -543,14 +545,18 @@ pub struct ScanOutcome {
 }
 
 /// Parses a segment: magic header then frames, stopping at the first
-/// truncated frame, checksum mismatch, undecodable payload, or LSN-sequence
-/// break. Everything before the stop point is returned; recovery truncates
-/// the file at `valid_len` and carries on.
+/// truncated frame, checksum mismatch, or LSN-sequence break. Everything
+/// before the stop point is returned; recovery truncates the file at
+/// `valid_len` and carries on.
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Corrupt`] only if the magic header itself is
-/// missing or wrong — the file is then not a WAL segment at all.
+/// Returns [`StoreError::Corrupt`] if the magic header is missing or wrong
+/// (the file is then not a WAL segment at all), or if a frame passes its
+/// checksum but its payload does not decode as a [`Mutation`]. Such a frame
+/// holds exactly the bytes its writer logged, so it was no torn write and
+/// may have been acked: cutting the log there would lose it and every
+/// record after it. The error names the frame's LSN.
 pub fn scan_segment(bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
     if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(StoreError::Corrupt {
@@ -574,9 +580,9 @@ pub fn scan_segment(bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
                 break false;
             }
         }
-        let Ok(mutation) = codec::from_bytes::<Mutation>(payload) else {
-            break false;
-        };
+        let mutation = codec::from_bytes::<Mutation>(payload).map_err(|e| StoreError::Corrupt {
+            reason: format!("wal record lsn {lsn} passes its checksum but does not decode: {e}"),
+        })?;
         records.push(WalRecord { lsn, mutation });
         prev_lsn = Some(lsn);
         offset += frame_len;
