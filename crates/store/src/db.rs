@@ -252,24 +252,6 @@ impl Database {
         self.read_tables().keys().cloned().collect()
     }
 
-    /// Drops a table and all its rows; returns whether it existed.
-    ///
-    /// On a durable database the drop is logged and group-committed; a log
-    /// failure is sticky in the WAL (subsequent mutations error) but cannot
-    /// be reported here.
-    pub fn drop_table(&self, name: &str) -> bool {
-        let existed = self.write_tables().remove(name).is_some();
-        if existed {
-            if let Some(engine) = &self.durable {
-                let _ = engine
-                    .wal
-                    .append_drop_table(name)
-                    .and_then(|lsn| engine.wal.commit(lsn));
-            }
-        }
-        existed
-    }
-
     /// Stream-encodes every table into `out` in the snapshot payload
     /// layout, without first cloning rows into an intermediate dump. The
     /// bytes are identical to encoding a `Vec<TableDump>` with the codec.
@@ -597,15 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_table_works() {
-        let db = Database::in_memory();
-        db.table::<u8, u8>("gone").insert(&1, &1).unwrap();
-        assert!(db.drop_table("gone"));
-        assert!(!db.drop_table("gone"));
-        assert!(db.table::<u8, u8>("gone").is_empty());
-    }
-
-    #[test]
     fn snapshot_excludes_nothing_and_is_deterministic() {
         let db = Database::in_memory();
         db.table::<u8, u8>("a").insert(&1, &1).unwrap();
@@ -645,12 +618,11 @@ mod tests {
             t.insert(&"a".into(), &vec![1]).unwrap();
             t.put(&"a".into(), &vec![2]).unwrap();
             t.insert(&"b".into(), &vec![3]).unwrap();
-            t.remove(&"b".into()).unwrap();
         }
         let db = Database::open_durable(&dir).unwrap();
         let t = db.table::<String, Vec<u8>>("blobs");
         assert_eq!(t.get(&"a".into()).unwrap(), Some(vec![2]));
-        assert_eq!(t.get(&"b".into()).unwrap(), None);
+        assert_eq!(t.get(&"b".into()).unwrap(), Some(vec![3]));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -666,16 +638,14 @@ mod tests {
             db.compact().unwrap();
             // Post-compaction mutations land in the fresh segment.
             t.put(&3, &"rewritten".into()).unwrap();
-            t.remove(&4).unwrap();
-            db.table::<u8, u8>("doomed").insert(&1, &1).unwrap();
-            db.drop_table("doomed");
+            db.table::<u8, u8>("later").insert(&1, &1).unwrap();
         }
         let db = Database::open_durable(&dir).unwrap();
         let t = db.table::<u32, String>("t");
-        assert_eq!(t.len(), 9);
+        assert_eq!(t.len(), 10);
         assert_eq!(t.get(&3).unwrap(), Some("rewritten".into()));
-        assert_eq!(t.get(&4).unwrap(), None);
-        assert!(!db.table_names().contains(&"doomed".to_string()));
+        assert_eq!(t.get(&4).unwrap(), Some("v4".into()));
+        assert_eq!(db.table::<u8, u8>("later").get(&1).unwrap(), Some(1));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,9 +19,12 @@
 //!   and
 //! * a **durable write path** ([`Database::open_durable`]) — an
 //!   append-only, checksummed write-ahead log ([`wal`]) with group commit,
-//!   making each mutation O(delta) instead of O(database), plus
+//!   making each write O(delta) instead of O(database), plus
 //!   snapshot-and-truncate compaction ([`Database::compact`]) and
-//!   crash recovery that tolerates a torn log tail.
+//!   crash recovery that cuts a torn log tail but refuses a record that
+//!   passes its checksum and does not decode. The log holds puts only:
+//!   [`TypedTable::insert`] and [`TypedTable::put`] add or replace a row,
+//!   and nothing removes one, so replay is a sequence of upserts.
 //!
 //! # Example
 //!

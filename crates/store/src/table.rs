@@ -167,27 +167,6 @@ where
             .transpose()
     }
 
-    /// Removes the row for `key`, returning it if present.
-    ///
-    /// # Errors
-    ///
-    /// Returns a codec error if encoding or decoding fails.
-    pub fn remove(&self, key: &K) -> Result<Option<V>, StoreError> {
-        let k = codec::to_bytes(key)?;
-        let (old, lsn) = {
-            let mut raw = write_lock(&self.raw);
-            let old = raw.remove(&k);
-            let lsn = match (&self.wal, old.is_some()) {
-                (Some(wal), true) => Some(wal.append_remove(&self.name, &k)?),
-                _ => None,
-            };
-            (old, lsn)
-        };
-        self.commit(lsn)?;
-        old.map(|bytes| codec::from_bytes(&bytes).map_err(StoreError::from))
-            .transpose()
-    }
-
     /// Whether a row exists for `key`.
     ///
     /// # Errors
@@ -206,25 +185,6 @@ where
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
         read_lock(&self.raw).is_empty()
-    }
-
-    /// Removes every row.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the table is WAL-backed and the log write
-    /// fails.
-    pub fn clear(&self) -> Result<(), StoreError> {
-        let lsn = {
-            let mut raw = write_lock(&self.raw);
-            let lsn = match &self.wal {
-                Some(wal) => Some(wal.append_clear(&self.name)?),
-                None => None,
-            };
-            raw.clear();
-            lsn
-        };
-        self.commit(lsn)
     }
 
     /// Decodes and returns all rows, ordered by encoded key.
@@ -247,37 +207,6 @@ where
             })
             .collect()
     }
-
-    /// Updates the row for `key` in place via `f`, returning whether a row
-    /// was present.
-    ///
-    /// The closure runs under the write lock; keep it short.
-    ///
-    /// # Errors
-    ///
-    /// Returns a codec error if encoding or decoding fails.
-    pub fn update<F: FnOnce(&mut V)>(&self, key: &K, f: F) -> Result<bool, StoreError> {
-        let k = codec::to_bytes(key)?;
-        let lsn = {
-            let mut raw = write_lock(&self.raw);
-            match raw.get(&k) {
-                None => return Ok(false),
-                Some(bytes) => {
-                    let mut value: V = codec::from_bytes(bytes)?;
-                    f(&mut value);
-                    let encoded = codec::to_bytes(&value)?;
-                    let lsn = match &self.wal {
-                        Some(wal) => Some(wal.append_put(&self.name, &k, &encoded)?),
-                        None => None,
-                    };
-                    raw.insert(k, encoded);
-                    lsn
-                }
-            }
-        };
-        self.commit(lsn)?;
-        Ok(true)
-    }
 }
 
 #[cfg(test)]
@@ -299,16 +228,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove_cycle() {
+    fn insert_get_cycle() {
         let db = Database::in_memory();
         let t = db.table::<String, Row>("t");
         assert!(t.is_empty());
         t.insert(&"a".into(), &row(1)).unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&"a".into()).unwrap(), Some(row(1)));
-        assert_eq!(t.remove(&"a".into()).unwrap(), Some(row(1)));
-        assert_eq!(t.get(&"a".into()).unwrap(), None);
-        assert_eq!(t.remove(&"a".into()).unwrap(), None);
+        assert_eq!(t.get(&"b".into()).unwrap(), None);
     }
 
     #[test]
@@ -339,17 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn update_in_place() {
-        let db = Database::in_memory();
-        let t = db.table::<u32, Row>("t");
-        t.insert(&5, &row(5)).unwrap();
-        let touched = t.update(&5, |r| r.v += 100).unwrap();
-        assert!(touched);
-        assert_eq!(t.get(&5).unwrap().unwrap().v, 105);
-        assert!(!t.update(&6, |r| r.v += 1).unwrap());
-    }
-
-    #[test]
     fn handles_share_state() {
         let db = Database::in_memory();
         let t1 = db.table::<u32, Row>("shared");
@@ -357,8 +273,9 @@ mod tests {
         t1.insert(&1, &row(1)).unwrap();
         assert_eq!(t2.get(&1).unwrap(), Some(row(1)));
         let t3 = t1.clone();
-        t3.clear().unwrap();
-        assert!(t1.is_empty());
+        t3.put(&2, &row(2)).unwrap();
+        assert_eq!(t1.len(), 2);
+        assert_eq!(t2.get(&2).unwrap(), Some(row(2)));
     }
 
     #[test]
@@ -380,18 +297,20 @@ mod tests {
 
     #[test]
     fn table_usable_after_poisoning_panic() {
-        // A reader panicking while holding the lock poisons it; the store
-        // recovers explicitly instead of propagating the poison forever.
+        // A thread panicking while holding the write lock poisons it; the
+        // store recovers explicitly instead of propagating the poison
+        // forever.
         let db = std::sync::Arc::new(Database::in_memory());
         let t = db.table::<u32, Row>("p");
         t.insert(&1, &row(1)).unwrap();
         let t2 = t.clone();
-        let _ = std::thread::spawn(move || {
-            // Panic inside `update` — the write guard is held, so this
-            // poisons the lock.
-            let _ = t2.update(&1, |_| panic!("poison the lock"));
+        let joined = std::thread::spawn(move || {
+            let _guard = super::write_lock(&t2.raw);
+            panic!("poison the lock");
         })
         .join();
+        assert!(joined.is_err());
+        assert!(t.raw.is_poisoned());
         // Still fully usable afterwards.
         assert_eq!(t.get(&1).unwrap(), Some(row(1)));
         t.put(&2, &row(2)).unwrap();

@@ -2,9 +2,11 @@
 //!
 //! The snapshot path ([`Database::save_to`](crate::Database::save_to))
 //! re-serializes and fsyncs the whole database on every call — O(total DB
-//! size) per write. The WAL makes the write path O(delta): each mutation is
+//! size) per write. The WAL makes the write path O(delta): each put is
 //! appended to a log as one checksummed, length-prefixed frame, and a
 //! **group-commit** layer coalesces concurrent writers into a single fsync.
+//! A put is the store's only write: rows are inserted or replaced, never
+//! removed, so replay is a sequence of upserts.
 //!
 //! # Frame format
 //!
@@ -27,8 +29,8 @@
 //!
 //! # Group commit
 //!
-//! [`Wal::append_put`] and friends stamp the mutation with the next LSN and
-//! buffer the encoded frame in memory — that LSN is the writer's *commit
+//! [`Wal::append_put`] stamps the put with the next LSN and buffers the
+//! encoded frame in memory — that LSN is the writer's *commit
 //! ticket*. [`Wal::commit`] then parks the writer until `durable_lsn` covers
 //! its ticket: the first writer to arrive becomes the *flush leader* and at
 //! once writes + fsyncs everything pending with the state lock released
@@ -68,8 +70,10 @@ pub const FRAME_TRAILER_LEN: usize = 32;
 /// One logged mutation, in the order it was applied to the in-memory maps.
 ///
 /// Replaying mutations in LSN order over a snapshot reproduces the database
-/// exactly: `Put`/`Remove` are keyed upserts/deletes, so re-applying a
-/// record that the snapshot already folded in is harmless (idempotent).
+/// exactly: a `Put` is a keyed upsert, so re-applying a record that the
+/// snapshot already folded in is harmless (idempotent). `Put` is tag 0; no
+/// other tag was ever written by a component, and a record carrying one
+/// fails recovery (see [`scan_segment`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mutation {
     /// Insert or replace the row `key` of `table` with `value`.
@@ -81,31 +85,11 @@ pub enum Mutation {
         /// Encoded row bytes.
         value: Vec<u8>,
     },
-    /// Remove the row `key` of `table` (no-op if absent).
-    Remove {
-        /// Target table name.
-        table: String,
-        /// Encoded key bytes.
-        key: Vec<u8>,
-    },
-    /// Drop `table` and all its rows.
-    DropTable {
-        /// Target table name.
-        table: String,
-    },
-    /// Remove every row of `table`, keeping the (empty) table.
-    ClearTable {
-        /// Target table name.
-        table: String,
-    },
 }
 
 crate::record_enum! {
     Mutation {
         0 => Put { table, key, value },
-        1 => Remove { table, key },
-        2 => DropTable { table },
-        3 => ClearTable { table },
     }
 }
 
@@ -292,47 +276,16 @@ impl Wal {
 
     /// Appends a `Put` frame; returns the commit ticket.
     pub fn append_put(&self, table: &str, key: &[u8], value: &[u8]) -> Result<Lsn, StoreError> {
-        self.append_payload(|out| {
-            codec::write_varint(0, out);
-            write_bytes(table.as_bytes(), out);
-            write_bytes(key, out);
-            write_bytes(value, out);
-        })
-    }
-
-    /// Appends a `Remove` frame; returns the commit ticket.
-    pub fn append_remove(&self, table: &str, key: &[u8]) -> Result<Lsn, StoreError> {
-        self.append_payload(|out| {
-            codec::write_varint(1, out);
-            write_bytes(table.as_bytes(), out);
-            write_bytes(key, out);
-        })
-    }
-
-    /// Appends a `DropTable` frame; returns the commit ticket.
-    pub fn append_drop_table(&self, table: &str) -> Result<Lsn, StoreError> {
-        self.append_payload(|out| {
-            codec::write_varint(2, out);
-            write_bytes(table.as_bytes(), out);
-        })
-    }
-
-    /// Appends a `ClearTable` frame; returns the commit ticket.
-    pub fn append_clear(&self, table: &str) -> Result<Lsn, StoreError> {
-        self.append_payload(|out| {
-            codec::write_varint(3, out);
-            write_bytes(table.as_bytes(), out);
-        })
-    }
-
-    fn append_payload(&self, build: impl FnOnce(&mut Vec<u8>)) -> Result<Lsn, StoreError> {
         let mut st = self.lock_state();
         if let Some(reason) = &st.failed {
             return Err(wal_failed(reason));
         }
         let mut payload = std::mem::take(&mut st.scratch);
         payload.clear();
-        build(&mut payload);
+        codec::write_varint(0, &mut payload);
+        write_bytes(table.as_bytes(), &mut payload);
+        write_bytes(key, &mut payload);
+        write_bytes(value, &mut payload);
         let lsn = st.next_lsn;
         let framed = encode_frame(lsn, &payload, &mut st.pending);
         st.scratch = payload;
@@ -648,22 +601,8 @@ pub(crate) fn apply_mutation(
     tables: &mut BTreeMap<String, BTreeMap<Vec<u8>, Vec<u8>>>,
     mutation: Mutation,
 ) {
-    match mutation {
-        Mutation::Put { table, key, value } => {
-            tables.entry(table).or_default().insert(key, value);
-        }
-        Mutation::Remove { table, key } => {
-            if let Some(rows) = tables.get_mut(&table) {
-                rows.remove(&key);
-            }
-        }
-        Mutation::DropTable { table } => {
-            tables.remove(&table);
-        }
-        Mutation::ClearTable { table } => {
-            tables.entry(table).or_default().clear();
-        }
-    }
+    let Mutation::Put { table, key, value } = mutation;
+    tables.entry(table).or_default().insert(key, value);
 }
 
 #[cfg(test)]
@@ -764,16 +703,17 @@ mod tests {
         write_bytes(&[9, 8], &mut via_manual);
         assert_eq!(via_enum, via_manual);
 
-        let m = Mutation::Remove {
-            table: "t".into(),
-            key: vec![7],
-        };
-        let via_enum = codec::to_bytes(&m).unwrap();
-        let mut via_manual = Vec::new();
-        codec::write_varint(1, &mut via_manual);
-        write_bytes(b"t", &mut via_manual);
-        write_bytes(&[7], &mut via_manual);
-        assert_eq!(via_enum, via_manual);
+        // And the payload `append_put` frames is that same encoding.
+        let (file, shared) = MemFile::new();
+        let wal = Wal::with_file(Box::new(file), 0, &DurabilityConfig::default());
+        wal.commit(wal.append_put("users", &[1, 2, 3], &[9, 8]).unwrap())
+            .unwrap();
+        let durable = shared.lock().unwrap().durable.clone();
+        let start = WAL_MAGIC.len() + FRAME_HEADER_LEN;
+        assert_eq!(
+            &durable[start..durable.len() - FRAME_TRAILER_LEN],
+            &via_enum[..]
+        );
     }
 
     #[test]
@@ -781,7 +721,7 @@ mod tests {
         let (file, shared) = MemFile::new();
         let wal = Wal::with_file(Box::new(file), 0, &DurabilityConfig::default());
         let l1 = wal.append_put("t", b"k1", b"v1").unwrap();
-        let l2 = wal.append_remove("t", b"k1").unwrap();
+        let l2 = wal.append_put("t", b"k1", b"v2").unwrap();
         assert_eq!((l1, l2), (1, 2));
         wal.commit(l2).unwrap();
 
@@ -792,9 +732,10 @@ mod tests {
         assert_eq!(outcome.records[0].lsn, 1);
         assert_eq!(
             outcome.records[1].mutation,
-            Mutation::Remove {
+            Mutation::Put {
                 table: "t".into(),
                 key: b"k1".to_vec(),
+                value: b"v2".to_vec(),
             }
         );
     }
@@ -947,7 +888,12 @@ mod tests {
     fn lsn_sequence_break_stops_scan() {
         // Hand-build two frames with a gap in the LSN sequence.
         let mut bytes = WAL_MAGIC.to_vec();
-        let payload = codec::to_bytes(&Mutation::ClearTable { table: "t".into() }).unwrap();
+        let payload = codec::to_bytes(&Mutation::Put {
+            table: "t".into(),
+            key: vec![1],
+            value: vec![2],
+        })
+        .unwrap();
         encode_frame(1, &payload, &mut bytes).unwrap();
         encode_frame(3, &payload, &mut bytes).unwrap();
         let outcome = scan_segment(&bytes).unwrap();

@@ -97,6 +97,22 @@ fn a_record_of_unknown_kind_fails_recovery_and_keeps_the_log() {
 }
 
 #[test]
+fn a_retired_remove_record_fails_recovery() {
+    // Tag 1 was a remove of (table, key); no component ever wrote one.
+    let dir = temp_dir("remove");
+    let mut remove = vec![1];
+    field(b"t", &mut remove);
+    field(&[2, b'k', b'1'], &mut remove);
+    let path = write_segment(&dir, 1, &[put("k1", "v1"), remove, put("k3", "v3")]);
+    let len = fs::metadata(&path).unwrap().len();
+
+    let reason = corrupt_reason(&dir);
+    assert!(reason.contains("lsn 2"), "{reason}");
+    assert_eq!(fs::metadata(&path).unwrap().len(), len);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn an_undecodable_record_in_a_sealed_segment_names_its_lsn() {
     let dir = temp_dir("sealed");
     let mut unknown = vec![9];
