@@ -553,7 +553,7 @@ impl SessionHost {
                         self.complete(sid, Err(e));
                     }
                 }
-                Action::RegisterPhone { .. } => match self.exec_register_phone(sid) {
+                Action::RegisterPhone => match self.exec_register_phone(sid) {
                     Ok(event) => self.feed(sid, event),
                     Err(e) => self.complete(sid, Err(e)),
                 },

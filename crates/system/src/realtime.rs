@@ -247,7 +247,7 @@ impl RealtimeDeployment {
                     }
                     // The phone thread runs AutoConfirm: no user to wait on.
                     Action::ExpectUserConfirm => {}
-                    Action::RegisterPhone { .. } => {
+                    Action::RegisterPhone => {
                         let (pid, registration_id) = self
                             .phone_identity
                             .clone()

@@ -4,9 +4,9 @@
 //! the vault-store extension, account setup with phone pairing, and the two
 //! §III-C recovery protocols — is encoded **once** here as an explicit state
 //! machine. The engine performs no I/O: hosts feed it typed [`Event`]s
-//! (frames off the wire, user confirmations, timer expiry, push loss) and
-//! execute the [`Action`]s it emits (send a frame, arm a timer, deliver the
-//! outcome). Both deployments host the same machine:
+//! (frames off the wire, timer expiry, push loss, the results of the steps
+//! hosts run for it) and execute the [`Action`]s it emits (send a frame,
+//! arm a timer, deliver the outcome). Both deployments host the same machine:
 //!
 //! * `AmnesiaSystem` runs sessions over the simulated network, keyed by
 //!   [`SessionId`] in a session table, which is what lets hundreds of
@@ -182,8 +182,6 @@ pub enum SessionOutcome {
 pub enum Event {
     /// A server reply addressed to this session arrived.
     FrameReceived(FromServer),
-    /// The user approved the pending confirmation for this session.
-    UserConfirmed,
     /// The timer armed by the last [`Action::ArmTimer`] expired.
     TimerFired,
     /// The host observed the session's push being dropped in transit.
@@ -218,18 +216,18 @@ pub enum Action {
     /// (Re-)arm this session's timeout; fire [`Event::TimerFired`] if no
     /// relevant event arrives within the duration.
     ArmTimer(SimDuration),
-    /// Surface the pending push to the user and feed
-    /// [`Event::UserConfirmed`] when they approve (auto-confirm policies
-    /// may do so immediately).
+    /// The request was pushed to the phone: have the user approve it
+    /// there. No event answers this action; the phone's token reaches the
+    /// server, and the server's reply advances the session.
+    /// [`SessionHost`](crate::SessionHost) marks the session approved and
+    /// confirms on the phone once the push has arrived;
+    /// [`RealtimeDeployment`](crate::realtime::RealtimeDeployment)'s phone
+    /// auto-confirms.
     ExpectUserConfirm,
     /// Register the phone with the rendezvous service and reply with
-    /// [`Event::PairingInfo`]. In hosts where the phone drives pairing
-    /// itself, hand it `captcha` and let the resulting `PhonePaired` frame
-    /// advance the session instead.
-    RegisterPhone {
-        /// The CAPTCHA the user "types into" the phone.
-        captcha: String,
-    },
+    /// [`Event::PairingInfo`]. The session keeps the CAPTCHA for the
+    /// `CompletePhonePairing` it then sends.
+    RegisterPhone,
     /// Download the user's `Kp` backup and reply with
     /// [`Event::BackupFetched`].
     FetchBackup,
@@ -568,7 +566,6 @@ impl Session {
         }
         match event {
             Event::FrameReceived(frame) => self.on_frame(frame),
-            Event::UserConfirmed => Vec::new(),
             Event::TimerFired | Event::PushDropped => self.on_lost_progress(),
             Event::BackupFetched(backup) => self.on_backup_fetched(backup),
             Event::PhoneInstalled => self.on_phone_installed(),
@@ -627,12 +624,9 @@ impl Session {
                 }
             }
             (State::AwaitPairingChallenge, FromServer::PairingChallenge { captcha }) => {
-                self.captcha = Some(captcha.clone());
+                self.captcha = Some(captcha);
                 self.state = State::AwaitPaired;
-                vec![
-                    Action::RegisterPhone { captcha },
-                    Action::ArmTimer(self.timeout),
-                ]
+                vec![Action::RegisterPhone, Action::ArmTimer(self.timeout)]
             }
             (State::AwaitPaired, FromServer::PhonePaired) => {
                 let outcome = match &self.spec {
@@ -1166,7 +1160,7 @@ mod tests {
             &s.on_event(Event::FrameReceived(FromServer::PairingChallenge {
                 captcha: "123456".into()
             }))[..],
-            [Action::RegisterPhone { .. }, Action::ArmTimer(_)]
+            [Action::RegisterPhone, Action::ArmTimer(_)]
         ));
         // Sim-style hosts answer with PairingInfo → CompletePhonePairing.
         let mut rng = amnesia_crypto::SecretRng::seeded(4);
