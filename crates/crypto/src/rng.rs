@@ -13,13 +13,10 @@ use std::fmt;
 /// Source of secret random material (`Oid`, `Pid`, seeds `σ`, entry tables,
 /// salts).
 ///
-/// An HMAC-SHA-256 DRBG (NIST SP 800-90A construction). Two construction
-/// modes:
-///
-/// * [`SecretRng::from_entropy`] — seeded from the operating system, used for
-///   real deployments of the library.
-/// * [`SecretRng::seeded`] — deterministic, used by the simulation,
-///   experiments, and tests so every paper artifact regenerates bit-for-bit.
+/// An HMAC-SHA-256 DRBG (NIST SP 800-90A construction), built with
+/// [`SecretRng::seeded`] from a 64-bit seed: every deployment, experiment
+/// and test seeds its generators that way, so every paper artifact
+/// regenerates bit-for-bit.
 ///
 /// ```
 /// use amnesia_crypto::SecretRng;
@@ -107,17 +104,6 @@ impl SecretRng {
         self.ratchet();
     }
 
-    /// Creates a generator seeded from operating-system entropy
-    /// (`/dev/urandom`, with a time/pid fallback for exotic platforms).
-    pub fn from_entropy() -> Self {
-        let mut seed = os_entropy();
-        let rng = SecretRng::instantiate(&seed);
-        // The seed can reconstruct the initial K/V state; wipe the stack
-        // copy once it has been folded into the DRBG.
-        zeroize(&mut seed);
-        rng
-    }
-
     /// Creates a deterministic generator from a 64-bit seed.
     pub fn seeded(seed: u64) -> Self {
         SecretRng::instantiate(&seed.to_le_bytes())
@@ -157,37 +143,6 @@ impl SecretRng {
     pub fn fork(&mut self) -> SecretRng {
         SecretRng::seeded(self.next_u64())
     }
-}
-
-/// Gathers 48 bytes of seed material from the operating system.
-fn os_entropy() -> [u8; 48] {
-    use std::io::Read;
-
-    let mut seed = [0u8; 48];
-    if let Ok(mut f) = std::fs::File::open("/dev/urandom") {
-        if f.read_exact(&mut seed).is_ok() {
-            return seed;
-        }
-    }
-    // Fallback: hash together whatever uniqueness the platform gives us.
-    // Far weaker than the OS pool, but only reachable where /dev/urandom
-    // does not exist. The wall-clock read below is the point, not a leak of
-    // nondeterminism into library logic: this path *is* the entropy source,
-    // runs only outside the simulation, and never feeds seeded experiments.
-    // lint: allow(determinism) wall time is this fallback's entropy source
-    let now = std::time::UNIX_EPOCH.elapsed().unwrap_or_default();
-    let pid = std::process::id();
-    let addr = &seed as *const _ as usize; // ASLR juice
-    let a = crate::sha256_concat(&[
-        b"amnesia-entropy-fallback",
-        &now.as_nanos().to_le_bytes(),
-        &pid.to_le_bytes(),
-        &addr.to_le_bytes(),
-    ]);
-    let b = crate::sha256_concat(&[b"amnesia-entropy-fallback-2", &a]);
-    seed[..32].copy_from_slice(&a);
-    seed[32..].copy_from_slice(&b[..16]);
-    seed
 }
 
 #[cfg(test)]
