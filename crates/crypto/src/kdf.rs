@@ -3,8 +3,8 @@
 //!
 //! Every place the system stretches a low-entropy secret — the server's
 //! master-password verifier, the phone-pairing PID verifier — goes through
-//! [`derive`] with an explicit [`KdfPolicy`]. The policy names *what the
-//! attacker must pay per guess*:
+//! [`derive`](fn@derive) with an explicit [`KdfPolicy`]. The policy names
+//! *what the attacker must pay per guess*:
 //!
 //! * [`KdfPolicy::Cpu`] — PBKDF2-HMAC-SHA-256 with an iteration count.
 //!   `iterations = 1` is the paper's single-salted-hash construction
@@ -173,7 +173,7 @@ pub fn derive(
     }
 }
 
-/// [`derive`] with a caller-pinned thread fan-out width.
+/// [`derive`](fn@derive) with a caller-pinned thread fan-out width.
 ///
 /// The derived bytes are identical at every width (lanes and output
 /// blocks are data-independent); property-tested in `tests/properties.rs`.

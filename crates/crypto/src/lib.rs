@@ -24,7 +24,7 @@
 //!   the paper describes (configurable; a single-iteration mode reproduces
 //!   the paper exactly). Multi-block derivations fan output blocks across
 //!   scoped threads; results are bit-identical at every width.
-//! * [`scrypt`] — RFC 7914 memory-hard key derivation (Salsa20/8 core,
+//! * [`scrypt`](fn@scrypt) — RFC 7914 memory-hard key derivation (Salsa20/8 core,
 //!   BlockMix, ROMix, PBKDF2 envelope), built on the same HMAC midstate
 //!   machinery. Forces each password guess through a large RAM working set
 //!   so specialized attacker silicon pays area × time, not just compute.

@@ -6,8 +6,8 @@
 //! The fleet configures everything shard-aware:
 //!
 //! * **routing** — every user is pinned to a shard by the consistent-hash
-//!   [`FleetRouter`](crate::ring::FleetRouter); all of the user's protocol
-//!   frames (browser and phone alike) travel to that shard's endpoint;
+//!   [`FleetRouter`]; all of the user's protocol frames (browser and phone
+//!   alike) travel to that shard's endpoint;
 //! * **cross-instance rendezvous forwarding** — a shard always pushes to
 //!   its *local* rendezvous instance; when the target phone registered on
 //!   a different instance, the local instance forwards the envelope over

@@ -103,6 +103,11 @@ cargo fmt --check
 echo "==> cargo clippy (every crate and target, warnings are errors)"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings are errors)"
+# A doc link to a deleted or renamed item, or one that names two items at
+# once, fails here instead of rotting in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
+
 echo "==> amnesia-lint (secret-hygiene / dataflow / determinism / no-panic / hermeticity)"
 # Fails on any finding not grandfathered in lint-baseline.txt. To waive one
 # finding add `// lint: allow(<rule>) <reason>`; to accept new debt run
@@ -252,4 +257,4 @@ for workload in interactive burst mixed signup; do
     fi
 done
 
-echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server, rendezvous and store tests, release-mode allocation budget, unsafe budget, formatting, clippy, lint, zero-dependency check, telemetry, crypto-bench, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
+echo "OK: offline build, tests, release-mode crypto, net, system, fleet, server, rendezvous and store tests, release-mode allocation budget, unsafe budget, formatting, clippy, rustdoc, lint, zero-dependency check, telemetry, crypto-bench, fleet, store write-path, e2e-throughput, benchmark smoke runs and benchmark digests passed"
