@@ -108,15 +108,15 @@ impl Database {
     ///
     /// Recovery loads the snapshot (if any), replays every WAL segment in
     /// LSN order skipping records the snapshot already covers, and
-    /// truncates a torn tail at the first bad checksum — never losing a
-    /// mutation whose commit was acked.
+    /// truncates a torn tail at the first truncated frame or bad checksum —
+    /// never losing a mutation whose commit was acked.
     ///
     /// # Errors
     ///
     /// Returns I/O errors, [`StoreError::Corrupt`] if the snapshot or a
     /// *sealed* (non-tail) WAL segment fails validation, or if any segment
-    /// holds a frame whose checksum holds but whose payload does not decode
-    /// (nothing is truncated then).
+    /// holds a frame whose checksum holds but whose LSN breaks the sequence
+    /// or whose payload does not decode (nothing is truncated then).
     pub fn open_durable(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_durable_with(dir, DurabilityConfig::default())
     }
@@ -441,7 +441,7 @@ impl Database {
 fn checked_payload<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], StoreError> {
     if bytes.len() < magic.len() + 32 {
         return Err(StoreError::Corrupt {
-            reason: format!("file too short ({} bytes)", bytes.len()),
+            reason: format!("snapshot file too short ({} bytes)", bytes.len()),
         });
     }
     let (head, rest) = bytes.split_at(magic.len());
@@ -453,7 +453,7 @@ fn checked_payload<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Result<&'a [u8], Sto
     let (payload, checksum) = rest.split_at(rest.len() - 32);
     if !ct_eq(&sha256(payload), checksum) {
         return Err(StoreError::Corrupt {
-            reason: "checksum mismatch".into(),
+            reason: "snapshot checksum mismatch".into(),
         });
     }
     Ok(payload)

@@ -17,7 +17,8 @@ pub enum StoreError {
         /// Table the insert targeted.
         table: String,
     },
-    /// A snapshot file was malformed or failed its integrity check.
+    /// Data at rest was malformed or failed its integrity check: a snapshot
+    /// file, or a WAL segment. The reason names which.
     Corrupt {
         /// Human-readable reason.
         reason: String,
@@ -32,7 +33,7 @@ impl fmt::Display for StoreError {
             StoreError::DuplicateKey { table } => {
                 write!(f, "duplicate key in table {table:?}")
             }
-            StoreError::Corrupt { reason } => write!(f, "corrupt snapshot: {reason}"),
+            StoreError::Corrupt { reason } => write!(f, "corrupt store data: {reason}"),
         }
     }
 }
@@ -62,6 +63,7 @@ impl From<std::io::Error> for StoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amnesia_crypto::sha256_concat;
 
     #[test]
     fn display_and_source() {
@@ -74,5 +76,40 @@ mod tests {
         };
         assert!(e.to_string().contains("users"));
         assert!(e.source().is_none());
+
+        // A WAL segment whose one frame passes its checksum but holds a
+        // record of unknown kind 9: the scan's error does not call itself a
+        // snapshot.
+        let (lsn, len, payload) = (1u64.to_le_bytes(), 1u32.to_le_bytes(), [9u8]);
+        let mut segment = crate::wal::WAL_MAGIC.to_vec();
+        for part in [
+            &lsn[..],
+            &len,
+            &payload,
+            &sha256_concat(&[&lsn, &len, &payload]),
+        ] {
+            segment.extend_from_slice(part);
+        }
+        let e = crate::wal::scan_segment(&segment).unwrap_err();
+        assert!(matches!(e, StoreError::Corrupt { .. }), "{e}");
+        assert!(
+            e.to_string()
+                .starts_with("corrupt store data: wal record lsn 1"),
+            "{e}"
+        );
+        assert!(!e.to_string().contains("snapshot"), "{e}");
+        assert!(e.source().is_none());
+
+        // A snapshot file too short to hold its magic and checksum still
+        // says it is a snapshot.
+        let path = std::env::temp_dir().join(format!(
+            "amnesia-store-error-display-{}",
+            std::process::id()
+        ));
+        std::fs::write(&path, b"AB").unwrap();
+        let e = crate::Database::open(&path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(e, StoreError::Corrupt { .. }), "{e}");
+        assert!(e.to_string().contains("snapshot"), "{e}");
     }
 }

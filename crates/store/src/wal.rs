@@ -21,11 +21,11 @@
 //! ```
 //!
 //! LSNs are assigned densely and monotonically; [`scan_segment`] stops at
-//! any frame that breaks the sequence, fails its checksum, or is truncated,
-//! and reports the byte length of the well-formed prefix so recovery can cut
-//! a torn tail without ever losing an *acked* (committed) record. A frame
-//! whose checksum holds but whose payload does not decode is no torn write:
-//! the scan refuses it with an error instead.
+//! any frame that fails its checksum or is truncated, and reports the byte
+//! length of the well-formed prefix so recovery can cut a torn tail without
+//! ever losing an *acked* (committed) record. A frame whose checksum holds
+//! but whose LSN breaks the sequence or whose payload does not decode is no
+//! torn write: the scan refuses it with an error instead.
 //!
 //! # Group commit
 //!
@@ -498,18 +498,20 @@ pub struct ScanOutcome {
 }
 
 /// Parses a segment: magic header then frames, stopping at the first
-/// truncated frame, checksum mismatch, or LSN-sequence break. Everything
-/// before the stop point is returned; recovery truncates the file at
-/// `valid_len` and carries on.
+/// truncated frame or checksum mismatch, the two marks a torn write can
+/// leave. Everything before the stop point is returned; recovery truncates
+/// the file at `valid_len` and carries on.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Corrupt`] if the magic header is missing or wrong
 /// (the file is then not a WAL segment at all), or if a frame passes its
-/// checksum but its payload does not decode as a [`Mutation`]. Such a frame
-/// holds exactly the bytes its writer logged, so it was no torn write and
-/// may have been acked: cutting the log there would lose it and every
-/// record after it. The error names the frame's LSN.
+/// checksum but either its LSN is not its predecessor's plus one or its
+/// payload does not decode as a [`Mutation`]. Such a frame holds exactly
+/// the bytes its writer logged, so it was no torn write and it, or the
+/// records after it, may have been acked: cutting the log there would lose
+/// them. The error names the frame's LSN, and for a sequence break the LSN
+/// before it too.
 pub fn scan_segment(bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
     if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(StoreError::Corrupt {
@@ -530,7 +532,11 @@ pub fn scan_segment(bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
         let (lsn, payload, frame_len) = frame;
         if let Some(prev) = prev_lsn {
             if lsn != prev.saturating_add(1) {
-                break false;
+                return Err(StoreError::Corrupt {
+                    reason: format!(
+                        "wal record lsn {lsn} passes its checksum but follows lsn {prev}"
+                    ),
+                });
             }
         }
         let mutation = codec::from_bytes::<Mutation>(payload).map_err(|e| StoreError::Corrupt {
@@ -886,7 +892,8 @@ mod tests {
 
     #[test]
     fn lsn_sequence_break_stops_scan() {
-        // Hand-build two frames with a gap in the LSN sequence.
+        // Hand-build two checksummed frames with a gap in the LSN sequence:
+        // no torn write leaves that, so the scan refuses it.
         let mut bytes = WAL_MAGIC.to_vec();
         let payload = codec::to_bytes(&Mutation::Put {
             table: "t".into(),
@@ -896,8 +903,12 @@ mod tests {
         .unwrap();
         encode_frame(1, &payload, &mut bytes).unwrap();
         encode_frame(3, &payload, &mut bytes).unwrap();
-        let outcome = scan_segment(&bytes).unwrap();
-        assert_eq!(outcome.records.len(), 1);
-        assert!(!outcome.clean);
+        match scan_segment(&bytes) {
+            Err(StoreError::Corrupt { reason }) => {
+                assert!(reason.contains("lsn 3"), "{reason}");
+                assert!(reason.contains("lsn 1"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

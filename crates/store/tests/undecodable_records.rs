@@ -1,5 +1,6 @@
 //! Recovery refuses a log record whose checksum holds but whose payload
-//! does not decode, instead of cutting the log there.
+//! does not decode, or whose LSN does not follow its predecessor's, instead
+//! of cutting the log there.
 //!
 //! Every frame here is built by hand from the on-disk format (LSN, payload
 //! length, payload, SHA-256 trailer; DESIGN.md §13), so the tests pin what a
@@ -122,5 +123,26 @@ fn an_undecodable_record_in_a_sealed_segment_names_its_lsn() {
 
     let reason = corrupt_reason(&dir);
     assert!(reason.contains("lsn 2"), "{reason}");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_checksummed_lsn_break_fails_recovery_and_keeps_the_log() {
+    // Puts at LSN 1, 3 and 4, every trailer valid: no torn write leaves a
+    // gap, so the puts at 3 and 4 may have been acked.
+    let dir = temp_dir("lsn-break");
+    let mut bytes = WAL_MAGIC.to_vec();
+    for (lsn, key, value) in [(1, "k1", "v1"), (3, "k3", "v3"), (4, "k4", "v4")] {
+        frame(lsn, &put(key, value), &mut bytes);
+    }
+    let path = dir.join(format!("wal-{:020}.log", 1));
+    fs::write(&path, &bytes).unwrap();
+    assert_eq!(fs::metadata(&path).unwrap().len(), 173);
+
+    let reason = corrupt_reason(&dir);
+    assert!(reason.contains("lsn 3"), "{reason}");
+    assert!(reason.contains("lsn 1"), "{reason}");
+    assert_eq!(fs::metadata(&path).unwrap().len(), 173);
+    assert!(corrupt_reason(&dir).contains("lsn 3"));
     fs::remove_dir_all(&dir).unwrap();
 }
