@@ -108,7 +108,9 @@ pub struct FleetConfig {
     pub rendezvous: usize,
     /// Network latency profile (shared by every link).
     pub profile: NetProfile,
-    /// KDF hardness policy on stored verifiers (shared by every shard).
+    /// KDF hardness policy of the master-password verifier (shared by
+    /// every shard). The `Pid` verifier is the paper's salted hash at every
+    /// rung: a 512-bit random `Pid` needs no per-guess cost.
     pub kdf_policy: KdfPolicy,
     /// Entry-table size for provisioned phones.
     pub table_size: usize,

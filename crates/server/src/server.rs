@@ -20,6 +20,14 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 
+/// The policy of every `Pid` verifier, at every rung: the paper's salted
+/// hash `H(Pid + salt)` (Table I). The ladder's per-guess cost prices an
+/// offline search of a low-entropy master password; a `Pid` is 512 random
+/// bits drawn from [`SecretRng`], so a search of its space costs 2^511
+/// guesses on average however cheap each guess is, and stretching it would
+/// spend a memory-hard derivation on every pairing for nothing.
+const PID_VERIFIER_POLICY: KdfPolicy = KdfPolicy::PAPER;
+
 /// A logged-in session handle (alias of the auth-layer token).
 pub type SessionToken = Session;
 
@@ -34,10 +42,14 @@ pub struct ServerConfig {
     pub endpoint: String,
     /// Seed for all server-side randomness (`Oid`, `σ`, salts, sessions).
     pub seed: u64,
-    /// KDF hardness policy for stored verifiers. [`KdfPolicy::PAPER`]
-    /// (one PBKDF2 iteration) reproduces the paper's plain salted hash;
-    /// the memory-hard ladder rungs (`KdfPolicy::INTERACTIVE`/`BALANCED`/
-    /// `PARANOID`) price offline guessing in attacker silicon area × time.
+    /// KDF hardness policy for the master-password verifier.
+    /// [`KdfPolicy::PAPER`] (one PBKDF2 iteration) reproduces the paper's
+    /// plain salted hash; the memory-hard ladder rungs
+    /// (`KdfPolicy::INTERACTIVE`/`BALANCED`/`PARANOID`) price offline
+    /// guessing in attacker silicon area × time. The `Pid` verifier is the
+    /// paper's salted hash at every rung: a 512-bit random `Pid` needs no
+    /// per-guess cost. Verification re-derives under each verifier's stored
+    /// policy, whatever this field says.
     pub kdf_policy: KdfPolicy,
 }
 
@@ -388,7 +400,8 @@ impl AmnesiaServer {
                 user_id: user_id.into(),
             });
         }
-        let mp_verifier = self.derive_verifier(master_password.as_bytes())?;
+        let mp_verifier =
+            self.derive_verifier(master_password.as_bytes(), self.config.kdf_policy)?;
         let record = UserRecord {
             user_id: user_id.into(),
             oid: OnlineId::random(&mut self.rng),
@@ -402,19 +415,19 @@ impl AmnesiaServer {
         Ok(())
     }
 
-    /// Derives a verifier under the deployment's [`KdfPolicy`], timing the
+    /// Derives a verifier for `secret` under `policy`, timing the
     /// derivation into the per-class latency histogram
-    /// (`crypto.kdf.{cpu,memhard}.derive_us`).
-    fn derive_verifier(&mut self, secret: &[u8]) -> Result<Verifier, ServerError> {
-        let _kdf = self.telemetry.span(
-            Self::kdf_span_name(&self.config.kdf_policy),
-            WallClock::new(),
-        );
-        Ok(Verifier::derive(
-            secret,
-            &self.config.kdf_policy,
-            &mut self.rng,
-        )?)
+    /// (`crypto.kdf.{cpu,memhard}.derive_us`). The master password takes
+    /// the deployment's rung; a `Pid` takes [`PID_VERIFIER_POLICY`].
+    fn derive_verifier(
+        &mut self,
+        secret: &[u8],
+        policy: KdfPolicy,
+    ) -> Result<Verifier, ServerError> {
+        let _kdf = self
+            .telemetry
+            .span(Self::kdf_span_name(&policy), WallClock::new());
+        Ok(Verifier::derive(secret, &policy, &mut self.rng)?)
     }
 
     /// Histogram name for one KDF execution under `policy`.
@@ -528,7 +541,9 @@ impl AmnesiaServer {
 
     /// Completes pairing with the phone-supplied CAPTCHA, `Pid` and
     /// registration ID. Stores the registration ID in plaintext and the
-    /// `Pid` hashed and salted (Table I).
+    /// `Pid` hashed and salted (Table I): the paper's salted hash at every
+    /// rung, since a 512-bit random `Pid` needs no per-guess cost, timed
+    /// into `crypto.kdf.cpu.derive_us`.
     ///
     /// # Errors
     ///
@@ -550,7 +565,7 @@ impl AmnesiaServer {
             _ => return Err(ServerError::BadCaptcha),
         }
         self.captchas.remove(user_id);
-        user.pid_verifier = Some(self.derive_verifier(pid.as_bytes())?);
+        user.pid_verifier = Some(self.derive_verifier(pid.as_bytes(), PID_VERIFIER_POLICY)?);
         user.registration_id = Some(registration_id);
         self.store_user_fields(user)
     }
@@ -970,7 +985,8 @@ impl AmnesiaServer {
         }
         // Re-deriving here is the upgrade path: a legacy CPU record becomes
         // a record at the deployment's current rung on password change.
-        user.mp_verifier = self.derive_verifier(new_master_password.as_bytes())?;
+        user.mp_verifier =
+            self.derive_verifier(new_master_password.as_bytes(), self.config.kdf_policy)?;
         self.store_user_fields(user)?;
         self.sessions.revoke_all_for(user_id);
         Ok(())

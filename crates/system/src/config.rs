@@ -129,8 +129,10 @@ pub struct SystemConfig {
     pub seed: u64,
     /// Network latency profile.
     pub profile: NetProfile,
-    /// KDF hardness policy on stored verifiers ([`KdfPolicy::PAPER`] =
-    /// the paper's salted hash; ladder rungs buy memory-hardness).
+    /// KDF hardness policy of the master-password verifier
+    /// ([`KdfPolicy::PAPER`] = the paper's salted hash; ladder rungs buy
+    /// memory-hardness). The `Pid` verifier is the paper's salted hash at
+    /// every rung: a 512-bit random `Pid` needs no per-guess cost.
     pub kdf_policy: KdfPolicy,
     /// Entry-table size `N` for newly installed phones.
     pub table_size: usize,
@@ -187,7 +189,7 @@ impl SystemConfig {
         self
     }
 
-    /// Selects the KDF hardness rung for stored verifiers.
+    /// Selects the KDF hardness rung of the master-password verifier.
     pub fn with_kdf_policy(mut self, kdf_policy: KdfPolicy) -> Self {
         self.kdf_policy = kdf_policy;
         self

@@ -69,7 +69,9 @@ pub struct RealtimeConfig {
     pub phone_seed: u64,
     /// Entry-table size `N`.
     pub table_size: usize,
-    /// KDF hardness rung for the server's stored verifiers.
+    /// KDF hardness rung of the server's master-password verifier. The
+    /// `Pid` verifier is the paper's salted hash at every rung: a 512-bit
+    /// random `Pid` needs no per-guess cost.
     pub kdf_policy: KdfPolicy,
 }
 

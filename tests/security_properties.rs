@@ -256,6 +256,80 @@ fn kdf_policy_downgrade_is_rejected_at_login() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// At a memory-hard rung only the master password is stretched: the `Pid`
+/// verifier is the paper's salted hash, since a 512-bit random `Pid` needs
+/// no per-guess cost. Counts come from the deployment's own registry, which
+/// no parallel test shares.
+#[test]
+fn pid_verifier_is_the_paper_hash_at_a_memory_hard_rung() {
+    use amnesia::crypto::KdfPolicy;
+    use amnesia::server::ServerError;
+    use amnesia::system::{AmnesiaSystem, SystemConfig};
+
+    let tiny = KdfPolicy::MemoryHard {
+        log_n: 4,
+        r: 1,
+        p: 1,
+    };
+    let mut sys = AmnesiaSystem::new(
+        SystemConfig::default()
+            .with_seed(12)
+            .with_table_size(128)
+            .with_kdf_policy(tiny),
+    );
+    sys.add_browser("browser");
+    sys.add_phone("phone", 300);
+    sys.setup_user("nora", "first master password", "browser", "phone")
+        .unwrap();
+
+    let record = sys.server().user_record("nora").unwrap();
+    assert_eq!(*record.mp_verifier.policy(), tiny);
+    assert_eq!(
+        *record.pid_verifier.as_ref().unwrap().policy(),
+        KdfPolicy::PAPER
+    );
+    // Registration and login stretch the master password; pairing does not.
+    let snapshot = sys.telemetry().snapshot();
+    let samples = |key: &str| snapshot.histograms.get(key).map_or(0, |h| h.count());
+    assert_eq!(samples("crypto.kdf.memhard.derive_us"), 2);
+    assert_eq!(samples("crypto.kdf.cpu.derive_us"), 1);
+
+    // Recovery onto a new phone verifies the old `Pid` and pairs the new
+    // one with the paper's hash.
+    let old_pid = sys.phone("phone").unwrap().pid().clone();
+    sys.recover_phone("nora", "first master password", "browser", "phone2", 301)
+        .unwrap();
+    let record = sys.server().user_record("nora").unwrap();
+    let pid_verifier = record.pid_verifier.as_ref().unwrap();
+    assert_eq!(*pid_verifier.policy(), KdfPolicy::PAPER);
+    let new_pid = sys.phone("phone2").unwrap().pid().clone();
+    assert!(pid_verifier.verify(new_pid.as_bytes()));
+    assert!(!pid_verifier.verify(old_pid.as_bytes()));
+
+    // A master-password change refuses the old phone's `Pid` and accepts
+    // the paired one.
+    assert_eq!(
+        sys.server_mut().change_master_password(
+            "nora",
+            "first master password",
+            &old_pid,
+            "second master password",
+        ),
+        Err(ServerError::PidMismatch)
+    );
+    sys.change_master_password(
+        "nora",
+        "first master password",
+        "second master password",
+        "browser",
+        "phone2",
+    )
+    .unwrap();
+    let record = sys.server().user_record("nora").unwrap();
+    assert_eq!(*record.mp_verifier.policy(), tiny);
+    assert!(record.mp_verifier.verify(b"second master password"));
+}
+
 #[test]
 fn replayed_tokens_are_rejected_by_pending_tracking() {
     use amnesia::net::SimInstant;
