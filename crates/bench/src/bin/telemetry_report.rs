@@ -11,13 +11,17 @@
 //! to stderr, followed by a KDF section: per-policy-class derive-latency
 //! histograms (`crypto.kdf.{cpu,memhard}.derive_us`) and the process-wide
 //! derivation counters, with a mini-deployment run at the `interactive`
-//! memory-hard rung so the memhard rows are non-zero.
+//! memory-hard rung so the memhard rows are non-zero. At that rung the
+//! memhard histogram holds the master-password derivations, registration
+//! and login; pairing derives the `Pid` verifier with the paper's salted
+//! hash at every rung, so it lands in the cpu histogram.
 
 use amnesia_core::{Domain, PasswordPolicy, Username};
 use amnesia_crypto::KdfPolicy;
 use amnesia_phone::ConfirmPolicy;
 use amnesia_system::{AmnesiaSystem, NetProfile, SystemConfig, GCM_ENDPOINT};
 use amnesia_telemetry::Snapshot;
+use std::error::Error;
 
 const TRIALS: usize = 30;
 const RETRY_ATTEMPTS: u32 = 5;
@@ -36,7 +40,7 @@ const STEPS: [(&str, &str); 8] = [
     ("system.generate_password_e2e_us", "end-to-end"),
 ];
 
-fn run_profile(profile: NetProfile, seed: u64) -> Snapshot {
+fn run_profile(profile: NetProfile, seed: u64) -> Result<Snapshot, Box<dyn Error>> {
     let name = profile.name.clone();
     let mut system = AmnesiaSystem::new(
         SystemConfig::default()
@@ -45,38 +49,31 @@ fn run_profile(profile: NetProfile, seed: u64) -> Snapshot {
     );
     system.add_browser("browser");
     system.add_phone("phone", seed.wrapping_add(1));
-    system
-        .setup_user("tester", "master password", "browser", "phone")
-        .expect("setup");
+    system.setup_user("tester", "master password", "browser", "phone")?;
     system
         .phone_mut("phone")
-        .expect("phone installed")
+        .ok_or("phone not installed")?
         .set_confirm_policy(ConfirmPolicy::AutoConfirm);
 
-    let username = Username::new("tester").expect("valid");
-    let domain = Domain::new("telemetry.example.com").expect("valid");
-    system
-        .add_account(
-            "browser",
-            username.clone(),
-            domain.clone(),
-            PasswordPolicy::default(),
-        )
-        .expect("account");
+    let username = Username::new("tester")?;
+    let domain = Domain::new("telemetry.example.com")?;
+    system.add_account(
+        "browser",
+        username.clone(),
+        domain.clone(),
+        PasswordPolicy::default(),
+    )?;
 
     // Passive observer on the push link: every delivered push also lands in
     // this wiretap, incrementing `net.wiretap_hits`.
-    let _tap = system
-        .net_mut()
-        .tap(GCM_ENDPOINT, "phone")
-        .expect("link exists");
+    let _tap = system.net_mut().tap(GCM_ENDPOINT, "phone")?;
 
     for trial in 0..TRIALS {
         system
             .generate_password_with_retry("browser", "phone", &username, &domain, RETRY_ATTEMPTS)
-            .unwrap_or_else(|e| panic!("{name} trial {trial}: {e}"));
+            .map_err(|e| format!("{name} trial {trial}: {e}"))?;
     }
-    system.telemetry().snapshot()
+    Ok(system.telemetry().snapshot())
 }
 
 fn print_summary(name: &str, snap: &Snapshot) {
@@ -111,9 +108,11 @@ fn print_summary(name: &str, snap: &Snapshot) {
 }
 
 /// A one-user deployment at the `interactive` memory-hard rung: enough to
-/// populate the memhard derive histogram (register + pairing + a login-path
-/// verification) without slowing the report down.
-fn run_kdf_interactive() -> Snapshot {
+/// populate the memhard derive histogram (registration and a login-path
+/// verification) without slowing the report down. Pairing derives the `Pid`
+/// verifier with the paper's salted hash, so its one sample lands in the
+/// cpu histogram.
+fn run_kdf_interactive() -> Result<Snapshot, Box<dyn Error>> {
     let mut system = AmnesiaSystem::new(
         SystemConfig::default()
             .with_seed(SEED.wrapping_add(0x200))
@@ -121,27 +120,21 @@ fn run_kdf_interactive() -> Snapshot {
     );
     system.add_browser("browser");
     system.add_phone("phone", SEED.wrapping_add(0x201));
-    system
-        .setup_user("kdf-tester", "master password", "browser", "phone")
-        .expect("setup"); // lint: allow(no-panic-expect) report-bin setup aborts loudly
+    system.setup_user("kdf-tester", "master password", "browser", "phone")?;
     system
         .phone_mut("phone")
-        .expect("phone installed") // lint: allow(no-panic-expect) report-bin setup aborts loudly
+        .ok_or("phone not installed")?
         .set_confirm_policy(ConfirmPolicy::AutoConfirm);
-    let username = Username::new("kdf-tester").expect("valid"); // lint: allow(no-panic-expect) report-bin setup aborts loudly
-    let domain = Domain::new("kdf.example.com").expect("valid"); // lint: allow(no-panic-expect) report-bin setup aborts loudly
-    system
-        .add_account(
-            "browser",
-            username.clone(),
-            domain.clone(),
-            PasswordPolicy::default(),
-        )
-        .expect("account"); // lint: allow(no-panic-expect) report-bin setup aborts loudly
-    system
-        .generate_password_with_retry("browser", "phone", &username, &domain, RETRY_ATTEMPTS)
-        .expect("generate"); // lint: allow(no-panic-expect) report-bin setup aborts loudly
-    system.telemetry().snapshot()
+    let username = Username::new("kdf-tester")?;
+    let domain = Domain::new("kdf.example.com")?;
+    system.add_account(
+        "browser",
+        username.clone(),
+        domain.clone(),
+        PasswordPolicy::default(),
+    )?;
+    system.generate_password_with_retry("browser", "phone", &username, &domain, RETRY_ATTEMPTS)?;
+    Ok(system.telemetry().snapshot())
 }
 
 fn print_kdf_summary(cpu_snap: &Snapshot, memhard_snap: &Snapshot) {
@@ -180,10 +173,10 @@ fn print_kdf_summary(cpu_snap: &Snapshot, memhard_snap: &Snapshot) {
     eprintln!();
 }
 
-fn main() {
-    let wifi = run_profile(NetProfile::wifi(), SEED);
-    let cell = run_profile(NetProfile::cellular_4g(), SEED.wrapping_add(0x100));
-    let kdf = run_kdf_interactive();
+fn main() -> Result<(), Box<dyn Error>> {
+    let wifi = run_profile(NetProfile::wifi(), SEED)?;
+    let cell = run_profile(NetProfile::cellular_4g(), SEED.wrapping_add(0x100))?;
+    let kdf = run_kdf_interactive()?;
     print_summary("wifi", &wifi);
     print_summary("4g", &cell);
     print_kdf_summary(&wifi, &kdf);
@@ -193,4 +186,5 @@ fn main() {
         cell.to_json(),
         kdf.to_json()
     );
+    Ok(())
 }
