@@ -49,7 +49,7 @@ pub struct ServerConfig {
     /// guessing in attacker silicon area × time. The `Pid` verifier is the
     /// paper's salted hash at every rung: a 512-bit random `Pid` needs no
     /// per-guess cost. Verification re-derives under each verifier's stored
-    /// policy, whatever this field says.
+    /// policy (DESIGN.md §14).
     pub kdf_policy: KdfPolicy,
 }
 

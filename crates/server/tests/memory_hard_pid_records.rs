@@ -15,7 +15,7 @@ use amnesia_server::auth::Verifier;
 use amnesia_server::protocol::KpBackup;
 use amnesia_server::{AmnesiaServer, ServerConfig, ServerError, UserRecord};
 use amnesia_store::Database;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A memory-hard rung small enough to keep the test fast; the hardness
 /// class is what matters.
@@ -68,7 +68,7 @@ fn write_memory_hard_pid_store(name: &str) -> (PathBuf, PhoneId) {
 }
 
 /// Reopens the store and checks both verifiers kept their rung.
-fn reopen(dir: &PathBuf) -> AmnesiaServer {
+fn reopen(dir: &Path) -> AmnesiaServer {
     let server = AmnesiaServer::open_durable(config(), dir).unwrap();
     let record = server.user_record("alice").unwrap();
     assert!(record.phone_paired());
