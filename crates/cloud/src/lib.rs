@@ -108,13 +108,17 @@ impl CloudProvider {
         }
     }
 
-    /// Stores (or overwrites) an object.
+    /// Stores (or overwrites) an object, kept at its exact length: a
+    /// buffer that grew by doubling while it was encoded gives back its
+    /// spare capacity here rather than holding it for as long as the
+    /// object lives.
     ///
     /// # Errors
     ///
     /// Returns [`CloudError::Unavailable`] when faulted.
-    pub fn upload(&mut self, user: &str, key: &str, bytes: Vec<u8>) -> Result<(), CloudError> {
+    pub fn upload(&mut self, user: &str, key: &str, mut bytes: Vec<u8>) -> Result<(), CloudError> {
         self.check_available()?;
+        bytes.shrink_to_fit();
         self.objects
             .insert((user.to_string(), key.to_string()), bytes);
         self.uploads += 1;
@@ -185,6 +189,17 @@ mod tests {
         assert_eq!(c.download("u", "k").unwrap(), vec![1, 2]);
         assert_eq!(c.upload_count(), 1);
         assert_eq!(c.download_count(), 1);
+    }
+
+    #[test]
+    fn objects_are_kept_at_their_length() {
+        let mut c = CloudProvider::new("drive");
+        let mut bytes = Vec::with_capacity(4096);
+        bytes.extend_from_slice(&[7u8; 2100]);
+        c.upload("u", "k", bytes).unwrap();
+        let stored = c.objects.get(&("u".to_string(), "k".to_string())).unwrap();
+        assert_eq!((stored.len(), stored.capacity()), (2100, 2100));
+        assert_eq!(c.download("u", "k").unwrap(), vec![7u8; 2100]);
     }
 
     #[test]

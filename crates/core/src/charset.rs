@@ -4,10 +4,18 @@
 //! uppercase letters, digits, and special characters (all printable ASCII
 //! except space). The table "can be adjusted per account by the user to adapt
 //! to various website password policy", e.g. excluding special characters.
+//!
+//! Almost every account keeps the default, so a table holds its characters
+//! behind an `Arc`: every table equal to the full 94-character table,
+//! however it was built or decoded, shares one allocation for the whole
+//! process, and any other table keeps one allocation of its own. Sharing
+//! changes nothing on the wire or at rest: a table encodes as the
+//! `Vec<char>` of its characters, whichever allocation it points at.
 
 use crate::error::CoreError;
-use amnesia_store::codec::{CodecError, Reader, Record};
+use amnesia_store::codec::{self, CodecError, Reader, Record};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The four character classes the paper's strength analysis counts (§IV-E).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -68,6 +76,12 @@ impl fmt::Display for CharClass {
 
 /// The ordered character table the template function indexes into.
 ///
+/// Cloning is a reference-count increment. A table equal to
+/// [`CharacterTable::full`] points at the process's one copy of it,
+/// whether it came from [`full`](Self::full),
+/// [`from_classes`](Self::from_classes), [`custom`](Self::custom) or a
+/// decoded frame or row.
+///
 /// ```
 /// use amnesia_core::{CharClass, CharacterTable};
 ///
@@ -82,7 +96,18 @@ impl fmt::Display for CharClass {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CharacterTable {
-    chars: Vec<char>,
+    chars: Arc<[char]>,
+}
+
+/// The process's one allocation of the full table, built on first use.
+fn full_chars() -> &'static Arc<[char]> {
+    static FULL: OnceLock<Arc<[char]>> = OnceLock::new();
+    FULL.get_or_init(|| {
+        CharClass::ALL
+            .iter()
+            .flat_map(|class| class.chars().iter().map(|&b| char::from(b)))
+            .collect()
+    })
 }
 
 /// Whether `chars` holds a character twice: one pass over a bitmap for
@@ -110,7 +135,12 @@ fn repeats(chars: &[char]) -> bool {
 /// [`CharacterTable::custom`]'s checks (non-empty, no duplicates).
 impl Record for CharacterTable {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.chars.encode(out);
+        // The bytes of the `Vec<char>` this field once was: a varint
+        // length, then each character.
+        codec::write_varint(self.chars.len() as u64, out);
+        for c in self.chars.iter() {
+            c.encode(out);
+        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -124,12 +154,22 @@ impl CharacterTable {
     /// The default full table: 26 lower + 26 upper + 10 digits + 32 special
     /// = 94 characters (`Nc = 94`).
     pub fn full() -> Self {
-        // Built directly rather than through the fallible `from_classes`:
-        // `CharClass::ALL` is a fixed, non-empty, duplicate-free constant.
-        let mut chars = Vec::new();
-        for class in CharClass::ALL {
-            chars.extend(class.chars().iter().map(|&b| b as char));
+        // Not through the fallible `from_classes`: `CharClass::ALL` is a
+        // fixed, non-empty, duplicate-free constant.
+        CharacterTable {
+            chars: Arc::clone(full_chars()),
         }
+    }
+
+    /// A table over checked `chars`: the shared full table when they equal
+    /// it, an allocation of their own otherwise.
+    fn interned(chars: Vec<char>) -> Self {
+        let full = full_chars();
+        let chars = if *chars == **full {
+            Arc::clone(full)
+        } else {
+            Arc::from(chars)
+        };
         CharacterTable { chars }
     }
 
@@ -154,7 +194,7 @@ impl CharacterTable {
             seen[idx] = true;
             chars.extend(class.chars().iter().map(|&b| b as char));
         }
-        Ok(CharacterTable { chars })
+        Ok(CharacterTable::interned(chars))
     }
 
     /// Builds a table from an explicit character list (order matters, as the
@@ -177,7 +217,7 @@ impl CharacterTable {
                 reason: "character table must not contain duplicates".into(),
             });
         }
-        Ok(CharacterTable { chars })
+        Ok(CharacterTable::interned(chars))
     }
 
     /// Number of characters `Nc`.
@@ -275,6 +315,51 @@ mod tests {
         assert!(CharacterTable::custom("aäb".chars()).is_ok());
         assert!(CharacterTable::custom("äaä".chars()).is_err());
         assert!(CharacterTable::custom("aäa".chars()).is_err());
+    }
+
+    /// Known answer for the full table's encoding: a varint length of 94,
+    /// then each character as a little-endian `u32`, 377 bytes in all, as
+    /// every stored row and `AddAccount` frame carries it.
+    #[test]
+    fn full_table_encoding_is_pinned() {
+        let bytes = codec::to_bytes(&CharacterTable::full()).unwrap();
+        assert_eq!(bytes.len(), 377);
+        assert_eq!(
+            amnesia_crypto::hex::encode(bytes.get(..9).unwrap()),
+            "5e6100000062000000"
+        );
+        assert_eq!(
+            amnesia_crypto::hex::encode(&amnesia_crypto::sha256(&bytes)),
+            "185b049582b028400dc8ccac2055a102c8b971a253210feae79ffcae61c46596"
+        );
+    }
+
+    #[test]
+    fn tables_equal_to_the_full_table_share_one_allocation() {
+        let full = CharacterTable::full();
+        let bytes = codec::to_bytes(&full).unwrap();
+        let decoded: CharacterTable = codec::from_bytes(&bytes).unwrap();
+        let again: CharacterTable = codec::from_bytes(&bytes).unwrap();
+        let from_classes = CharacterTable::from_classes(&CharClass::ALL).unwrap();
+        let custom = CharacterTable::custom(full.iter()).unwrap();
+        for table in [&decoded, &again, &from_classes, &custom] {
+            assert_eq!(table, &full);
+            assert!(std::ptr::eq(table.chars.as_ptr(), full.chars.as_ptr()));
+        }
+
+        // Digits before lowercase: kept in that order, in its own allocation.
+        let custom =
+            CharacterTable::custom("0123456789abcdefghijklmnopqrstuvwxyz".chars()).unwrap();
+        let bytes = codec::to_bytes(&custom).unwrap();
+        let decoded: CharacterTable = codec::from_bytes(&bytes).unwrap();
+        assert_eq!(decoded, custom);
+        assert_eq!(decoded.get(0), Some('0'));
+        assert_eq!(decoded.get(10), Some('a'));
+        assert_eq!(decoded.get(35), Some('z'));
+        assert_eq!(codec::to_bytes(&decoded).unwrap(), bytes);
+        assert_eq!(bytes.len(), 1 + 36 * 4);
+        assert!(!std::ptr::eq(decoded.chars.as_ptr(), custom.chars.as_ptr()));
+        assert!(!std::ptr::eq(decoded.chars.as_ptr(), full.chars.as_ptr()));
     }
 
     #[test]

@@ -382,6 +382,13 @@ impl SecureChannel {
 /// TLS handshake; traffic between two endpoints with no channel (the
 /// rendezvous legs) passes through in the clear.
 ///
+/// The channels live in a slab, one slot per direction, and a hashed index
+/// maps each `(from, to)` to its `u32` slot: the index's buckets are a few
+/// bytes each, so the table sitting half empty after it doubles costs
+/// little, where buckets holding the channels inline would leave hundreds
+/// of bytes empty per bucket. Re-provisioning a pair overwrites its two
+/// slots.
+///
 /// ```
 /// use amnesia_crypto::SecretRng;
 /// use amnesia_net::{ChannelMap, SimNet};
@@ -398,7 +405,8 @@ impl SecureChannel {
 #[derive(Default)]
 pub struct ChannelMap {
     /// Hashed: nothing iterates it.
-    channels: HashMap<(EndpointId, EndpointId), SecureChannel>,
+    slots: HashMap<(EndpointId, EndpointId), u32>,
+    channels: Vec<SecureChannel>,
 }
 
 impl fmt::Debug for ChannelMap {
@@ -412,18 +420,40 @@ impl fmt::Debug for ChannelMap {
 impl ChannelMap {
     /// Keys both directions between `a` and `b` from one fresh 32-byte
     /// secret drawn from `rng` (`a → b` is the `"fwd"` role, `b → a` the
-    /// `"rev"` role), replacing any channels already there.
+    /// `"rev"` role), replacing any channels already there in their slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new pair would take a slot past `u32::MAX`.
     pub fn provision_pair(&mut self, a: EndpointId, b: EndpointId, rng: &mut SecretRng) {
         let secret = rng.bytes::<32>();
-        self.channels
-            .insert((a, b), SecureChannel::new(&secret, "fwd"));
-        self.channels
-            .insert((b, a), SecureChannel::new(&secret, "rev"));
+        self.put((a, b), SecureChannel::new(&secret, "fwd"));
+        self.put((b, a), SecureChannel::new(&secret, "rev"));
+    }
+
+    /// Stores `channel` in the slot of `pair`, taking a new slot for a pair
+    /// seen for the first time.
+    fn put(&mut self, pair: (EndpointId, EndpointId), channel: SecureChannel) {
+        if let Some(slot) = self.slot_mut(pair) {
+            *slot = channel;
+            return;
+        }
+        let slot = u32::try_from(self.channels.len());
+        assert!(slot.is_ok(), "channel slots exhausted");
+        self.slots.insert(pair, slot.unwrap_or(u32::MAX));
+        self.channels.push(channel);
+    }
+
+    /// The channel in the slot of `pair`, if it has one.
+    fn slot_mut(&mut self, pair: (EndpointId, EndpointId)) -> Option<&mut SecureChannel> {
+        let slot = usize::try_from(*self.slots.get(&pair)?).ok()?;
+        self.channels.get_mut(slot)
     }
 
     /// The channel `from → to`, if one was provisioned.
     pub fn get(&self, from: EndpointId, to: EndpointId) -> Option<&SecureChannel> {
-        self.channels.get(&(from, to))
+        let slot = usize::try_from(*self.slots.get(&(from, to))?).ok()?;
+        self.channels.get(slot)
     }
 
     /// Seals `bytes` on the channel `from → to` into a frame of its own,
@@ -441,7 +471,7 @@ impl ChannelMap {
         to: EndpointId,
         bytes: &[u8],
     ) -> Result<Vec<u8>, ChannelError> {
-        match self.channels.get_mut(&(from, to)) {
+        match self.slot_mut((from, to)) {
             Some(channel) => channel.seal(bytes),
             None => Ok(bytes.to_vec()),
         }
@@ -460,7 +490,7 @@ impl ChannelMap {
         to: EndpointId,
         bytes: &'a mut [u8],
     ) -> Result<&'a [u8], ChannelError> {
-        match self.channels.get_mut(&(from, to)) {
+        match self.slot_mut((from, to)) {
             Some(channel) => channel.open_in_place(bytes),
             None => Ok(bytes),
         }
@@ -717,6 +747,46 @@ mod tests {
                 .unwrap(),
             b"clear"
         );
+    }
+
+    #[test]
+    fn reprovisioning_a_pair_replaces_both_directions_in_place() {
+        let mut net = crate::SimNet::new(1);
+        let (a, b, c) = (net.register("a"), net.register("b"), net.register("c"));
+        let mut channels = ChannelMap::default();
+        channels.provision_pair(a, b, &mut SecretRng::seeded(4));
+        channels.provision_pair(a, c, &mut SecretRng::seeded(5));
+        let old_up = channels.seal(a, b, b"old up").unwrap();
+        let old_down = channels.seal(b, a, b"old down").unwrap();
+        let old_keys = channels.get(a, b).unwrap().export_keys_for_attack_model();
+
+        channels.provision_pair(a, b, &mut SecretRng::seeded(6));
+        assert_eq!(channels.channels.len(), 4, "the slab grew");
+        assert_eq!(channels.slots.len(), 4);
+        assert_eq!(
+            channels.open_in_place(a, b, &mut old_up.clone()),
+            Err(ChannelError::BadTag)
+        );
+        assert_eq!(
+            channels.open_in_place(b, a, &mut old_down.clone()),
+            Err(ChannelError::BadTag)
+        );
+
+        // `get` hands out the new channels: fresh keys, no nonce spent yet.
+        let up = channels.get(a, b).unwrap();
+        assert_ne!(up.export_keys_for_attack_model(), old_keys);
+        assert_eq!(up.send_nonce, 0);
+        let mut wire = channels.seal(a, b, b"new up").unwrap();
+        assert_eq!(wire[..NONCE_LEN], 0u64.to_le_bytes());
+        assert_eq!(channels.open_in_place(a, b, &mut wire).unwrap(), b"new up");
+        let mut wire = channels.seal(b, a, b"new down").unwrap();
+        assert_eq!(
+            channels.open_in_place(b, a, &mut wire).unwrap(),
+            b"new down"
+        );
+        // The other pair keeps its slots and keys.
+        let mut wire = channels.seal(a, c, b"side").unwrap();
+        assert_eq!(channels.open_in_place(a, c, &mut wire).unwrap(), b"side");
     }
 
     #[test]
