@@ -264,10 +264,11 @@ impl AmnesiaServer {
     /// once.
     ///
     /// A user row written by an earlier build holds the user's accounts.
-    /// Opening moves them into account rows: it writes the account rows
-    /// first, then rewrites the user row empty. A store cut partway still
-    /// holds every account in the user row, and the next open writes the
-    /// same rows again; a migrated store opens without a write.
+    /// Opening moves them into account rows in two group commits: every
+    /// such user's account rows first, then each of those user rows
+    /// rewritten empty. A store cut partway still holds every account in
+    /// its user row, and the next open writes the same rows again; a
+    /// migrated store opens without a write.
     ///
     /// # Errors
     ///
@@ -277,20 +278,27 @@ impl AmnesiaServer {
     /// when a user's account positions skip or repeat one.
     pub fn with_database(config: ServerConfig, db: Database) -> Result<Self, ServerError> {
         let mut server = Self::unloaded(config, db);
-        let mut users = server.users.scan()?;
-        for (user_id, record) in &mut users {
-            if record.accounts.is_empty() {
-                continue;
-            }
+        let (mut whole, users): (Vec<_>, Vec<_>) = server
+            .users
+            .scan()?
+            .into_iter()
+            .partition(|(_, record)| !record.accounts.is_empty());
+        let mut moved = Vec::new();
+        for (user_id, record) in &whole {
             for (index, account) in record.accounts.iter().enumerate() {
-                server
-                    .accounts
-                    .put(&account_key(user_id, index)?, account)?;
+                moved.push((account_key(user_id, index)?, account));
             }
-            record.accounts.clear();
-            server.users.put(user_id, record)?;
         }
-        let mut records = users.into_iter().collect();
+        server
+            .accounts
+            .put_all(moved.iter().map(|(key, account)| (key, *account)))?;
+        for (_, record) in &mut whole {
+            record.accounts.clear();
+        }
+        server
+            .users
+            .put_all(whole.iter().map(|(user_id, record)| (user_id, record)))?;
+        let mut records = whole.into_iter().chain(users).collect();
         attach_accounts(&mut records, server.accounts.scan()?)?;
         server.records = records;
         Ok(server)

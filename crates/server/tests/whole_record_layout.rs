@@ -305,6 +305,29 @@ fn a_snapshot_of_whole_records_reopens_unchanged() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn the_move_takes_two_flushes_whatever_the_account_count() {
+    let users = users(40);
+    let mut reference = reference(&users);
+    let bob = &users[1..2];
+    let expected = passwords(&mut reference, bob);
+    let dir = temp_dir("two-flushes");
+    let db = Database::open_durable(&dir).unwrap();
+    write_whole_records(&db, &reference, bob);
+    drop(db);
+
+    let mut server = AmnesiaServer::open_durable(config(), &dir).unwrap();
+    let stats = server.database().wal_stats().unwrap();
+    assert_eq!(stats.appended_records, 41, "40 account rows and bob's row");
+    assert_eq!(stats.flushes, 2, "the account rows, then the user row");
+    let record = |s: &AmnesiaServer| codec::to_bytes(&s.user_record("bob").unwrap()).unwrap();
+    assert_eq!(record(&server), record(&reference));
+    assert_account_rows(server.database(), 40, "moved");
+    assert_eq!(passwords(&mut server, bob), expected);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The one `wal-*.log` segment in `dir`.
 fn segment_file(dir: &Path) -> PathBuf {
     let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)

@@ -154,6 +154,43 @@ where
         self.commit(lsn)
     }
 
+    /// Inserts or replaces every row of `rows`, in order, under one write
+    /// lock and one group commit: a durable table appends a WAL record per
+    /// row and flushes them together, where a [`put`](Self::put) per row
+    /// would flush once each. Nothing is written when `rows` is empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns a codec error if a key or row fails to encode, before any
+    /// row is written, or an I/O error if the table is WAL-backed and the
+    /// log write fails; the rows before the failing one are then in the
+    /// table but not known durable, as after a [`put`](Self::put) whose
+    /// commit fails.
+    pub fn put_all<'a>(
+        &self,
+        rows: impl IntoIterator<Item = (&'a K, &'a V)>,
+    ) -> Result<(), StoreError>
+    where
+        K: 'a,
+        V: 'a,
+    {
+        let encoded = rows
+            .into_iter()
+            .map(|(key, value)| Ok((codec::to_bytes(key)?, codec::to_bytes(value)?)))
+            .collect::<Result<Vec<_>, StoreError>>()?;
+        let mut last = None;
+        {
+            let mut raw = write_lock(&self.raw);
+            for (k, v) in encoded {
+                if let Some(wal) = &self.wal {
+                    last = Some(wal.append_put(&self.name, &k, &v)?);
+                }
+                raw.insert(k, v);
+            }
+        }
+        self.commit(last)
+    }
+
     /// Fetches the row for `key`.
     ///
     /// # Errors
@@ -315,6 +352,37 @@ mod tests {
         assert_eq!(t.get(&1).unwrap(), Some(row(1)));
         t.put(&2, &row(2)).unwrap();
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn put_all_writes_every_row_in_one_flush() {
+        let dir = std::env::temp_dir().join(format!(
+            "amnesia-store-put-all-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rows: Vec<(u32, Row)> = (0..50u32).map(|i| (i, row(u64::from(i)))).collect();
+        {
+            let db = Database::open_durable(&dir).unwrap();
+            let t = db.table::<u32, Row>("batch");
+            t.put(&7, &row(0)).unwrap();
+            let before = db.wal_stats().unwrap();
+            t.put_all(rows.iter().map(|(k, v)| (k, v))).unwrap();
+            let after = db.wal_stats().unwrap();
+            assert_eq!(after.appended_records - before.appended_records, 50);
+            assert_eq!(after.flushes - before.flushes, 1);
+            assert_eq!(t.len(), 50);
+            assert_eq!(t.get(&7).unwrap(), Some(row(7)), "a put_all row replaces");
+            t.put_all(std::iter::empty()).unwrap();
+            assert_eq!(db.wal_stats().unwrap(), after, "an empty batch writes");
+        }
+        let db = Database::open_durable(&dir).unwrap();
+        let mut replayed = db.table::<u32, Row>("batch").scan().unwrap();
+        replayed.sort_unstable_by_key(|(k, _)| *k);
+        assert_eq!(replayed, rows);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
