@@ -4,9 +4,11 @@
 //! A counting global allocator pins the allocator calls (`alloc`,
 //! `alloc_zeroed` and `realloc`) and the bytes they ask for, per
 //! steady-state generation on the single host and per op of one fleet
-//! wave. The counters are per thread and armed only around the measured
-//! window, so the suite's other tests, which the harness runs on threads
-//! of their own, never reach them.
+//! wave. It also keeps a window's net live bytes (`dealloc` and the old
+//! size of a `realloc` subtracted), which pins what the fleet keeps on
+//! the heap per user it adds and per account. The counters are per thread
+//! and armed only around the measured window, so the suite's other tests,
+//! which the harness runs on threads of their own, never reach them.
 //!
 //! A run is deterministic in every allocation but one kind: the server
 //! times steps 2 and 5 on the wall clock, and a histogram grows its bucket
@@ -36,14 +38,20 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn note(bytes: usize) {
+/// Counts one allocator call asking for `bytes` that gives back `freed`
+/// (a `realloc`'s old size), or with `call` false, a `dealloc` of `freed`.
+fn note(call: bool, bytes: usize, freed: usize) {
     // A thread being torn down has no counters left to arm.
     let _ = ARMED.try_with(|armed| {
         if armed.get() {
-            CALLS.with(|calls| calls.set(calls.get() + 1));
-            BYTES.with(|total| total.set(total.get() + bytes as u64));
+            if call {
+                CALLS.with(|calls| calls.set(calls.get() + 1));
+                BYTES.with(|total| total.set(total.get() + bytes as u64));
+            }
+            LIVE.with(|live| live.set(live.get() + bytes as i64 - freed as i64));
         }
     });
 }
@@ -52,21 +60,22 @@ fn note(bytes: usize) {
 // touches only this thread's integers and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(true, layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(true, layout.size(), 0);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(true, new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, 0, layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -74,23 +83,35 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// Allocator calls and requested bytes over one measured window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Allocator calls, requested bytes and net live bytes over one measured
+/// window.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Window {
     calls: u64,
     bytes: u64,
+    live: i64,
+}
+
+impl std::ops::AddAssign for Window {
+    fn add_assign(&mut self, other: Window) {
+        self.calls += other.calls;
+        self.bytes += other.bytes;
+        self.live += other.live;
+    }
 }
 
 /// Runs `f` with this thread's counters armed.
 fn count(f: impl FnOnce()) -> Window {
     CALLS.with(|calls| calls.set(0));
     BYTES.with(|total| total.set(0));
+    LIVE.with(|live| live.set(0));
     ARMED.with(|armed| armed.set(true));
     f();
     ARMED.with(|armed| armed.set(false));
     Window {
         calls: CALLS.with(Cell::get),
         bytes: BYTES.with(Cell::get),
+        live: LIVE.with(Cell::get),
     }
 }
 
@@ -105,14 +126,24 @@ const WALL_TIMED: u64 = 2;
 /// every octave of a `u64` (1 920 buckets of 8 bytes).
 const MAX_GROWTH_BYTES: u64 = 1_920 * 8;
 
-/// Checks `window` against its pin: equal, but for the growth of the
-/// [`WALL_TIMED`] histograms.
-fn assert_pinned(window: Window, pinned: Window) {
-    let calls = pinned.calls..=pinned.calls + WALL_TIMED;
-    let bytes = pinned.bytes..=pinned.bytes + WALL_TIMED * MAX_GROWTH_BYTES;
+/// Checks `window`'s calls and bytes against their pins: equal, but for
+/// the growth of the [`WALL_TIMED`] histograms.
+fn assert_pinned(window: Window, calls: u64, bytes: u64) {
+    let calls = calls..=calls + WALL_TIMED;
+    let bytes = bytes..=bytes + WALL_TIMED * MAX_GROWTH_BYTES;
     assert!(
         calls.contains(&window.calls) && bytes.contains(&window.bytes),
-        "measured {window:?}, pinned {pinned:?}"
+        "measured {window:?}, pinned calls {calls:?} and bytes {bytes:?}"
+    );
+}
+
+/// Checks `window`'s net live bytes against their pin, with the same
+/// allowance as [`assert_pinned`].
+fn assert_live_pinned(window: Window, live: i64) {
+    let growth = (WALL_TIMED * MAX_GROWTH_BYTES) as i64;
+    assert!(
+        (live..=live + growth).contains(&window.live),
+        "measured {window:?}, pinned live bytes {live}"
     );
 }
 
@@ -122,10 +153,12 @@ fn least(run: impl Fn() -> Window) -> Window {
         Window {
             calls: u64::MAX,
             bytes: u64::MAX,
+            live: i64::MAX,
         },
         |a, b| Window {
             calls: a.calls.min(b.calls),
             bytes: a.bytes.min(b.bytes),
+            live: a.live.min(b.live),
         },
     )
 }
@@ -195,21 +228,30 @@ fn a_single_host_generation_stays_within_its_allocation_budget() {
         window.bytes as f64 / GENERATIONS as f64,
     );
     assert!(window.calls <= 30 * GENERATIONS, "{window:?}");
-    assert_pinned(
-        window,
-        Window {
-            calls: SINGLE_HOST_CALLS,
-            bytes: SINGLE_HOST_BYTES,
-        },
-    );
+    assert_pinned(window, SINGLE_HOST_CALLS, SINGLE_HOST_BYTES);
 }
 
 /// Fleet users, one generation each per wave.
 const FLEET_USERS: usize = 32;
 
-/// One wave of a 4-shard, 2-instance fleet (manual confirmation, the
-/// default), after two waves to warm up.
-fn fleet_window() -> Window {
+/// Accounts per fleet user, added with the default policy.
+const FLEET_ACCOUNTS: usize = 4;
+
+/// What one build of the fleet measures: its users' set-up, their
+/// accounts, and one wave.
+struct FleetWindows {
+    /// The [`FLEET_USERS`] `add_user` calls.
+    users: Window,
+    /// The `FLEET_USERS * FLEET_ACCOUNTS` `add_account` calls.
+    accounts: Window,
+    /// The measured wave.
+    wave: Window,
+}
+
+/// A 4-shard, 2-instance fleet (manual confirmation, the default) whose
+/// users and accounts are added one by one, then one wave after two to
+/// warm up.
+fn fleet_windows() -> FleetWindows {
     let mut fleet = Fleet::new(
         FleetConfig::default()
             .with_seed(31)
@@ -218,13 +260,18 @@ fn fleet_window() -> Window {
             .with_table_size(64),
     );
     let users: Vec<String> = (0..FLEET_USERS).map(|u| format!("u{u}")).collect();
+    let (mut added_users, mut added_accounts) = (Window::default(), Window::default());
     for user in &users {
-        fleet.add_user(user, "mp").unwrap();
-        for index in 0..2 {
+        let mut added = Ok(0);
+        added_users += count(|| added = fleet.add_user(user, "mp"));
+        added.unwrap();
+        for index in 0..FLEET_ACCOUNTS {
             let (username, domain) = account(user, index);
-            fleet
-                .add_account(user, username, domain, PasswordPolicy::default())
-                .unwrap();
+            let mut added = Ok(0);
+            added_accounts += count(|| {
+                added = fleet.add_account(user, username, domain, PasswordPolicy::default())
+            });
+            added.unwrap();
         }
     }
     let wave = |k: usize| -> Vec<FleetOp> {
@@ -244,11 +291,15 @@ fn fleet_window() -> Window {
     }
     let ops = wave(2);
     let mut results = Vec::new();
-    let window = count(|| results = fleet.run_ops(&ops));
+    let wave = count(|| results = fleet.run_ops(&ops));
     for result in results {
         result.unwrap();
     }
-    window
+    FleetWindows {
+        users: added_users,
+        accounts: added_accounts,
+        wave,
+    }
 }
 
 /// Allocator calls over the fleet's measured wave: 24.06 per op.
@@ -258,7 +309,7 @@ const FLEET_BYTES: u64 = 95_000;
 
 #[test]
 fn a_fleet_wave_stays_within_its_allocation_budget() {
-    let window = least(fleet_window);
+    let window = least(|| fleet_windows().wave);
     let ops = FLEET_USERS as u64;
     println!(
         "fleet wave: {window:?} over {ops} ops ({:.3} calls, {:.1} bytes each)",
@@ -266,13 +317,37 @@ fn a_fleet_wave_stays_within_its_allocation_budget() {
         window.bytes as f64 / ops as f64,
     );
     assert!(window.calls <= 31 * ops, "{window:?}");
-    assert_pinned(
-        window,
-        Window {
-            calls: FLEET_CALLS,
-            bytes: FLEET_BYTES,
-        },
+    assert_pinned(window, FLEET_CALLS, FLEET_BYTES);
+}
+
+/// Net live bytes over the fleet's [`FLEET_USERS`] `add_user` calls:
+/// 10 396 per user, with its cloud backup at its exact length and its four
+/// channels in the slab.
+const FLEET_USER_LIVE: i64 = 332_665;
+
+#[test]
+fn a_fleet_user_keeps_its_pinned_live_bytes() {
+    let window = least(|| fleet_windows().users);
+    println!(
+        "fleet users: {window:?} over {FLEET_USERS} users ({:.1} live bytes each)",
+        window.live as f64 / FLEET_USERS as f64,
     );
+    assert_live_pinned(window, FLEET_USER_LIVE);
+}
+
+/// Net live bytes over the fleet's `add_account` calls: 778 per account,
+/// none of them a copy of the default character table.
+const FLEET_ACCOUNT_LIVE: i64 = 99_552;
+
+#[test]
+fn a_fleet_account_keeps_its_pinned_live_bytes() {
+    let window = least(|| fleet_windows().accounts);
+    let accounts = FLEET_USERS * FLEET_ACCOUNTS;
+    println!(
+        "fleet accounts: {window:?} over {accounts} accounts ({:.1} live bytes each)",
+        window.live as f64 / accounts as f64,
+    );
+    assert_live_pinned(window, FLEET_ACCOUNT_LIVE);
 }
 
 /// The host encodes every message into one reused buffer. A long message
