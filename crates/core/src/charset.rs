@@ -99,7 +99,9 @@ pub struct CharacterTable {
     chars: Arc<[char]>,
 }
 
-/// The process's one allocation of the full table, built on first use.
+/// The process's one allocation of the full table, built on first use, and
+/// directly rather than through the fallible `from_classes`:
+/// `CharClass::ALL` is a fixed, non-empty, duplicate-free constant.
 fn full_chars() -> &'static Arc<[char]> {
     static FULL: OnceLock<Arc<[char]>> = OnceLock::new();
     FULL.get_or_init(|| {
@@ -135,8 +137,7 @@ fn repeats(chars: &[char]) -> bool {
 /// [`CharacterTable::custom`]'s checks (non-empty, no duplicates).
 impl Record for CharacterTable {
     fn encode(&self, out: &mut Vec<u8>) {
-        // The bytes of the `Vec<char>` this field once was: a varint
-        // length, then each character.
+        // The `Vec<char>` encoding: a varint length, then each character.
         codec::write_varint(self.chars.len() as u64, out);
         for c in self.chars.iter() {
             c.encode(out);
@@ -154,8 +155,6 @@ impl CharacterTable {
     /// The default full table: 26 lower + 26 upper + 10 digits + 32 special
     /// = 94 characters (`Nc = 94`).
     pub fn full() -> Self {
-        // Not through the fallible `from_classes`: `CharClass::ALL` is a
-        // fixed, non-empty, duplicate-free constant.
         CharacterTable {
             chars: Arc::clone(full_chars()),
         }

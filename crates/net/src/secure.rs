@@ -382,12 +382,10 @@ impl SecureChannel {
 /// TLS handshake; traffic between two endpoints with no channel (the
 /// rendezvous legs) passes through in the clear.
 ///
-/// The channels live in a slab, one slot per direction, and a hashed index
-/// maps each `(from, to)` to its `u32` slot: the index's buckets are a few
-/// bytes each, so the table sitting half empty after it doubles costs
-/// little, where buckets holding the channels inline would leave hundreds
-/// of bytes empty per bucket. Re-provisioning a pair overwrites its two
-/// slots.
+/// The channels live in a slab, one slot per direction, behind a hashed
+/// index from `(from, to)` to a `u32` slot, so the buckets a doubling
+/// leaves empty cost a few bytes each rather than a whole channel.
+/// Re-provisioning a pair overwrites its two slots.
 ///
 /// ```
 /// use amnesia_crypto::SecretRng;
@@ -406,6 +404,7 @@ impl SecureChannel {
 pub struct ChannelMap {
     /// Hashed: nothing iterates it.
     slots: HashMap<(EndpointId, EndpointId), u32>,
+    /// The slab `slots` indexes.
     channels: Vec<SecureChannel>,
 }
 
@@ -434,8 +433,8 @@ impl ChannelMap {
     /// Stores `channel` in the slot of `pair`, taking a new slot for a pair
     /// seen for the first time.
     fn put(&mut self, pair: (EndpointId, EndpointId), channel: SecureChannel) {
-        if let Some(slot) = self.slot_mut(pair) {
-            *slot = channel;
+        if let Some(old) = self.channel_mut(pair) {
+            *old = channel;
             return;
         }
         let slot = u32::try_from(self.channels.len());
@@ -444,16 +443,19 @@ impl ChannelMap {
         self.channels.push(channel);
     }
 
-    /// The channel in the slot of `pair`, if it has one.
-    fn slot_mut(&mut self, pair: (EndpointId, EndpointId)) -> Option<&mut SecureChannel> {
-        let slot = usize::try_from(*self.slots.get(&pair)?).ok()?;
+    /// The slot of `pair`'s channel, if it has one.
+    fn slot(&self, pair: (EndpointId, EndpointId)) -> Option<usize> {
+        usize::try_from(*self.slots.get(&pair)?).ok()
+    }
+
+    fn channel_mut(&mut self, pair: (EndpointId, EndpointId)) -> Option<&mut SecureChannel> {
+        let slot = self.slot(pair)?;
         self.channels.get_mut(slot)
     }
 
     /// The channel `from → to`, if one was provisioned.
     pub fn get(&self, from: EndpointId, to: EndpointId) -> Option<&SecureChannel> {
-        let slot = usize::try_from(*self.slots.get(&(from, to))?).ok()?;
-        self.channels.get(slot)
+        self.channels.get(self.slot((from, to))?)
     }
 
     /// Seals `bytes` on the channel `from → to` into a frame of its own,
@@ -471,7 +473,7 @@ impl ChannelMap {
         to: EndpointId,
         bytes: &[u8],
     ) -> Result<Vec<u8>, ChannelError> {
-        match self.slot_mut((from, to)) {
+        match self.channel_mut((from, to)) {
             Some(channel) => channel.seal(bytes),
             None => Ok(bytes.to_vec()),
         }
@@ -490,7 +492,7 @@ impl ChannelMap {
         to: EndpointId,
         bytes: &'a mut [u8],
     ) -> Result<&'a [u8], ChannelError> {
-        match self.slot_mut((from, to)) {
+        match self.channel_mut((from, to)) {
             Some(channel) => channel.open_in_place(bytes),
             None => Ok(bytes),
         }
