@@ -187,8 +187,7 @@ fn run_cell(
     // Only the measured burst may land in the histograms.
     fleet.telemetry().reset();
 
-    // Generations that actually did server work: coalesced duplicates rode
-    // an in-flight session and must not inflate the sustained rate.
+    // One timed burst; any failed op fails the cell.
     let burst = |load: &mut LoadGenerator, fleet: &mut Fleet| {
         let wall_start = Instant::now();
         let report = load.run(fleet);
@@ -205,6 +204,8 @@ fn run_cell(
                 report.failed, report.offered
             ));
         }
+        // Generations that actually did server work: coalesced duplicates
+        // rode an in-flight session and must not inflate the sustained rate.
         let real_gens = report.generations.saturating_sub(report.coalesced);
         Ok((report, real_gens, wall_s))
     };
