@@ -301,10 +301,12 @@ fn secret_unwiped_buffer(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
         return;
     }
     let code = &ctx.map.code;
-    // Pass 1: identifiers handed to a `zeroize`-family call anywhere in the
-    // file count as wiped (the wipe usually sits a few statements below the
-    // binding, so the check is file-scoped rather than statement-scoped).
-    let mut wiped: Vec<&str> = Vec::new();
+    // Pass 1: identifiers handed to a `zeroize`-family call, with the code
+    // index of the call. A binding counts as wiped when a call naming it
+    // sits in the same fn body (the wipe usually sits a few statements below
+    // the binding, so the check is fn-scoped rather than statement-scoped;
+    // two fns of one file may bind the same buffer name).
+    let mut wiped: Vec<(&str, usize)> = Vec::new();
     for i in 0..code.len() {
         if !matches!(ctx.text(i), "zeroize" | "zeroize_u32" | "zeroize_u64")
             || ctx.text(i + 1) != "("
@@ -322,7 +324,7 @@ fn secret_unwiped_buffer(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                     .code_tok(j)
                     .is_some_and(|tok| tok.kind == TokenKind::Ident) =>
                 {
-                    wiped.push(t);
+                    wiped.push((t, i));
                 }
                 _ => {}
             }
@@ -330,7 +332,7 @@ fn secret_unwiped_buffer(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
         }
     }
     // Pass 2: `let [mut] <ident> … = <heap-allocating initializer>;` where
-    // the name marks key material and nothing ever wipes it.
+    // the name marks key material and nothing in its fn wipes it.
     let mut i = 0usize;
     while i < code.len() {
         if ctx.text(i) != "let" {
@@ -360,19 +362,36 @@ fn secret_unwiped_buffer(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
             i = j + 1;
             continue;
         }
-        // Scan the initializer up to the statement's `;` for an allocation.
+        // Scan the type and initializer up to the statement's `;` for an
+        // allocation; a `;` inside brackets (`[u32; 16]`, a block) is not it.
         let mut heap = false;
+        let mut depth = 0i32;
         let mut k = j + 1;
         while k < code.len() {
             match ctx.text(k) {
-                ";" => break,
+                ";" if depth == 0 => break,
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
                 "vec" if ctx.text(k + 1) == "!" => heap = true,
-                "to_vec" | "collect" if ctx.text(k + 1) == "(" => heap = true,
+                "to_vec" | "collect" | "with_capacity" if ctx.text(k + 1) == "(" => heap = true,
                 _ => {}
             }
             k += 1;
         }
-        if heap && !wiped.contains(&name) {
+        // The innermost fn body holding the binding (the whole file for a
+        // binding outside any fn).
+        let (open, close) = ctx
+            .map
+            .fns
+            .iter()
+            .map(|f| (f.body.open, f.body.close))
+            .filter(|&(open, close)| open < j && j < close)
+            .min_by_key(|&(open, close)| close - open)
+            .unwrap_or((0, code.len()));
+        let wiped_here = wiped
+            .iter()
+            .any(|&(w, at)| w == name && open < at && at < close);
+        if heap && !wiped_here {
             ctx.emit(
                 out,
                 "secret-unwiped-buffer",
@@ -681,6 +700,37 @@ mod tests {
         let found =
             rules("fn f(xs: &[u8]) { let opad: Vec<u8> = xs.iter().map(|b| b ^ 0x5c).collect(); }");
         assert_eq!(found, vec!["secret-unwiped-buffer"]);
+    }
+
+    #[test]
+    fn unwiped_with_capacity_key_buffer_flagged() {
+        let found = rules("fn f(n: usize) { let mut key_block = Vec::with_capacity(n); }");
+        assert_eq!(found, vec!["secret-unwiped-buffer"]);
+    }
+
+    #[test]
+    fn array_element_type_does_not_end_the_initializer() {
+        let found =
+            rules("fn f(n: usize) { let key_block: Vec<[u32; 16]> = Vec::with_capacity(n); }");
+        assert_eq!(found, vec!["secret-unwiped-buffer"]);
+        let found = rules("fn f() { let ipad: Vec<[u8; 4]> = vec![[0x36; 4]; 16]; }");
+        assert_eq!(found, vec!["secret-unwiped-buffer"]);
+    }
+
+    #[test]
+    fn zeroized_with_capacity_key_buffer_is_fine() {
+        let src = "fn f(n: usize) { let mut key_block: Vec<u32> = Vec::with_capacity(n); \
+                   zeroize_u32(&mut key_block); }";
+        assert!(rules(src).is_empty());
+    }
+
+    #[test]
+    fn wipe_in_another_fn_does_not_count() {
+        // Two kernels binding the same name: each must wipe its own.
+        let src =
+            "fn portable() { let mut key_block = vec![0u32; 8]; zeroize_u32(&mut key_block); }\n\
+                   fn vector(n: usize) { let mut key_block = Vec::with_capacity(n); }";
+        assert_eq!(rules(src), vec!["secret-unwiped-buffer"]);
     }
 
     #[test]
