@@ -18,7 +18,10 @@
 //!   (1, 2, and 3, including N=16384/r=8/p=1), run in **every** mode;
 //! * `kdf_ladder` — per-rung median derive latency for the
 //!   [`KdfPolicy`] ladder plus the modeled attacker guess rate and
-//!   slowdown versus the paper's salted hash.
+//!   slowdown versus the paper's salted hash;
+//! * `romix_kernel` — which scrypt ROMix kernel this CPU ran the ladder on
+//!   (`"avx512vl"` or `"portable"`, [`scrypt::romix_kernel`]); the
+//!   ladder's figures depend on it.
 //!
 //! The binary self-validates: every metric must be finite and positive —
 //! and every KAT must match — or it exits nonzero, so
@@ -28,7 +31,10 @@
 use amnesia_attacks::guessing::KdfAttackCost;
 use amnesia_bench::timing::{Harness, Measurement};
 use amnesia_core::{Domain, PasswordPolicy, Username};
-use amnesia_crypto::{hex, kdf, pbkdf2_hmac_sha256, scrypt, HmacKey, KdfPolicy, SecretRng, Sha256};
+use amnesia_crypto::{
+    hex, kdf, pbkdf2_hmac_sha256, scrypt, scrypt::romix_kernel, HmacKey, KdfPolicy, SecretRng,
+    Sha256,
+};
 use amnesia_phone::ConfirmPolicy;
 use amnesia_system::{AmnesiaSystem, NetProfile, SystemConfig};
 use std::hint::black_box;
@@ -278,6 +284,7 @@ fn run(opts: &Options) -> Result<(), String> {
         "{{\n  \"suite\": \"bench_crypto\",\n  \"mode\": \"{}\",\n  \
          \"pbkdf2_iterations\": {PBKDF2_ITERS},\n  \
          \"scrypt_kats\": \"pass\",\n  \
+         \"romix_kernel\": \"{}\",\n  \
          \"hmac_msgs_per_sec\": {:.0},\n  \
          \"pbkdf2_iters_per_sec\": {:.0},\n  \
          \"e2e_generate_p50_ns\": {e2e_p50_ns},\n  \
@@ -285,16 +292,18 @@ fn run(opts: &Options) -> Result<(), String> {
          \"kdf_ladder\": [{ladder_json}],\n  \
          \"raw\": [{raw}]\n}}\n",
         if opts.quick { "quick" } else { "full" },
+        romix_kernel(),
         hmac_msgs_per_sec,
         pbkdf2_iters_per_sec,
     );
     std::fs::write(&opts.out_path, &doc).map_err(|e| format!("writing {}: {e}", opts.out_path))?;
     eprintln!(
         "bench_crypto: scrypt KATs pass, hmac {hmac_msgs_per_sec:.0} msgs/s, pbkdf2 \
-         {pbkdf2_iters_per_sec:.0} iters/s, e2e p50 {:.2} ms, p99 {:.2} ms, ladder{ladder_log} \
-         -> {}",
+         {pbkdf2_iters_per_sec:.0} iters/s, e2e p50 {:.2} ms, p99 {:.2} ms, ladder on the {} \
+         ROMix kernel{ladder_log} -> {}",
         e2e_p50_ns as f64 / 1e6,
         e2e_p99_ns as f64 / 1e6,
+        romix_kernel(),
         opts.out_path
     );
     Ok(())

@@ -23,6 +23,9 @@ pub enum CryptoError {
     /// scrypt parallelization factor `p` was zero or above
     /// [`MAX_P`](crate::scrypt::MAX_P).
     ScryptParallelismOutOfRange,
+    /// scrypt's working set per lane, `128·r·N` bytes, was above
+    /// [`MAX_LANE_BYTES`](crate::scrypt::MAX_LANE_BYTES).
+    ScryptMemoryOutOfRange,
 }
 
 impl fmt::Display for CryptoError {
@@ -39,6 +42,9 @@ impl fmt::Display for CryptoError {
             }
             CryptoError::ScryptParallelismOutOfRange => {
                 write!(f, "scrypt parallelization factor p is out of range")
+            }
+            CryptoError::ScryptMemoryOutOfRange => {
+                write!(f, "scrypt working set 128*r*N per lane is out of range")
             }
         }
     }

@@ -28,6 +28,8 @@
 //!   BlockMix, ROMix, PBKDF2 envelope), built on the same HMAC midstate
 //!   machinery. Forces each password guess through a large RAM working set
 //!   so specialized attacker silicon pays area × time, not just compute.
+//!   ROMix runs on an AVX-512VL vector kernel when the CPU has it and on a
+//!   portable kernel otherwise, with identical output.
 //! * [`kdf`] — the [`KdfPolicy`] hardness ladder (`Cpu` / `MemoryHard`,
 //!   with named rungs `INTERACTIVE`/`BALANCED`/`PARANOID`) and the single
 //!   [`kdf::derive`] dispatch point every derivation site goes through.
@@ -52,8 +54,9 @@
 //! assert_eq!(sha512(b"abc").len(), 64);
 //! ```
 
-// One fn may use `unsafe`: the SHA-NI dispatch in `sha256.rs`, whose
-// call is sound right after the CPU feature check (DESIGN.md §9).
+// Two fns may use `unsafe`, each a kernel dispatch whose call is sound
+// right after its CPU feature check (DESIGN.md §9): the SHA-NI one in
+// `sha256.rs` and the AVX-512VL ROMix one in `scrypt.rs`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

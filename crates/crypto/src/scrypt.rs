@@ -27,6 +27,22 @@
 //! Salsa scratch) are zeroized before return; they held values derived
 //! from the password.
 //!
+//! **Two ROMix kernels, one function.** Each lane is ROMixed once, on the
+//! kernel this CPU picks ([`romix_kernel`] names it). On x86-64 with
+//! AVX-512F and AVX-512VL a vector kernel holds every 64-byte block in
+//! the diagonal layout of Percival's SSE2 scrypt: row `k` of the block
+//! holds words `(4k + 5i) mod 16`, so lane `i` of the four rows is column
+//! `i` of the Salsa matrix. A column round is then four vector
+//! quarter-round steps (add, rotate by `7`/`9`/`13`/`18` on the AVX-512VL
+//! rotate, XOR), and a row round is the same four steps after three lane
+//! shuffles. Word-wise XOR and addition do not see the layout, so
+//! BlockMix and ROMix run on it unchanged; `Integerify` reads word 0 of
+//! the last block, which the layout leaves at position 0. The kernel
+//! computes `BlockMix(X ⊕ V_j)` without storing the XOR, and builds `V` by
+//! appending to an unfilled allocation. Everywhere else the portable
+//! scalar kernels below run; they are the reference the vector kernel is
+//! tested against, and they give the same bytes.
+//!
 //! Known-answer tests pin the §8 Salsa20/8, §9 BlockMix, §10 ROMix and
 //! §12 scrypt vectors (the 1 GiB `N = 2^20` vector is `#[ignore]`d).
 
@@ -38,10 +54,18 @@ use crate::zeroize::{zeroize, zeroize_u32};
 /// Words per 64-byte Salsa block.
 const SALSA_WORDS: usize = 16;
 
-/// Largest accepted `log2(N)`: `N = 2^24` at `r = 8` is a 16 GiB working
-/// set — far past any deployment rung, and a guard against accidental
-/// multi-terabyte allocations from corrupt parameters.
+/// Largest accepted `log2(N)`. The working set is bounded on its own by
+/// [`MAX_LANE_BYTES`], which at `r = 1` already stops at `N = 2^23`; this
+/// bound keeps `N` a few bits from that, and under `2^32`, before the
+/// lane size is computed.
 pub const MAX_LOG_N: u8 = 24;
+
+/// Largest accepted working set of one lane, `128·r·N` bytes: 1 GiB, the
+/// size of RFC 7914's `N = 2^20`, `r = 8` vector and 16× a
+/// [`PARANOID`](crate::KdfPolicy::PARANOID) lane. A policy decoded from a
+/// corrupt record fails here with a typed error instead of aborting the
+/// process on the allocation of `V`.
+pub const MAX_LANE_BYTES: u64 = 1 << 30;
 
 /// Largest accepted block-size factor `r` (RFC 7914 leaves `r` open;
 /// `128·r` must stay a sane block length).
@@ -164,9 +188,51 @@ fn romix(lane: &mut [u32], r: usize, n: usize) {
     zeroize_u32(&mut romix_t);
 }
 
-/// ROMix over one lane stored as RFC byte order: load little-endian words,
-/// mix, store back.
-fn romix_lane_bytes(lane: &mut [u8], r: usize, n: usize) {
+/// The ROMix kernel this CPU runs: `"avx512vl"` on x86-64 with AVX-512F
+/// and AVX-512VL, `"portable"` everywhere else. Both derive the same
+/// bytes; a timing of scrypt means little without the name of its kernel.
+pub fn romix_kernel() -> &'static str {
+    if vector_kernel_available() {
+        "avx512vl"
+    } else {
+        "portable"
+    }
+}
+
+/// Whether this CPU has the target features [`romix_avx512vl`] enables.
+/// std caches the detection, so this is a few loads per lane.
+fn vector_kernel_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// ROMix over one lane stored as RFC byte order, in place: on the vector
+/// kernel when this CPU has AVX-512F and AVX-512VL, on the portable kernel
+/// otherwise. Both compute the same function;
+/// `dispatched_romix_matches_portable_kernel` checks it.
+#[allow(unsafe_code)]
+fn romix_lane(lane: &mut [u8], r: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if vector_kernel_available() {
+        // SAFETY: `romix_avx512vl` is a safe fn whose one requirement is the
+        // target features it enables, and the check above just found both of
+        // them on this CPU.
+        unsafe { romix_avx512vl(lane, r, n) };
+        return;
+    }
+    romix_lane_portable(lane, r, n);
+}
+
+/// The portable ROMix over one lane stored as RFC byte order: load
+/// little-endian words, mix, store back.
+fn romix_lane_portable(lane: &mut [u8], r: usize, n: usize) {
     let mut lane_words: Vec<u32> = lane
         .chunks_exact(4)
         .map(|c| {
@@ -182,6 +248,196 @@ fn romix_lane_bytes(lane: &mut [u8], r: usize, n: usize) {
     zeroize_u32(&mut lane_words);
 }
 
+/// Position `p` of a block's diagonal layout holds word `DIAGONAL[p]`: row
+/// `k` (positions `4k..4k + 4`) holds words `(4k + 5i) mod 16`.
+#[cfg(target_arch = "x86_64")]
+const DIAGONAL: [usize; SALSA_WORDS] = [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11];
+
+/// One Salsa block in the diagonal layout, a row per vector.
+#[cfg(target_arch = "x86_64")]
+type Rows = [std::arch::x86_64::__m128i; 4];
+
+/// scryptROMix over one lane stored as RFC byte order, in place, on the
+/// AVX-512VL vector rotate. The blocks of `X`, `V` and the BlockMix output
+/// are kept in the diagonal layout from the lane's load to its store.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn romix_avx512vl(lane: &mut [u8], r: usize, n: usize) {
+    let blocks = 2 * r;
+    let mut romix_x: Vec<[u32; SALSA_WORDS]> = lane
+        .as_chunks::<64>()
+        .0
+        .iter()
+        .map(|block| {
+            let (words, _) = block.as_chunks::<4>();
+            DIAGONAL.map(|w| u32::from_le_bytes(words[w]))
+        })
+        .collect();
+    let mut romix_t = vec![[0u32; SALSA_WORDS]; blocks];
+    // Every entry is written before it is read, so `V` is not zero-filled.
+    let mut romix_v: Vec<[u32; SALSA_WORDS]> = Vec::with_capacity(blocks * n);
+
+    // Fill phase: V_i = X; X = BlockMix(X).
+    for _ in 0..n {
+        romix_v.extend_from_slice(&romix_x);
+        block_mix_rows(&romix_x, None, &mut romix_t);
+        std::mem::swap(&mut romix_x, &mut romix_t);
+    }
+    // Mix phase: j = Integerify(X) mod N; X = BlockMix(X ^ V_j). `N` is at
+    // most 2^MAX_LOG_N, so word 0 of the last block holds every bit of `j`.
+    for _ in 0..n {
+        let j = romix_x.last().map_or(0, |&[w0, ..]| w0 as usize) & (n - 1);
+        let v_j = &romix_v[j * blocks..][..blocks];
+        block_mix_rows(&romix_x, Some(v_j), &mut romix_t);
+        std::mem::swap(&mut romix_x, &mut romix_t);
+    }
+    for (block, x) in lane.as_chunks_mut::<64>().0.iter_mut().zip(&romix_x) {
+        let (words, _) = block.as_chunks_mut::<4>();
+        for (&w, word) in DIAGONAL.iter().zip(x) {
+            words[w] = word.to_le_bytes();
+        }
+    }
+
+    zeroize_u32(romix_v.as_flattened_mut());
+    zeroize_u32(romix_x.as_flattened_mut());
+    zeroize_u32(romix_t.as_flattened_mut());
+}
+
+/// scryptBlockMix of `input ⊕ v` (of `input` when `v` is `None`) on blocks
+/// in the diagonal layout: `Y_0, Y_2, …` land in the first half of
+/// `output`, `Y_1, Y_3, …` in the second. The XOR with `v` is never
+/// stored.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn block_mix_rows(
+    input: &[[u32; SALSA_WORDS]],
+    v: Option<&[[u32; SALSA_WORDS]]>,
+    output: &mut [[u32; SALSA_WORDS]],
+) {
+    let block = |i: usize| match v {
+        Some(v) => xor_rows(load_rows(&input[i]), load_rows(&v[i])),
+        None => load_rows(&input[i]),
+    };
+    let r = input.len() / 2;
+    let (evens, odds) = output.split_at_mut(r);
+    let mut x = block(2 * r - 1);
+    for (i, (even, odd)) in evens.iter_mut().zip(odds).enumerate() {
+        x = salsa20_8_rows(xor_rows(x, block(2 * i)));
+        store_rows(x, even);
+        x = salsa20_8_rows(xor_rows(x, block(2 * i + 1)));
+        store_rows(x, odd);
+    }
+}
+
+/// The Salsa20/8 core on one block in the diagonal layout. Lane `i` of
+/// the rows `a, b, c, d` is column `i` of the Salsa matrix, top to bottom,
+/// so every column's quarter-round runs at once. Rotating `b`, `c` and `d`
+/// by one, two and three lanes lines the matrix's rows up the same way for
+/// the row round, and the opposite rotation restores the layout.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn salsa20_8_rows(input: Rows) -> Rows {
+    use std::arch::x86_64::{_mm_add_epi32, _mm_shuffle_epi32};
+
+    let [mut a, mut b, mut c, mut d] = input;
+    for _ in 0..4 {
+        b = quarter_step::<7>(b, a, d);
+        c = quarter_step::<9>(c, b, a);
+        d = quarter_step::<13>(d, c, b);
+        a = quarter_step::<18>(a, d, c);
+        b = _mm_shuffle_epi32::<0x93>(b);
+        c = _mm_shuffle_epi32::<0x4e>(c);
+        d = _mm_shuffle_epi32::<0x39>(d);
+        d = quarter_step::<7>(d, a, b);
+        c = quarter_step::<9>(c, d, a);
+        b = quarter_step::<13>(b, c, d);
+        a = quarter_step::<18>(a, b, c);
+        b = _mm_shuffle_epi32::<0x39>(b);
+        c = _mm_shuffle_epi32::<0x4e>(c);
+        d = _mm_shuffle_epi32::<0x93>(d);
+    }
+    let [a0, b0, c0, d0] = input;
+    [
+        _mm_add_epi32(a, a0),
+        _mm_add_epi32(b, b0),
+        _mm_add_epi32(c, c0),
+        _mm_add_epi32(d, d0),
+    ]
+}
+
+/// `x ^ ((y + z) <<< R)` on four lanes: one step of four quarter-rounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+#[inline]
+fn quarter_step<const R: i32>(
+    x: std::arch::x86_64::__m128i,
+    y: std::arch::x86_64::__m128i,
+    z: std::arch::x86_64::__m128i,
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::{_mm_add_epi32, _mm_rol_epi32, _mm_xor_si128};
+    _mm_xor_si128(x, _mm_rol_epi32::<R>(_mm_add_epi32(y, z)))
+}
+
+/// [`Rows`] ⊕ [`Rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+#[inline]
+fn xor_rows(x: Rows, y: Rows) -> Rows {
+    use std::arch::x86_64::_mm_xor_si128;
+    let ([x0, x1, x2, x3], [y0, y1, y2, y3]) = (x, y);
+    [
+        _mm_xor_si128(x0, y0),
+        _mm_xor_si128(x1, y1),
+        _mm_xor_si128(x2, y2),
+        _mm_xor_si128(x3, y3),
+    ]
+}
+
+/// A block's sixteen words as four rows, position `4k` in the low lane of
+/// row `k`. The words are read by value, so no pointer is loaded from.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+#[inline]
+fn load_rows(block: &[u32; SALSA_WORDS]) -> Rows {
+    use std::arch::x86_64::_mm_set_epi32;
+    let [a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3] =
+        block.map(u32::cast_signed);
+    [
+        _mm_set_epi32(a3, a2, a1, a0),
+        _mm_set_epi32(b3, b2, b1, b0),
+        _mm_set_epi32(c3, c2, c1, c0),
+        _mm_set_epi32(d3, d2, d1, d0),
+    ]
+}
+
+/// [`load_rows`] in reverse: the rows' lanes back into a block's words.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+#[inline]
+fn store_rows(rows: Rows, block: &mut [u32; SALSA_WORDS]) {
+    use std::arch::x86_64::_mm_extract_epi32;
+    let [a, b, c, d] = rows;
+    *block = [
+        _mm_extract_epi32::<0>(a),
+        _mm_extract_epi32::<1>(a),
+        _mm_extract_epi32::<2>(a),
+        _mm_extract_epi32::<3>(a),
+        _mm_extract_epi32::<0>(b),
+        _mm_extract_epi32::<1>(b),
+        _mm_extract_epi32::<2>(b),
+        _mm_extract_epi32::<3>(b),
+        _mm_extract_epi32::<0>(c),
+        _mm_extract_epi32::<1>(c),
+        _mm_extract_epi32::<2>(c),
+        _mm_extract_epi32::<3>(c),
+        _mm_extract_epi32::<0>(d),
+        _mm_extract_epi32::<1>(d),
+        _mm_extract_epi32::<2>(d),
+        _mm_extract_epi32::<3>(d),
+    ]
+    .map(i32::cast_unsigned);
+}
+
 fn check_params(log_n: u8, r: u32, p: u32) -> Result<(), CryptoError> {
     if log_n == 0 || log_n > MAX_LOG_N {
         return Err(CryptoError::ScryptCostOutOfRange);
@@ -191,6 +447,10 @@ fn check_params(log_n: u8, r: u32, p: u32) -> Result<(), CryptoError> {
     }
     if p == 0 || p > MAX_P {
         return Err(CryptoError::ScryptParallelismOutOfRange);
+    }
+    // At most 2^7 · 2^10 · 2^24 = 2^41 by the bounds above: no overflow.
+    if (128 * u64::from(r)) << log_n > MAX_LANE_BYTES {
+        return Err(CryptoError::ScryptMemoryOutOfRange);
     }
     Ok(())
 }
@@ -254,7 +514,7 @@ pub fn scrypt_with_fanout(
     stats::note_scrypt_lane_workers(workers as u64);
     if workers <= 1 || p <= 1 {
         for lane in scrypt_blocks.chunks_mut(lane_len) {
-            romix_lane_bytes(lane, r, n);
+            romix_lane(lane, r, n);
         }
     } else {
         // Contiguous lane spans per worker; each worker allocates its own
@@ -265,7 +525,7 @@ pub fn scrypt_with_fanout(
             for span_chunk in scrypt_blocks.chunks_mut(span) {
                 scope.spawn(move || {
                     for lane in span_chunk.chunks_mut(lane_len) {
-                        romix_lane_bytes(lane, r, n);
+                        romix_lane(lane, r, n);
                     }
                 });
             }
@@ -368,6 +628,30 @@ mod tests {
         let mut lane = words_of(&input);
         romix(&mut lane, 1, 16);
         assert_eq!(hex::encode(&bytes_of(&lane)), want);
+        // The same vector through the dispatched entry point, on whichever
+        // kernel this CPU runs.
+        let mut lane_bytes = input.clone();
+        romix_lane(&mut lane_bytes, 1, 16);
+        assert_eq!(hex::encode(&lane_bytes), want);
+    }
+
+    /// The dispatched kernel (the vector one where this CPU has AVX-512VL)
+    /// against the portable one on random lanes in RFC byte order.
+    #[test]
+    fn dispatched_romix_matches_portable_kernel() {
+        let mut g = amnesia_testkit::Gen::new(0x5a15_a208);
+        for r in [1usize, 2, 3, 8] {
+            for n in [2usize, 16, 1024] {
+                for case in 0..2 {
+                    let mut dispatched = vec![0u8; 128 * r];
+                    dispatched.fill_with(|| g.next_u8());
+                    let mut portable = dispatched.clone();
+                    romix_lane(&mut dispatched, r, n);
+                    romix_lane_portable(&mut portable, r, n);
+                    assert_eq!(dispatched, portable, "r={r} N={n} case {case}");
+                }
+            }
+        }
     }
 
     // RFC 7914 §12, vector 1: the empty password/salt case.
@@ -477,5 +761,25 @@ mod tests {
         );
         // The output buffer is untouched on error.
         assert_eq!(out, [0u8; 32]);
+    }
+
+    #[test]
+    fn oversized_lanes_are_typed_errors_before_any_allocation() {
+        let mut out = [0u8; 32];
+        // 16 GiB and 2 TiB per lane: the check runs before `B` or `V` exist.
+        for (log_n, r) in [(24, 8), (24, MAX_R)] {
+            assert_eq!(
+                scrypt(b"p", b"s", log_n, r, 1, &mut out),
+                Err(CryptoError::ScryptMemoryOutOfRange),
+                "log_n={log_n} r={r}"
+            );
+        }
+        assert_eq!(out, [0u8; 32]);
+        // RFC 7914 vector 4's 1 GiB lane is the largest accepted one.
+        assert_eq!(check_params(20, 8, 1), Ok(()));
+        assert_eq!(
+            check_params(21, 8, 1),
+            Err(CryptoError::ScryptMemoryOutOfRange)
+        );
     }
 }

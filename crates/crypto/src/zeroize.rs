@@ -1,7 +1,8 @@
 //! Best-effort zeroization of secret buffers, without `unsafe`.
 //!
-//! The crate denies `unsafe` everywhere but the SHA-NI dispatch call in
-//! `sha256.rs`, so this does not use `ptr::write_volatile`. Instead it
+//! The crate denies `unsafe` everywhere but its two kernel dispatch calls
+//! (SHA-NI in `sha256.rs`, AVX-512VL ROMix in `scrypt.rs`), so this does
+//! not use `ptr::write_volatile`. Instead it
 //! writes zeros through ordinary stores and then pins the buffer
 //! with [`std::hint::black_box`] behind a [`compiler_fence`]: the fence
 //! orders the stores, and `black_box` makes the zeroed bytes observable so

@@ -1,7 +1,7 @@
 //! Read-back tests for drop-zeroization of the DRBG state.
 //!
-//! `amnesia-crypto` itself denies `unsafe` outside its one SHA-NI dispatch
-//! call, so the raw-pointer inspection lives here, in an integration test
+//! `amnesia-crypto` itself denies `unsafe` outside its two kernel dispatch
+//! calls, so the raw-pointer inspection lives here, in an integration test
 //! (a separate crate). The pattern: park the value in a [`ManuallyDrop`]
 //! slot, run its destructor in place, then read the slot's bytes back
 //! through a raw pointer with `read_volatile` — if the `Drop` impl (or the

@@ -103,7 +103,7 @@ impl Verifier {
     /// # Errors
     ///
     /// Returns the [`CryptoError`] for invalid policy parameters (zero
-    /// iterations, out-of-range scrypt cost).
+    /// iterations, out-of-range scrypt cost or working set).
     pub fn derive(
         secret: &[u8],
         policy: &KdfPolicy,
@@ -395,6 +395,29 @@ mod tests {
         bytes[16 + 1 + 32 + 4] = 99; // corrupt the version byte
         let decoded: Result<Verifier, _> = amnesia_store::codec::from_bytes(&bytes);
         assert_eq!(decoded.unwrap_err(), CodecError::InvalidVariant(99));
+    }
+
+    #[test]
+    fn stored_policy_past_the_lane_bound_rejects_every_candidate() {
+        // A row whose policy asks for 128 · 1024 · 2^24 bytes (2 TiB) per
+        // lane: verification refuses it before allocating anything.
+        let huge = KdfPolicy::MemoryHard {
+            log_n: 24,
+            r: 1024,
+            p: 1,
+        };
+        let mut rng = SecretRng::seeded(26);
+        let mut bytes = Vec::new();
+        Salt::random(&mut rng).encode(&mut bytes);
+        vec![0xab_u8; 32].encode(&mut bytes);
+        0u32.encode(&mut bytes);
+        VERIFIER_WIRE_VERSION.encode(&mut bytes);
+        huge.encode(&mut bytes);
+        let decoded: Verifier = amnesia_store::codec::from_bytes(&bytes).unwrap();
+        assert_eq!(decoded.policy(), &huge);
+        assert_eq!(decoded.policy().memory_bytes(), 1 << 41);
+        assert!(!decoded.verify(b"mp"));
+        assert!(!decoded.verify(b""));
     }
 
     #[test]
