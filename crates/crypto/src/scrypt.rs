@@ -54,10 +54,10 @@ use crate::zeroize::{zeroize, zeroize_u32};
 /// Words per 64-byte Salsa block.
 const SALSA_WORDS: usize = 16;
 
-/// Largest accepted `log2(N)`. The working set is bounded on its own by
-/// [`MAX_LANE_BYTES`], which at `r = 1` already stops at `N = 2^23`; this
-/// bound keeps `N` a few bits from that, and under `2^32`, before the
-/// lane size is computed.
+/// Largest accepted `log2(N)`. It keeps `N` under `2^32` and the lane
+/// size `check_params` computes from overflowing; the working set itself
+/// is bounded by [`MAX_LANE_BYTES`], which at `r = 1` already stops at
+/// `N = 2^23`.
 pub const MAX_LOG_N: u8 = 24;
 
 /// Largest accepted working set of one lane, `128·r·N` bytes: 1 GiB, the
