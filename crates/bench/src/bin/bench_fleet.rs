@@ -27,10 +27,16 @@
 //! Writes `BENCH_FLEET.json` (override with `--out`). Default mode runs
 //! shard counts {1,2,4,8} at 10k and 100k users; `--full` adds the
 //! 1M-user tier (slow, memory-heavy); `--quick` is the verify.sh smoke:
-//! 3k users, shards {1,4}. Wave sizes stay comparable to the distinct
-//! account pool so duplicate-coalescing doesn't starve the worker pools. In every mode the bench exits nonzero if the
-//! 4-shard sustained sim rate fails to reach [`SCALING_GATE`] × the
-//! single-shard rate at the largest user tier measured.
+//! 6k users, shards {1,4}. Wave sizes stay comparable to the distinct
+//! account pool so duplicate-coalescing doesn't starve the worker pools.
+//! In every mode the bench exits nonzero if the 4-shard sustained sim rate
+//! fails to reach [`SCALING_GATE`] × the single-shard rate at the largest
+//! user tier measured.
+//!
+//! Default and full runs also run the quick cells and write them as the
+//! file's `quick` section. The simulation is deterministic, so every field
+//! of a `--quick` run's cells but the `wall_*` ones must equal that
+//! section; `scripts/verify.sh` holds them to it.
 
 use amnesia_fleet::{DiurnalSchedule, Fleet, FleetConfig, LoadConfig, LoadGenerator, WorkloadMix};
 use amnesia_net::SimDuration;
@@ -309,41 +315,23 @@ fn cell_json(c: &Cell) -> String {
     )
 }
 
-fn run(opts: &Options) -> Result<(), String> {
-    // (users, ops_per_wave, waves): one big flat wave per tier, sized so
-    // the worker-pool queue drain dominates the fixed ~0.85s pipeline
-    // latency on a single shard (otherwise every shard count pays the same
-    // latency floor and the sweep flattens), while staying comparable to
-    // the distinct-account pool so duplicate-coalescing stays bounded.
-    let tiers: Vec<(usize, usize, usize)> = if opts.quick {
-        vec![(6_000, 12_000, 1)]
-    } else if opts.full {
-        vec![
-            (10_000, 12_000, 1),
-            (100_000, 12_000, 1),
-            (1_000_000, 12_000, 1),
-        ]
-    } else {
-        vec![(10_000, 12_000, 1), (100_000, 12_000, 1)]
-    };
-    let shard_counts: &[usize] = if opts.quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let extra_bursts = if opts.quick {
-        QUICK_EXTRA_BURSTS
-    } else {
-        EXTRA_BURSTS
-    };
+/// The quick tier: 6k users, one flat wave of 12k ops.
+const QUICK_TIER: (usize, usize, usize) = (6_000, 12_000, 1);
 
+/// The quick tier's shard counts.
+const QUICK_SHARDS: [usize; 2] = [1, 4];
+
+/// Runs every (tier, shard count) cell, tiers outermost.
+fn run_cells(
+    tiers: &[(usize, usize, usize)],
+    shard_counts: &[usize],
+    durable: bool,
+    extra_bursts: usize,
+) -> Result<Vec<Cell>, String> {
     let mut cells: Vec<Cell> = Vec::new();
-    for &(users, ops_per_wave, waves) in &tiers {
+    for &(users, ops_per_wave, waves) in tiers {
         for &shards in shard_counts {
-            let cell = run_cell(
-                users,
-                shards,
-                ops_per_wave,
-                waves,
-                opts.durable,
-                extra_bursts,
-            )?;
+            let cell = run_cell(users, shards, ops_per_wave, waves, durable, extra_bursts)?;
             eprintln!(
                 "bench_fleet: shards={:<2} users={:<8} {:>8.0} gen/s sim  \
                  {:>9.0} gen/s wall ({:.0}-{:.0} over {} bursts)  \
@@ -363,6 +351,47 @@ fn run(opts: &Options) -> Result<(), String> {
             cells.push(cell);
         }
     }
+    Ok(cells)
+}
+
+/// The cells as JSON rows, one per line.
+fn rows_json(cells: &[Cell]) -> String {
+    cells
+        .iter()
+        .map(cell_json)
+        .collect::<Vec<_>>()
+        .join(",\n    ")
+}
+
+fn run(opts: &Options) -> Result<(), String> {
+    // (users, ops_per_wave, waves): one big flat wave per tier, sized so
+    // the worker-pool queue drain dominates the fixed ~0.85s pipeline
+    // latency on a single shard (otherwise every shard count pays the same
+    // latency floor and the sweep flattens), while staying comparable to
+    // the distinct-account pool so duplicate-coalescing stays bounded.
+    let tiers: Vec<(usize, usize, usize)> = if opts.quick {
+        vec![QUICK_TIER]
+    } else if opts.full {
+        vec![
+            (10_000, 12_000, 1),
+            (100_000, 12_000, 1),
+            (1_000_000, 12_000, 1),
+        ]
+    } else {
+        vec![(10_000, 12_000, 1), (100_000, 12_000, 1)]
+    };
+    let shard_counts: &[usize] = if opts.quick {
+        &QUICK_SHARDS
+    } else {
+        &[1, 2, 4, 8]
+    };
+    let extra_bursts = if opts.quick {
+        QUICK_EXTRA_BURSTS
+    } else {
+        EXTRA_BURSTS
+    };
+
+    let cells = run_cells(&tiers, shard_counts, opts.durable, extra_bursts)?;
 
     // Scaling gate at the largest user tier with both 1- and 4-shard cells.
     let top_users = cells.iter().map(|c| c.users).max().unwrap_or(0);
@@ -388,18 +417,23 @@ fn run(opts: &Options) -> Result<(), String> {
         return Err("missing 1- or 4-shard cell for the scaling gate".into());
     }
 
-    let mut rows = String::new();
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n    ");
-        }
-        rows.push_str(&cell_json(c));
-    }
+    // The committed quick cells a `--quick` run is compared with.
+    let quick = if opts.quick {
+        String::new()
+    } else {
+        let cells = run_cells(
+            &[QUICK_TIER],
+            &QUICK_SHARDS,
+            opts.durable,
+            QUICK_EXTRA_BURSTS,
+        )?;
+        format!(",\n  \"quick\": [\n    {}\n  ]", rows_json(&cells))
+    };
     let doc = format!(
         "{{\n  \"suite\": \"bench_fleet\",\n  \"mode\": \"{}\",\n  \
          \"profile\": \"wifi\",\n  \"shard_workers\": {SHARD_WORKERS},\n  \
          \"durable\": {},\n  \
-         \"scaling_gate\": {SCALING_GATE},\n  \"cells\": [\n    {rows}\n  ]\n}}\n",
+         \"scaling_gate\": {SCALING_GATE},\n  \"cells\": [\n    {}\n  ]{quick}\n}}\n",
         if opts.quick {
             "quick"
         } else if opts.full {
@@ -408,6 +442,7 @@ fn run(opts: &Options) -> Result<(), String> {
             "default"
         },
         opts.durable,
+        rows_json(&cells),
     );
     std::fs::write(&opts.out_path, &doc).map_err(|e| format!("writing {}: {e}", opts.out_path))?;
     eprintln!("bench_fleet: wrote {}", opts.out_path);

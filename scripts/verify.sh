@@ -180,15 +180,23 @@ echo "==> fleet scaling smoke run"
 # Quick-mode sharded-fleet bench (6k users, shards {1,4}): population-
 # sampled generation burst per shard count; fails unless the 4-shard
 # sustained sim gen/s reaches 2x the single-shard figure. The committed
-# baseline (BENCH_FLEET.json) is regenerated with a full run.
+# baseline (BENCH_FLEET.json) is regenerated with a full run, which also
+# writes the quick cells as its "quick" section. The simulation is
+# deterministic, so every field of every quick cell but the wall_* ones
+# must equal that section exactly.
 cargo run -q --release --offline --locked -p amnesia-bench \
     --bin bench_fleet -- --quick --out target/BENCH_FLEET.quick.json
-for metric in sim_gens_per_sec latency_p99_ms; do
-    if ! grep -q "\"$metric\"" target/BENCH_FLEET.quick.json; then
-        echo "error: $metric missing from target/BENCH_FLEET.quick.json" >&2
-        exit 1
-    fi
-done
+simulated_cells() {
+    grep -o '{"users".*}' | sed 's/"wall_[a-z_]*":[0-9.]*,//g'
+}
+sed -n '/"quick": \[/,/\]/p' BENCH_FLEET.json | simulated_cells \
+    >target/BENCH_FLEET.committed.cells
+simulated_cells <target/BENCH_FLEET.quick.json >target/BENCH_FLEET.quick.cells
+if [ ! -s target/BENCH_FLEET.committed.cells ] ||
+    ! diff target/BENCH_FLEET.committed.cells target/BENCH_FLEET.quick.cells >&2; then
+    echo "error: bench_fleet --quick cells differ from BENCH_FLEET.json's quick section" >&2
+    exit 1
+fi
 
 echo "==> durable store write-path smoke run"
 # Quick-mode store bench (20k entries): snapshot-per-write vs WAL vs
