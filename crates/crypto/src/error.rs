@@ -23,8 +23,8 @@ pub enum CryptoError {
     /// scrypt parallelization factor `p` was zero or above
     /// [`MAX_P`](crate::scrypt::MAX_P).
     ScryptParallelismOutOfRange,
-    /// scrypt's working set per lane, `128·r·N` bytes, was above
-    /// [`MAX_LANE_BYTES`](crate::scrypt::MAX_LANE_BYTES).
+    /// scrypt's derivation, `128·r·N·p` bytes over all its lanes, was
+    /// above [`MAX_DERIVATION_BYTES`](crate::scrypt::MAX_DERIVATION_BYTES).
     ScryptMemoryOutOfRange,
 }
 
@@ -44,7 +44,7 @@ impl fmt::Display for CryptoError {
                 write!(f, "scrypt parallelization factor p is out of range")
             }
             CryptoError::ScryptMemoryOutOfRange => {
-                write!(f, "scrypt working set 128*r*N per lane is out of range")
+                write!(f, "scrypt derivation size 128*r*N*p is out of range")
             }
         }
     }

@@ -54,18 +54,21 @@ use crate::zeroize::{zeroize, zeroize_u32};
 /// Words per 64-byte Salsa block.
 const SALSA_WORDS: usize = 16;
 
-/// Largest accepted `log2(N)`. It keeps `N` under `2^32` and the lane
-/// size `check_params` computes from overflowing; the working set itself
-/// is bounded by [`MAX_LANE_BYTES`], which at `r = 1` already stops at
+/// Largest accepted `log2(N)`. It keeps `N` under `2^32` and the size
+/// `check_params` computes from overflowing; the work itself is bounded
+/// by [`MAX_DERIVATION_BYTES`], which at `r = p = 1` already stops at
 /// `N = 2^23`.
 pub const MAX_LOG_N: u8 = 24;
 
-/// Largest accepted working set of one lane, `128·r·N` bytes: 1 GiB, the
-/// size of RFC 7914's `N = 2^20`, `r = 8` vector and 16× a
-/// [`PARANOID`](crate::KdfPolicy::PARANOID) lane. A policy decoded from a
-/// corrupt record fails here with a typed error instead of aborting the
-/// process on the allocation of `V`.
-pub const MAX_LANE_BYTES: u64 = 1 << 30;
+/// Largest accepted derivation, `128·r·N·p` bytes over all `p` lanes:
+/// 1 GiB, the size of RFC 7914's `N = 2^20`, `r = 8`, `p = 1` vector and
+/// 8× a [`PARANOID`](crate::KdfPolicy::PARANOID) derivation. ROMix reads
+/// and writes each lane's `V` twice, so this bounds both the memory of a
+/// lane and the work of the whole derivation. A policy decoded from a
+/// corrupt record fails here with a typed error, instead of aborting the
+/// process on the allocation of `V` or spending hours on a thousand
+/// 1 GiB lanes.
+pub const MAX_DERIVATION_BYTES: u64 = 1 << 30;
 
 /// Largest accepted block-size factor `r` (RFC 7914 leaves `r` open;
 /// `128·r` must stay a sane block length).
@@ -448,8 +451,9 @@ fn check_params(log_n: u8, r: u32, p: u32) -> Result<(), CryptoError> {
     if p == 0 || p > MAX_P {
         return Err(CryptoError::ScryptParallelismOutOfRange);
     }
-    // At most 2^7 · 2^10 · 2^24 = 2^41 by the bounds above: no overflow.
-    if (128 * u64::from(r)) << log_n > MAX_LANE_BYTES {
+    // At most 2^7 · 2^10 · 2^24 · 2^10 = 2^51 by the bounds above: no
+    // overflow. With `p ≥ 1` this bounds each lane too.
+    if (128 * u64::from(r) * u64::from(p)) << log_n > MAX_DERIVATION_BYTES {
         return Err(CryptoError::ScryptMemoryOutOfRange);
     }
     Ok(())
@@ -781,5 +785,23 @@ mod tests {
             check_params(21, 8, 1),
             Err(CryptoError::ScryptMemoryOutOfRange)
         );
+    }
+
+    #[test]
+    fn oversized_derivations_are_typed_errors_before_any_allocation() {
+        let mut out = [0u8; 32];
+        // 1 024 lanes of 1 GiB, and 65 lanes of 16 MiB: each lane fits,
+        // the derivation does not, and nothing is allocated.
+        for (log_n, r, p) in [(20, 8, 1024), (14, 8, 65)] {
+            assert_eq!(
+                scrypt(b"p", b"s", log_n, r, p, &mut out),
+                Err(CryptoError::ScryptMemoryOutOfRange),
+                "log_n={log_n} r={r} p={p}"
+            );
+        }
+        assert_eq!(out, [0u8; 32]);
+        // 64 lanes of 16 MiB and one of 1 GiB are exactly the bound.
+        assert_eq!(check_params(14, 8, 64), Ok(()));
+        assert_eq!(check_params(20, 8, 1), Ok(()));
     }
 }

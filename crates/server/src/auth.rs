@@ -421,6 +421,29 @@ mod tests {
     }
 
     #[test]
+    fn stored_policy_past_the_derivation_bound_rejects_every_candidate_at_once() {
+        // 1 024 lanes of 1 GiB each: every lane fits, the derivation does
+        // not, so verification refuses it before deriving anything.
+        let huge = KdfPolicy::MemoryHard {
+            log_n: 20,
+            r: 8,
+            p: 1024,
+        };
+        let mut rng = SecretRng::seeded(27);
+        let mut bytes = Vec::new();
+        Salt::random(&mut rng).encode(&mut bytes);
+        vec![0xab_u8; 32].encode(&mut bytes);
+        0u32.encode(&mut bytes);
+        VERIFIER_WIRE_VERSION.encode(&mut bytes);
+        huge.encode(&mut bytes);
+        let decoded: Verifier = amnesia_store::codec::from_bytes(&bytes).unwrap();
+        assert_eq!(decoded.policy(), &huge);
+        let started = std::time::Instant::now();
+        assert!(!decoded.verify(b"mp"));
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    #[test]
     fn downgrade_is_refused_upgrade_is_allowed() {
         let mut rng = SecretRng::seeded(25);
         let hard = Verifier::derive(b"mp", &TINY_MEMHARD, &mut rng).unwrap();
