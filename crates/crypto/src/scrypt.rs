@@ -165,9 +165,14 @@ fn integerify(x: &[u32], r: usize, n: usize) -> usize {
 /// return — every entry of `V` is a pure function of the password.
 fn romix(lane: &mut [u32], r: usize, n: usize) {
     let words = 32 * r;
-    let mut romix_v = vec![0u32; words * n];
     let mut romix_x = lane.to_vec();
     let mut romix_t = vec![0u32; words];
+    // `V` is allocated last, as the vector kernel does: once glibc's
+    // dynamic mmap threshold has passed the size of a freed `V`, that `V`
+    // stays on the heap, and a block buffer allocated after the next `V`
+    // would be carved from it, so the next `V` could not reuse it and the
+    // process would keep a second table.
+    let mut romix_v = vec![0u32; words * n];
 
     // Fill phase: V_i = X; X = BlockMix(X).
     for i in 0..n {
