@@ -313,6 +313,8 @@ pub enum OpOutcome {
 
 /// Per-user fleet state.
 struct UserState {
+    /// The user id ops name the user by.
+    id: String,
     shard: usize,
     home_gcm: usize,
     browser: EndpointId,
@@ -335,9 +337,11 @@ pub struct Fleet {
     config: FleetConfig,
     host: SessionHost,
     router: FleetRouter,
-    /// Hashed: nothing iterates it (`setup_order` keeps the order).
-    users: HashMap<String, UserState>,
-    setup_order: Vec<String>,
+    /// Every user, in setup order; a user's index is its position here.
+    users: Vec<UserState>,
+    /// User id → index into `users`: consulted once where an op's user
+    /// enters, never per frame. Hashed: nothing iterates it.
+    user_index: HashMap<String, usize>,
     admission_rejected: Counter,
     coalesced: Counter,
 }
@@ -433,8 +437,8 @@ impl Fleet {
             config,
             host,
             router,
-            users: HashMap::new(),
-            setup_order: Vec::new(),
+            users: Vec::new(),
+            user_index: HashMap::new(),
             admission_rejected: telemetry.counter("fleet.admission.rejected"),
             coalesced: telemetry.counter("fleet.admission.coalesced"),
         })
@@ -479,7 +483,7 @@ impl Fleet {
         master_password: &str,
         home_gcm: usize,
     ) -> Result<usize, FleetError> {
-        if self.users.contains_key(user_id) {
+        if self.user_index.contains_key(user_id) {
             return Err(FleetError::System(SystemError::ServerRejected {
                 message: format!("user {user_id:?} already exists"),
             }));
@@ -504,19 +508,18 @@ impl Fleet {
             home_gcm,
         );
 
-        self.users.insert(
-            user_id.to_string(),
-            UserState {
-                shard,
-                home_gcm,
-                browser,
-                phone,
-                master_password: master_password.to_string(),
-                accounts: Vec::new(),
-                phone_generation: 0,
-            },
-        );
-        self.setup_order.push(user_id.to_string());
+        self.user_index
+            .insert(user_id.to_string(), self.users.len());
+        self.users.push(UserState {
+            id: user_id.to_string(),
+            shard,
+            home_gcm,
+            browser,
+            phone,
+            master_password: master_password.to_string(),
+            accounts: Vec::new(),
+            phone_generation: 0,
+        });
 
         let sid = self.host.begin(
             browser,
@@ -548,7 +551,8 @@ impl Fleet {
         domain: Domain,
         policy: PasswordPolicy,
     ) -> Result<usize, FleetError> {
-        let browser = self.user(user_id)?.browser;
+        let user = self.user_index(user_id)?;
+        let browser = self.users[user].browser;
         let sid = self.host.begin(
             browser,
             None,
@@ -562,12 +566,9 @@ impl Fleet {
         )?;
         match self.host.run(sid).result? {
             SessionOutcome::AccountAdded => {
-                let entry = self
-                    .users
-                    .get_mut(user_id)
-                    .ok_or_else(|| FleetError::UnknownUser(user_id.into()))?;
-                entry.accounts.push((username, domain));
-                Ok(entry.accounts.len() - 1)
+                let accounts = &mut self.users[user].accounts;
+                accounts.push((username, domain));
+                Ok(accounts.len() - 1)
             }
             _ => Err(FleetError::System(SystemError::MissingReply {
                 expected: "AccountAdded",
@@ -575,10 +576,17 @@ impl Fleet {
         }
     }
 
-    fn user(&self, user_id: &str) -> Result<&UserState, FleetError> {
-        self.users
+    /// The index of the user named `user_id`.
+    fn user_index(&self, user_id: &str) -> Result<usize, FleetError> {
+        self.user_index
             .get(user_id)
+            .copied()
             .ok_or_else(|| FleetError::UnknownUser(user_id.into()))
+    }
+
+    /// The state of the user named `user_id`.
+    fn user(&self, user_id: &str) -> Option<&UserState> {
+        self.users.get(*self.user_index.get(user_id)?)
     }
 
     // -- single-op helpers (sequential; tests and small flows) ---------------
@@ -659,9 +667,10 @@ impl Fleet {
     }
 
     fn run_one(&mut self, op: FleetOp) -> Result<OpOutcome, FleetError> {
-        let sid = self.begin_op(&op)?;
+        let user = self.user_index(op.user())?;
+        let sid = self.begin_op(user, &op)?;
         let finished = self.host.run(sid);
-        self.finish_op(&op, finished)
+        self.finish_op(user, &op, finished)
     }
 
     // -- admission-controlled batch driver -----------------------------------
@@ -691,15 +700,21 @@ impl Fleet {
             }
         }
 
+        // Each op's user, resolved once; an unknown user's op fails with
+        // `UnknownUser` where it is admitted.
+        let op_users: Vec<Option<usize>> = ops
+            .iter()
+            .map(|op| self.user_index.get(op.user()).copied())
+            .collect();
         // In-flight bookkeeping: which op each session serves, plus the
         // coalesced waiters riding on it.
         let mut open: HashMap<SessionId, (usize, Vec<usize>)> = HashMap::new();
-        // (user, account) → owning session; `true` = coalescible (Generate).
-        // Names are borrowed from `ops`, so admission allocates nothing.
-        let mut busy_accounts: HashMap<(&str, usize), (SessionId, bool)> = HashMap::new();
+        // (user index, account) → owning session; `true` = coalescible
+        // (Generate).
+        let mut busy_accounts: HashMap<(usize, usize), (SessionId, bool)> = HashMap::new();
         // Users with an op in flight (a recovery replaces the phone, so it
         // locks the user whole).
-        let mut busy_users: HashMap<&str, UserHold> = HashMap::new();
+        let mut busy_users: HashMap<usize, UserHold> = HashMap::new();
 
         let mut settled = Vec::new();
         loop {
@@ -711,8 +726,13 @@ impl Fleet {
                 let Some(i) = queue.pop_front() else { break };
                 scanned += 1;
                 let Some(op) = ops.get(i) else { continue };
-                let user = op.user();
-                let hold = busy_users.get(user).copied().unwrap_or_default();
+                let Some(&Some(user)) = op_users.get(i) else {
+                    if let Some(slot) = results.get_mut(i) {
+                        *slot = Some(Err(FleetError::UnknownUser(op.user().into())));
+                    }
+                    continue;
+                };
+                let hold = busy_users.get(&user).copied().unwrap_or_default();
                 match op {
                     FleetOp::Generate { account, .. } => {
                         if hold.recovering {
@@ -745,7 +765,7 @@ impl Fleet {
                     }
                     FleetOp::Login { .. } => {}
                 }
-                match self.begin_op(op) {
+                match self.begin_op(user, op) {
                     Ok(sid) => {
                         match op {
                             FleetOp::Generate { account, .. } | FleetOp::Rotate { account, .. } => {
@@ -789,10 +809,9 @@ impl Fleet {
                 let Some((index, waiters)) = open.remove(&sid) else {
                     continue;
                 };
-                let Some(op) = ops.get(index) else {
+                let (Some(op), Some(&Some(user))) = (ops.get(index), op_users.get(index)) else {
                     continue;
                 };
-                let user = op.user();
                 let hold = busy_users.entry(user).or_default();
                 match op {
                     FleetOp::Generate { account, .. } | FleetOp::Rotate { account, .. } => {
@@ -803,10 +822,10 @@ impl Fleet {
                     FleetOp::Login { .. } => {}
                 }
                 if hold.accounts == 0 && !hold.recovering {
-                    busy_users.remove(user);
+                    busy_users.remove(&user);
                 }
                 let finished = self.host.finish_session(sid);
-                let outcome = self.finish_op(op, finished);
+                let outcome = self.finish_op(user, op, finished);
                 for w in waiters {
                     let shared = match &outcome {
                         Ok(o) => Ok(o.clone()),
@@ -828,8 +847,9 @@ impl Fleet {
             .collect()
     }
 
-    fn begin_op(&mut self, op: &FleetOp) -> Result<SessionId, FleetError> {
-        let state = self.user(op.user())?;
+    /// Opens the session of `op`, an op of the user at index `user`.
+    fn begin_op(&mut self, user: usize, op: &FleetOp) -> Result<SessionId, FleetError> {
+        let state = &self.users[user];
         let (browser, phone) = (state.browser, state.phone);
         let account = |index: usize| {
             state
@@ -883,10 +903,17 @@ impl Fleet {
         Ok(self.host.begin(browser, phone, spec, attempts, install)?)
     }
 
-    fn finish_op(&mut self, op: &FleetOp, finished: Finished) -> Result<OpOutcome, FleetError> {
+    /// Turns the finished session of `op`, an op of the user at index
+    /// `user`, into the op's outcome.
+    fn finish_op(
+        &mut self,
+        user: usize,
+        op: &FleetOp,
+        finished: Finished,
+    ) -> Result<OpOutcome, FleetError> {
         // A recovery's replacement phone is the user's phone from its
         // install on, whether or not the rest of the flow succeeded.
-        if let (FleetOp::Recover { user }, Some(phone)) = (op, finished.phone) {
+        if let (FleetOp::Recover { .. }, Some(phone)) = (op, finished.phone) {
             if let Some(state) = self.users.get_mut(user) {
                 state.phone = phone;
                 state.phone_generation += 1;
@@ -949,17 +976,17 @@ impl Fleet {
 
     /// The shard a user is routed to.
     pub fn user_shard(&self, user_id: &str) -> Option<usize> {
-        self.users.get(user_id).map(|u| u.shard)
+        self.user(user_id).map(|u| u.shard)
     }
 
     /// The user's home rendezvous instance.
     pub fn user_home_gcm(&self, user_id: &str) -> Option<usize> {
-        self.users.get(user_id).map(|u| u.home_gcm)
+        self.user(user_id).map(|u| u.home_gcm)
     }
 
     /// The user's accounts, in creation order.
     pub fn user_accounts(&self, user_id: &str) -> Option<&[(Username, Domain)]> {
-        self.users.get(user_id).map(|u| u.accounts.as_slice())
+        self.user(user_id).map(|u| u.accounts.as_slice())
     }
 
     /// The local rendezvous instance shard `i` pushes through.
@@ -971,10 +998,10 @@ impl Fleet {
     /// ground-truth single-host replay must repeat to consume the server
     /// seed stream identically.
     pub fn users_on_shard(&self, i: usize) -> Vec<String> {
-        self.setup_order
+        self.users
             .iter()
-            .filter(|u| self.users.get(*u).is_some_and(|s| s.shard == i))
-            .cloned()
+            .filter(|u| u.shard == i)
+            .map(|u| u.id.clone())
             .collect()
     }
 
@@ -1010,9 +1037,7 @@ impl Fleet {
 
     /// The user's current phone endpoint.
     pub fn user_phone(&self, user_id: &str) -> Option<&str> {
-        self.users
-            .get(user_id)
-            .map(|u| self.host.net().name(u.phone))
+        self.user(user_id).map(|u| self.host.net().name(u.phone))
     }
 
     /// Dispatch faults recorded so far (rejected/undeliverable traffic).

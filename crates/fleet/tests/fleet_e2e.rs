@@ -551,6 +551,104 @@ fn mixed_op_kinds_complete() {
     fleet.generate("bob", 0).expect("post-recovery generate");
 }
 
+/// `run_ops` resolves each op's user once: in a wave that mixes users the
+/// fleet never added with ones it did, only the unknown users' ops fail,
+/// each with `UnknownUser` naming its user, and every known user's op
+/// completes as it would alone.
+#[test]
+fn unknown_users_fail_alone_in_a_mixed_wave() {
+    let mut fleet = small_fleet(0x222, 2, 2);
+    for name in ["alice", "bob", "carol"] {
+        fleet.add_user(name, "mp").expect("setup");
+        for a in 0..2 {
+            let (u, d) = acct(name, a);
+            fleet
+                .add_account(name, u, d, PasswordPolicy::default())
+                .expect("account");
+        }
+    }
+    let expected: Vec<_> = ["alice", "bob", "carol"]
+        .iter()
+        .map(|name| fleet.generate(name, 1).expect("generate").1)
+        .collect();
+    let ops = vec![
+        FleetOp::Generate {
+            user: "mallory".into(),
+            account: 0,
+        },
+        FleetOp::Generate {
+            user: "alice".into(),
+            account: 1,
+        },
+        FleetOp::Login {
+            user: "nobody".into(),
+        },
+        FleetOp::Generate {
+            user: "bob".into(),
+            account: 1,
+        },
+        FleetOp::Recover {
+            user: "mallory".into(),
+        },
+        FleetOp::Generate {
+            user: "carol".into(),
+            account: 1,
+        },
+        FleetOp::Rotate {
+            user: "nobody".into(),
+            account: 1,
+        },
+        FleetOp::Login { user: "bob".into() },
+    ];
+    let results = fleet.run_ops(&ops);
+    for (i, unknown) in [(0, "mallory"), (2, "nobody"), (4, "mallory"), (6, "nobody")] {
+        assert!(
+            matches!(&results[i], Err(FleetError::UnknownUser(u)) if u == unknown),
+            "op {i}: {:?}",
+            results[i]
+        );
+    }
+    for (i, want) in [(1, &expected[0]), (3, &expected[1]), (5, &expected[2])] {
+        match &results[i] {
+            Ok(OpOutcome::Password { password, .. }) => assert_eq!(password, want, "op {i}"),
+            other => panic!("op {i}: {other:?}"),
+        }
+    }
+    assert!(matches!(results[7], Ok(OpOutcome::LoggedIn)));
+}
+
+/// A user's index is its place in setup order, and a recovery changes
+/// the user's phone in place: `users_on_shard` lists each shard's users
+/// in setup order before and after it.
+#[test]
+fn users_on_shard_keeps_setup_order_after_a_recovery() {
+    let mut fleet = small_fleet(0x333, 2, 2);
+    let names: Vec<String> = (0..12).map(|i| format!("user{i:02}")).collect();
+    for name in &names {
+        fleet.add_user(name, "mp").expect("setup");
+    }
+    let in_order = |fleet: &Fleet, shard: usize| -> Vec<String> {
+        names
+            .iter()
+            .filter(|name| fleet.user_shard(name) == Some(shard))
+            .cloned()
+            .collect()
+    };
+    let before: Vec<_> = (0..2).map(|i| fleet.users_on_shard(i)).collect();
+    for (shard, users) in before.iter().enumerate() {
+        assert_eq!(*users, in_order(&fleet, shard));
+        assert!(!users.is_empty(), "shard {shard} has no user");
+    }
+    let recovered = &names[5];
+    let phone = fleet.user_phone(recovered).expect("phone").to_string();
+    fleet.recover(recovered).expect("recover");
+    assert_ne!(fleet.user_phone(recovered), Some(phone.as_str()));
+    for (shard, users) in before.iter().enumerate() {
+        assert_eq!(fleet.users_on_shard(shard), *users);
+    }
+    assert_eq!(fleet.user_count(), names.len());
+}
+
 /// `run_ops`' admission order within one wave: a `Recover` parks until
 /// every in-flight op on its user settles, later ops on accounts it does
 /// not hold overtake it, a duplicate generation coalesces onto the one in

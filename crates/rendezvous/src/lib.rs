@@ -215,14 +215,38 @@ impl RendezvousMetrics {
     }
 }
 
+/// A registered device's endpoint: the name it registered under, until
+/// the first push to it resolves the name to the endpoint's id once.
+#[derive(Debug)]
+enum Device {
+    Named(String),
+    Resolved(EndpointId),
+}
+
+/// Where a push reaching an instance goes (see
+/// [`RendezvousServer::route`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route<'a> {
+    /// The registration is here: the push's data, which starts at
+    /// `data_start` in the frame's payload, goes to device `to`.
+    Device {
+        /// The registered device's endpoint.
+        to: EndpointId,
+        /// Where the envelope's data starts in the payload.
+        data_start: usize,
+    },
+    /// The registration is not here; the id is the envelope's text.
+    Elsewhere(&'a str),
+}
+
 /// The rendezvous (push) service.
 ///
 /// Holds the registration-ID → device-endpoint mapping and forwards pushed
 /// payloads. See the crate-level example for the full flow.
 pub struct RendezvousServer {
     endpoint: String,
-    /// Registration ID → device endpoint name. Hashed: nothing iterates it.
-    registry: HashMap<RegistrationId, String>,
+    /// Registration ID → device endpoint. Hashed: nothing iterates it.
+    registry: HashMap<RegistrationId, Device>,
     rng: SecretRng,
     forwarded: u64,
     rejected: u64,
@@ -271,7 +295,7 @@ impl RendezvousServer {
         let token = self.rng.bytes::<24>();
         let id = RegistrationId(Arc::from(format!("reg:{}", hex::encode(&token))));
         self.registry
-            .insert(id.clone(), device_endpoint.to_string());
+            .insert(id.clone(), Device::Named(device_endpoint.to_string()));
         self.metrics.devices.get().set_usize(self.registry.len());
         id
     }
@@ -315,25 +339,75 @@ impl RendezvousServer {
         frame: Frame,
         net: &mut SimNet,
     ) -> Result<EndpointId, RendezvousError> {
-        let (registration_id, data_start) = match PushEnvelope::header(&frame.payload) {
+        match self.route(&frame.payload, net)? {
+            Route::Device { to, data_start } => self.deliver(frame, to, data_start, net),
+            Route::Elsewhere(registration_id) => Err(self.reject_unknown(registration_id)),
+        }
+    }
+
+    /// Reads a push's envelope header once and looks its registration id
+    /// up once: the device it goes to if the id is registered here, and
+    /// the id otherwise. A device's endpoint name is resolved on `net` at
+    /// its first push and kept as an id, so later pushes look up no name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RendezvousError::MalformedEnvelope`] (counted as a
+    /// rejection) for undecodable bytes, and
+    /// [`NetError::UnknownEndpoint`] for a device whose name `net` does not
+    /// know.
+    pub fn route<'a>(
+        &mut self,
+        payload: &'a [u8],
+        net: &SimNet,
+    ) -> Result<Route<'a>, RendezvousError> {
+        let (registration_id, data_start) = match PushEnvelope::header(payload) {
             Ok(header) => header,
             Err(e) => return Err(self.reject(RendezvousError::MalformedEnvelope(e))),
         };
-        let Some(device) = self.registry.get(registration_id) else {
-            let id = RegistrationId(Arc::from(registration_id));
-            return Err(self.reject(RendezvousError::UnknownRegistration(id)));
+        let Some(device) = self.registry.get_mut(registration_id) else {
+            return Ok(Route::Elsewhere(registration_id));
         };
-        let to = net
-            .endpoint(device)
-            .ok_or_else(|| NetError::UnknownEndpoint {
-                name: device.clone(),
-            })?;
+        let to = match device {
+            Device::Resolved(to) => *to,
+            Device::Named(name) => {
+                let to = net
+                    .endpoint(name)
+                    .ok_or_else(|| NetError::UnknownEndpoint { name: name.clone() })?;
+                *device = Device::Resolved(to);
+                to
+            }
+        };
+        Ok(Route::Device { to, data_start })
+    }
+
+    /// Forwards the data of a push [`route`](Self::route) placed here to
+    /// device `to`, from the endpoint the frame was delivered to. The data
+    /// leaves in the frame's own buffer, with the header cut off.
+    ///
+    /// # Errors
+    ///
+    /// Returns network errors from the forward hop.
+    pub fn deliver(
+        &mut self,
+        frame: Frame,
+        to: EndpointId,
+        data_start: usize,
+        net: &mut SimNet,
+    ) -> Result<EndpointId, RendezvousError> {
         let mut data = frame.payload;
-        data.drain(..data_start);
+        data.drain(..data_start.min(data.len()));
         net.transmit(frame.to, to, data, SimDuration::ZERO)?;
         self.forwarded += 1;
         self.metrics.forwarded.get().inc();
         Ok(to)
+    }
+
+    /// Counts a push whose registration id is not registered anywhere it
+    /// could go, and hands back its error.
+    pub fn reject_unknown(&mut self, registration_id: &str) -> RendezvousError {
+        let id = RegistrationId(Arc::from(registration_id));
+        self.reject(RendezvousError::UnknownRegistration(id))
     }
 
     /// Counts a rejected frame and hands its error back.

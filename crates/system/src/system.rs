@@ -684,6 +684,12 @@ impl AmnesiaSystem {
             .set_u64(amnesia_crypto::stats::scrypt_lane_workers());
         telemetry
     }
+
+    /// The session host, for the host's own tests.
+    #[cfg(test)]
+    pub(crate) fn host_mut(&mut self) -> &mut SessionHost {
+        &mut self.host
+    }
 }
 
 #[cfg(test)]

@@ -213,11 +213,11 @@ fn single_host_window() -> Window {
     })
 }
 
-/// Allocator calls over the single host's window: 22 per generation
+/// Allocator calls over the single host's window: 21 per generation
 /// (DESIGN.md §12 names each).
-const SINGLE_HOST_CALLS: u64 = 1_408;
-/// Requested bytes over the single host's window: 1 728 per generation.
-const SINGLE_HOST_BYTES: u64 = 110_592;
+const SINGLE_HOST_CALLS: u64 = 1_344;
+/// Requested bytes over the single host's window: 1 723 per generation.
+const SINGLE_HOST_BYTES: u64 = 110_272;
 
 #[test]
 fn a_single_host_generation_stays_within_its_allocation_budget() {
@@ -302,10 +302,10 @@ fn fleet_windows() -> FleetWindows {
     }
 }
 
-/// Allocator calls over the fleet's measured wave: 24.06 per op.
-const FLEET_CALLS: u64 = 770;
-/// Requested bytes over the fleet's measured wave: 2 969 per op.
-const FLEET_BYTES: u64 = 95_000;
+/// Allocator calls over the fleet's measured wave: 22.97 per op.
+const FLEET_CALLS: u64 = 735;
+/// Requested bytes over the fleet's measured wave: 2 244 per op.
+const FLEET_BYTES: u64 = 71_810;
 
 #[test]
 fn a_fleet_wave_stays_within_its_allocation_budget() {
@@ -321,9 +321,10 @@ fn a_fleet_wave_stays_within_its_allocation_budget() {
 }
 
 /// Net live bytes over the fleet's [`FLEET_USERS`] `add_user` calls:
-/// 10 396 per user, with its cloud backup at its exact length and its four
-/// channels in the slab.
-const FLEET_USER_LIVE: i64 = 332_665;
+/// 10 202 per user, with its cloud backup at its exact length, its four
+/// channels in the slab and its state in the fleet's and the server's
+/// dense vectors.
+const FLEET_USER_LIVE: i64 = 326_459;
 
 #[test]
 fn a_fleet_user_keeps_its_pinned_live_bytes() {
