@@ -493,6 +493,42 @@ mod tests {
     }
 
     #[test]
+    fn route_places_a_push_here_or_elsewhere_without_counting_it() {
+        let (net, mut gcm) = harness();
+        let here = gcm.register_device("phone");
+        let elsewhere = RendezvousServer::new("other", 10).register_device("phone");
+        let wire = |id: &RegistrationId| {
+            PushEnvelope {
+                registration_id: id.clone(),
+                data: b"R".to_vec(),
+            }
+            .to_wire()
+            .unwrap()
+        };
+        let payload = wire(&here);
+        let (_, data_start) = PushEnvelope::header(&payload).unwrap();
+        let phone = net.endpoint("phone").unwrap();
+        for _ in 0..2 {
+            assert_eq!(
+                gcm.route(&payload, &net).unwrap(),
+                Route::Device {
+                    to: phone,
+                    data_start
+                }
+            );
+        }
+        let payload = wire(&elsewhere);
+        assert_eq!(
+            gcm.route(&payload, &net).unwrap(),
+            Route::Elsewhere(elsewhere.as_str())
+        );
+        assert_eq!(gcm.rejected_count(), 0);
+        let err = gcm.reject_unknown(elsewhere.as_str());
+        assert!(matches!(err, RendezvousError::UnknownRegistration(_)));
+        assert_eq!(gcm.rejected_count(), 1);
+    }
+
+    #[test]
     fn malformed_envelope_rejected() {
         let (mut net, mut gcm) = harness();
         net.send("server", "gcm", vec![0xff, 0xff, 0xff]).unwrap();

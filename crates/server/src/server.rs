@@ -178,8 +178,9 @@ impl fmt::Debug for AmnesiaServer {
     }
 }
 
-/// `UnknownUser` for an index no user holds; the server issues indices
-/// only to users it keeps, so only a stale index from elsewhere gets this.
+/// `UnknownUser` for an index no user holds. The server keeps every user
+/// it gives an index, so its own sessions and pending requests never name
+/// one.
 fn unknown_index(user: usize) -> ServerError {
     ServerError::UnknownUser {
         user_id: format!("#{user}"),
@@ -302,17 +303,18 @@ impl AmnesiaServer {
         server
             .accounts
             .put_all(moved.iter().map(|(key, account)| (key, *account)))?;
-        let whole: Vec<usize> = (0..rows.len())
-            .filter(|&i| rows.get(i).is_some_and(|(_, r)| !r.accounts.is_empty()))
+        let whole: Vec<bool> = rows
+            .iter()
+            .map(|(_, record)| !record.accounts.is_empty())
             .collect();
         for (_, record) in &mut rows {
             record.accounts.clear();
         }
         server.users.put_all(
-            whole
-                .iter()
-                .filter_map(|&i| rows.get(i))
-                .map(|(user_id, record)| (user_id, record)),
+            rows.iter()
+                .zip(&whole)
+                .filter(|(_, &whole)| whole)
+                .map(|((user_id, record), _)| (user_id, record)),
         )?;
         let (mut records, user_index) = index_rows(rows);
         attach_accounts(&mut records, &user_index, server.accounts.scan()?)?;
