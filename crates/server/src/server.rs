@@ -1805,9 +1805,10 @@ mod tests {
 
     /// Drives register, add account, login, request, rotate, token,
     /// recover, master-password change and vault store for several users
-    /// in a seeded random order, starting with PR 14's race (a rotation
-    /// between steps 2 and 5), and checks every index after each step and
-    /// every password a token renders.
+    /// in a seeded random order, starting with a rotation between steps 2
+    /// and 5 (a late token must not render under the new seed), and
+    /// checks every index after each step and every password a token
+    /// renders.
     #[test]
     fn every_index_holds_the_name_it_replaces() {
         let mut s = server();
@@ -1829,7 +1830,7 @@ mod tests {
         let (mut rendered, mut rejected) = (0, 0);
         let mut next_account = 0;
 
-        // PR 14's race, first: a rotation between steps 2 and 5.
+        // First, a rotation between steps 2 and 5.
         for user in &mut users {
             s.register_user(&user.name, &user.master_password).unwrap();
             user.registered = true;
